@@ -33,7 +33,7 @@ def main():
     params = init_compression(rng, cfg)
     frame = rng.normal((1, 1, n, cfg.channels))
     v = VideoBatch(features=np.repeat(frame, 4, axis=1),
-                   timestamps=relative_timestamps(4), is_static=True)
+                   timestamps=relative_timestamps(4))
     out = compress(v, params, cfg)
 
     print("\nstatic 4-frame video, pairwise output distances:")

@@ -13,7 +13,9 @@ profiler-style numbers they reproduce; see the preset docstrings.
 
 With `reuse` enabled on a static (repeated-image) workload, the plain ViT
 layers are computed once per tile and shared across the repeats; only the
-temporal layers and the compression head run per repeat.
+temporal layers and the compression head run per repeat. `vit.vit_forward`
+makes this saving whenever every frame of every batch element of its input
+is identical: it runs the plain layers on frame 0 and repeats the result.
 """
 from __future__ import annotations
 

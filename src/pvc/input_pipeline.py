@@ -70,7 +70,10 @@ def read_ppm(path) -> RawImage:
         start = pos
         while pos < len(data) and not data[pos:pos + 1].isspace():
             pos += 1
-        fields.append(int(data[start:pos]))
+        field = data[start:pos]
+        if not field.isdigit() or int(field) == 0:
+            raise IOError(f"{path}: bad PPM header field {field!r}")
+        fields.append(int(field))
     pos += 1  # single whitespace after maxval
     w, h, maxval = fields
     if maxval != 255:

@@ -11,6 +11,7 @@ The byte layout is normative; read(write(t)) round-trips bitwise.
 """
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -38,6 +39,8 @@ def read_tensor(path) -> np.ndarray:
         raw = f.read()
     if raw[:4] != MAGIC:
         raise PvctError(f"{path}: bad magic {raw[:4]!r}")
+    if len(raw) < 12:
+        raise PvctError(f"{path}: truncated header")
     version, ndim = struct.unpack_from("<II", raw, 4)
     if version != VERSION:
         raise PvctError(f"{path}: unsupported version {version}")
@@ -46,12 +49,15 @@ def read_tensor(path) -> np.ndarray:
         raise PvctError(f"{path}: truncated header")
     shape = struct.unpack_from(f"<{ndim}Q", raw, off)
     off += 8 * ndim
-    n = int(np.prod(shape)) if ndim else 1
+    n = math.prod(shape)  # Python ints: extents like 2**40 must not wrap
     payload = raw[off:]
     if len(payload) != 8 * n:
         raise PvctError(f"{path}: payload is {len(payload)} bytes, expected {8 * n}")
     data = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    return data.reshape(shape)
+    try:
+        return data.reshape(shape)
+    except ValueError as e:  # an empty payload with an extent too large to hold
+        raise PvctError(f"{path}: extents {shape}: {e}") from e
 
 
 def write_manifest(path, entries: dict) -> None:

@@ -6,6 +6,7 @@ described by a directory plus one text file.
 """
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 from . import io
@@ -13,8 +14,45 @@ from .compression import CompressionParams
 from .conditioning import AdaLnParams, TemporalEmbeddingParams
 from .vit import AttentionParams, LayerParams, ModelParams, PatchEmbedParams, PvcConfig
 
+# Config entries a manifest must carry; the others fall back to their
+# defaults, as in manifests written before they were saved.
 _CFG_KEYS = ("image_size", "patch_size", "channels", "heads", "ffn_dim",
              "layers", "temporal_layers", "shuffle_kernel", "t_img")
+
+
+def _config_entries(cfg: PvcConfig) -> dict:
+    """One `cfg.<field>` entry per PvcConfig field; tuples space-separated."""
+    entries = {}
+    for f in dataclasses.fields(PvcConfig):
+        value = getattr(cfg, f.name)
+        entries[f"cfg.{f.name}"] = (" ".join(map(str, value))
+                                    if isinstance(value, tuple) else value)
+    return entries
+
+
+def _config_from_entries(entries: dict, manifest_path) -> PvcConfig:
+    kwargs = {}
+    for f in dataclasses.fields(PvcConfig):
+        key = f"cfg.{f.name}"
+        if key not in entries:
+            if f.name in _CFG_KEYS:
+                raise io.PvctError(f"{manifest_path}: missing config entry {key!r}")
+            continue
+        try:
+            if isinstance(f.default, tuple):
+                parts = entries[key].split()
+                if len(parts) != len(f.default):
+                    raise ValueError(f"expected {len(f.default)} values")
+                kwargs[f.name] = tuple(type(d)(s) for d, s in zip(f.default, parts))
+            else:
+                kwargs[f.name] = type(f.default)(entries[key])
+        except ValueError as e:
+            raise io.PvctError(f"{manifest_path}: bad config entry {key} = "
+                               f"{entries[key]!r}: {e}") from e
+    try:
+        return PvcConfig(**kwargs)
+    except ValueError as e:
+        raise io.PvctError(f"{manifest_path}: {e}") from e
 
 
 def _model_tensors(model: ModelParams) -> dict:
@@ -51,8 +89,7 @@ def save_model(directory, model: ModelParams) -> Path:
     """Write all weights and the manifest; returns the manifest path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    entries = {f"cfg.{k}": getattr(model.cfg, k) for k in _CFG_KEYS}
-    entries["cfg.ts_scale"] = model.cfg.ts_scale
+    entries = _config_entries(model.cfg)
     for name, arr in _model_tensors(model).items():
         fname = name.replace(".", "_") + ".pvct"
         io.write_tensor(directory / fname, arr)
@@ -67,13 +104,7 @@ def load_model(manifest_path) -> ModelParams:
     manifest_path = Path(manifest_path)
     entries = io.read_manifest(manifest_path)
     base = manifest_path.parent
-    try:
-        cfg = PvcConfig(
-            **{k: int(entries[f"cfg.{k}"]) for k in _CFG_KEYS},
-            ts_scale=float(entries.get("cfg.ts_scale", 1000.0)),
-        )
-    except KeyError as e:
-        raise io.PvctError(f"{manifest_path}: missing config entry {e}") from e
+    cfg = _config_from_entries(entries, manifest_path)
 
     def tensor(name, shape=None):
         key = f"weight.{name}"

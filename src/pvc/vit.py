@@ -85,7 +85,6 @@ class VideoBatch:
     """Patch-token features [B, T, N, C] with per-frame timestamps."""
     features: Array
     timestamps: Array
-    is_static: bool = False
 
     def __post_init__(self):
         if self.features.ndim != 4:
@@ -232,10 +231,7 @@ def patchify(frames: Array, cfg: PvcConfig, patch: PatchEmbedParams) -> VideoBat
     x = x.transpose(0, 1, 2, 4, 3, 5, 6).reshape(b, t, g * g, ps * ps * 3)
     tokens = x @ patch.weight + patch.bias
     tokens = tokens + patch.pos[None, None, :, :]
-    is_static = t > 1 and bool(np.all(frames == frames[:, :1]))
-    return VideoBatch(features=tokens,
-                      timestamps=relative_timestamps(t),
-                      is_static=is_static)
+    return VideoBatch(features=tokens, timestamps=relative_timestamps(t))
 
 
 def _attention(x: Array, p: AttentionParams, causal: bool) -> Array:
@@ -296,8 +292,7 @@ def progressive_layer_forward(v: VideoBatch, p: LayerParams,
     h = layer_norm(x, gamma=p.ln2_gamma, beta=p.ln2_beta, eps=eps)
     x = x + silu(h @ p.ffn_w_in + p.ffn_b_in) @ p.ffn_w_out + p.ffn_b_out
 
-    return VideoBatch(features=x, timestamps=v.timestamps,
-                      is_static=v.is_static)
+    return VideoBatch(features=x, timestamps=v.timestamps)
 
 
 def plain_layer_forward(x: Array, p: LayerParams, eps: float = 1e-6) -> Array:
@@ -309,15 +304,29 @@ def plain_layer_forward(x: Array, p: LayerParams, eps: float = 1e-6) -> Array:
 
 
 def vit_forward(v: VideoBatch, cfg: PvcConfig, model: ModelParams) -> VideoBatch:
-    """Run the full stack: plain layers first, progressive layers last."""
+    """Run the full stack: plain layers first, progressive layers last.
+
+    Plain layers see each frame alone, so when every frame of the input is
+    identical (an image repeated as a static video) they run on frame 0
+    only, and their output is repeated to all T frames before the first
+    temporal layer. The result equals running them on every frame.
+    """
     if len(model.layers) != cfg.layers:
         raise ValueError(f"expected {cfg.layers} layers, got {len(model.layers)}")
     plain = cfg.layers - cfg.temporal_layers
+    x, timestamps = v.features, v.timestamps
+    t = x.shape[1]
+    static = plain > 0 and t > 1 and bool((x == x[:, :1]).all())
+    if static:
+        v = VideoBatch(features=x[:, :1], timestamps=timestamps[:1])
     for i, p in enumerate(model.layers):
         if p.is_temporal != (i >= plain):
             raise ValueError(f"layer {i}: temporal={p.is_temporal}, expected "
                              f"{'temporal' if i >= plain else 'plain'}")
         v = progressive_layer_forward(v, p, ts_scale=cfg.ts_scale, eps=cfg.eps)
+        if static and i == plain - 1:
+            v = VideoBatch(features=np.repeat(v.features, t, axis=1),
+                           timestamps=timestamps)
     return v
 
 
@@ -327,5 +336,4 @@ def plain_vit_forward(v: VideoBatch, cfg: PvcConfig, model: ModelParams) -> Vide
     x = v.features.reshape(b * t, n, c)
     for p in model.layers:
         x = plain_layer_forward(x, p, eps=cfg.eps)
-    return VideoBatch(features=x.reshape(b, t, n, c),
-                      timestamps=v.timestamps, is_static=v.is_static)
+    return VideoBatch(features=x.reshape(b, t, n, c), timestamps=v.timestamps)

@@ -135,7 +135,7 @@ def test_07_static_frames_distinct_iff_conditioned():
         params = init_compression(rng, cfg)
         frame = rng.normal((1, 1, cfg.tokens_per_frame, cfg.channels))
         v = VideoBatch(features=np.repeat(frame, 4, axis=1),
-                       timestamps=relative_timestamps(4), is_static=True)
+                       timestamps=relative_timestamps(4))
         out = compress(v, params, cfg)
         for a in range(4):
             for b in range(a + 1, 4):
@@ -149,7 +149,7 @@ def test_07_static_frames_distinct_iff_conditioned():
         w[...] = 0.0
     frame = rng.normal((1, 1, cfg.tokens_per_frame, cfg.channels))
     v = VideoBatch(features=np.repeat(frame, 4, axis=1),
-                   timestamps=relative_timestamps(4), is_static=True)
+                   timestamps=relative_timestamps(4))
     out = compress(v, params, cfg)
     identical = all(np.array_equal(out[:, 0], out[:, j]) for j in range(1, 4))
 

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,14 @@ class TestForwardCompress:
         assert code == 3
         assert "I/O error" in err
 
+    def test_forward_overflowing_extents_is_io_error(self, capsys, tmp_path):
+        src = tmp_path / "in.pvct"
+        src.write_bytes(b"PVCT" + struct.pack("<II2Q", 1, 2, 2 ** 40, 2 ** 40))
+        code, _, err = run(capsys, "forward", "--toy",
+                           "--input", str(src), "--output", str(tmp_path / "o.pvct"))
+        assert code == 3
+        assert "I/O error" in err
+
     def test_forward_missing_input(self, capsys, tmp_path):
         code, _, _ = run(capsys, "forward", "--toy",
                          "--input", str(tmp_path / "nope.pvct"),
@@ -175,6 +185,14 @@ class TestPipeline:
         code, _, _ = run(capsys, "pipeline", "--toy", "--video", str(src),
                          "--no-frame-bounds", "--output", str(dst))
         assert code == 0
+
+    def test_malformed_ppm_is_io_error(self, capsys, tmp_path):
+        ppm = tmp_path / "img.ppm"
+        ppm.write_bytes(b"P6\nabc 3\n255\n")
+        code, _, err = run(capsys, "pipeline", "--toy", "--image", str(ppm),
+                           "--output", str(tmp_path / "o.pvct"))
+        assert code == 3
+        assert "img.ppm" in err
 
     def test_no_input_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "pipeline", "--toy",

@@ -121,7 +121,7 @@ class TestCompress:
             w *= 20.0
         frame = rng.normal((1, 1, 16, 3))
         v = VideoBatch(features=np.repeat(frame, 4, axis=1),
-                       timestamps=relative_timestamps(4), is_static=True)
+                       timestamps=relative_timestamps(4))
         out = compress(v, p, cfg)
         for a in range(4):
             for b in range(a + 1, 4):
@@ -135,7 +135,7 @@ class TestCompress:
             w[...] = 0.0
         frame = rng.normal((1, 1, 16, 3))
         v = VideoBatch(features=np.repeat(frame, 4, axis=1),
-                       timestamps=relative_timestamps(4), is_static=True)
+                       timestamps=relative_timestamps(4))
         out = compress(v, p, cfg)
         assert np.array_equal(out[:, 0], out[:, 1])
         assert np.array_equal(out[:, 0], out[:, 3])

@@ -142,6 +142,14 @@ class TestPpm:
         path.write_bytes(b"P6\n# a comment\n2 2\n255\n" + img.pixels.tobytes())
         assert np.array_equal(read_ppm(path).pixels, img.pixels)
 
+    @pytest.mark.parametrize("header", [b"P6\nabc 3\n255\n", b"P6\n2 ",
+                                        b"P6\n0 2\n255\n", b"P6\n-2 2\n255\n"])
+    def test_rejects_malformed_header(self, tmp_path, header):
+        path = tmp_path / "img.ppm"
+        path.write_bytes(header + b"\0" * 12)
+        with pytest.raises(IOError, match="img.ppm"):
+            read_ppm(path)
+
     def test_rejects_non_p6(self, tmp_path):
         path = tmp_path / "img.pgm"
         path.write_bytes(b"P5\n2 2\n255\n" + b"\0" * 4)

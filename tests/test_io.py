@@ -1,8 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
 
 from pvc import io
+from pvc.model_store import _model_tensors as model_tensors, load_model, save_model
 from pvc.tensor import Rng
+from pvc.verification import toy_config
+from pvc.vit import init_model
 
 
 def test_round_trip_bitwise(tmp_path):
@@ -46,6 +51,44 @@ def test_truncated_payload(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(io.PvctError):
         io.read_tensor(path)
+
+
+@pytest.mark.parametrize("header", [
+    b"PVCT\x01",                                                # cut off in the version
+    b"PVCT" + struct.pack("<II2Q", 1, 2, 2 ** 40, 2 ** 40),    # element count overflows int64
+    b"PVCT" + struct.pack("<II2Q", 1, 2, 0, 2 ** 62),          # empty, but too large to reshape
+])
+def test_malformed_header(tmp_path, header):
+    path = tmp_path / "bad.pvct"
+    path.write_bytes(header)
+    with pytest.raises(io.PvctError):
+        io.read_tensor(path)
+
+
+def test_model_round_trip_every_config_field(tmp_path):
+    cfg = toy_config(layers=2, temporal_layers=1, t_img=3,
+                     frame_bounds=(8, 40), ts_scale=500.0, eps=1e-5,
+                     pixel_mean=(0.5, 0.25, 0.125), pixel_std=(0.3, 0.2, 0.1))
+    model = init_model(3, cfg)
+    back = load_model(save_model(tmp_path, model))
+    assert back.cfg == cfg
+    saved, loaded = model_tensors(model), model_tensors(back)
+    assert saved.keys() == loaded.keys()
+    assert all(np.array_equal(loaded[k], v) for k, v in saved.items())
+
+
+@pytest.mark.parametrize("entry, value", [
+    ("image_size", "abc"),          # not a number
+    ("image_size", "50"),           # not a multiple of patch_size
+    ("pixel_mean", "0.5 0.5"),      # too few values
+])
+def test_model_manifest_bad_config(tmp_path, entry, value):
+    manifest = save_model(tmp_path, init_model(3, toy_config(layers=2, temporal_layers=1)))
+    entries = io.read_manifest(manifest)
+    entries[f"cfg.{entry}"] = value
+    io.write_manifest(manifest, entries)
+    with pytest.raises(io.PvctError):
+        load_model(manifest)
 
 
 def test_manifest_round_trip(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pvc import vit
 from pvc.conditioning import ada_ln, relative_timestamps
 from pvc.tensor import Rng, layer_norm, silu, softmax
 from pvc.verification import randomize_gates, toy_config
@@ -75,19 +76,6 @@ class TestPatchify:
         v = patchify(img, cfg, patch)
         # row-major patch order: (0,0), (0,1), (1,0), (1,1)
         assert np.array_equal(v.features[0, 0], img[0, 0].reshape(4, 3))
-
-    def test_static_flag(self):
-        cfg = PvcConfig(image_size=28, patch_size=14, channels=4, heads=1,
-                        ffn_dim=8, shuffle_kernel=2)
-        rng = Rng(3)
-        patch = PatchEmbedParams(weight=rng.normal((588, 4)), bias=np.zeros(4),
-                                 pos=np.zeros((4, 4)))
-        frame = rng.normal((1, 1, 28, 28, 3))
-        static = np.repeat(frame, 3, axis=1)
-        assert patchify(static, cfg, patch).is_static
-        moving = static.copy()
-        moving[0, 2, 0, 0, 0] += 1
-        assert not patchify(moving, cfg, patch).is_static
 
 
 class TestSpatialMha:
@@ -173,7 +161,7 @@ class TestProgressiveLayer:
             w[...] = 0.0
         frame = rng.normal((1, 1, cfg.tokens_per_frame, cfg.channels))
         v = VideoBatch(features=np.repeat(frame, 4, axis=1),
-                       timestamps=relative_timestamps(4), is_static=True)
+                       timestamps=relative_timestamps(4))
         out = progressive_layer_forward(v, p).features
         assert np.max(np.abs(out - out[:, :1])) == 0.0
 
@@ -252,7 +240,7 @@ class TestVitForward:
         randomize_gates(model, rng)
         frame = rng.normal((1, 1, cfg.tokens_per_frame, cfg.channels))
         v = VideoBatch(features=np.repeat(frame, 4, axis=1),
-                       timestamps=relative_timestamps(4), is_static=True)
+                       timestamps=relative_timestamps(4))
         out = vit_forward(v, cfg, model).features
         dists = [np.linalg.norm(out[0, a] - out[0, b])
                  for a in range(4) for b in range(a + 1, 4)]
@@ -285,3 +273,93 @@ class TestVitForward:
         out_b = vit_forward(VideoBatch(v.features.copy(), v.timestamps),
                             cfg, model_b).features
         assert np.array_equal(out_a, out_b)
+
+
+def layerwise_reference(v, cfg, model):
+    """Every layer over all T frames: the forward without plain-layer reuse."""
+    for p in model.layers:
+        v = progressive_layer_forward(v, p, ts_scale=cfg.ts_scale, eps=cfg.eps)
+    return v.features
+
+
+def spy_layer_calls(monkeypatch):
+    """Record (is_temporal, T) of every progressive_layer_forward call."""
+    calls = []
+    real = vit.progressive_layer_forward
+
+    def spy(v, p, **kwargs):
+        calls.append((p.is_temporal, v.features.shape[1]))
+        return real(v, p, **kwargs)
+
+    monkeypatch.setattr(vit, "progressive_layer_forward", spy)
+    return calls
+
+
+class TestPlainLayerReuse:
+    def _model(self, seed, cfg):
+        model = init_model(seed, cfg)
+        randomize_gates(model, Rng(seed + 1))
+        return model
+
+    def _static_batch(self, rng, cfg, b=1, t=4):
+        frame = rng.normal((b, 1, cfg.tokens_per_frame, cfg.channels))
+        return VideoBatch(features=np.repeat(frame, t, axis=1),
+                          timestamps=relative_timestamps(t))
+
+    def test_static_equals_layerwise_bitwise(self):
+        cfg = toy_config()
+        model = self._model(40, cfg)
+        v = self._static_batch(Rng(41), cfg)
+        out = vit_forward(v, cfg, model).features
+        assert np.array_equal(out, layerwise_reference(v, cfg, model))
+
+    def test_static_runs_plain_layers_on_one_frame(self, monkeypatch):
+        cfg = toy_config()
+        model = self._model(42, cfg)
+        calls = spy_layer_calls(monkeypatch)
+        out = vit_forward(self._static_batch(Rng(43), cfg), cfg, model)
+        plain = cfg.layers - cfg.temporal_layers
+        assert calls == [(False, 1)] * plain + [(True, 4)] * cfg.temporal_layers
+        assert out.features.shape[1] == 4 and len(out.timestamps) == 4
+
+    def test_static_without_temporal_layers(self, monkeypatch):
+        cfg = toy_config(temporal_layers=0)
+        model = self._model(44, cfg)
+        v = self._static_batch(Rng(45), cfg, t=3)
+        calls = spy_layer_calls(monkeypatch)
+        out = vit_forward(v, cfg, model).features
+        assert calls == [(False, 1)] * cfg.layers
+        assert np.array_equal(out, layerwise_reference(v, cfg, model))
+
+    @pytest.mark.parametrize("case", ["one_frame", "moving", "one_static_of_two"])
+    def test_no_reuse_unless_all_frames_identical(self, case, monkeypatch):
+        cfg = toy_config()
+        model = self._model(46, cfg)
+        rng = Rng(47)
+        if case == "one_frame":
+            v = self._static_batch(rng, cfg, t=1)
+        elif case == "moving":
+            v = make_batch(rng, cfg)
+        else:
+            v = self._static_batch(rng, cfg, b=2)
+            v.features[1, 3, 0, 0] += 1.0
+        calls = spy_layer_calls(monkeypatch)
+        out = vit_forward(v, cfg, model).features
+        t = v.features.shape[1]
+        assert [frames for _, frames in calls] == [t] * cfg.layers
+        assert np.array_equal(out, layerwise_reference(v, cfg, model))
+
+    def test_patchified_static_video_reuses(self, monkeypatch):
+        cfg = toy_config()
+        model = self._model(48, cfg)
+        frame = Rng(49).normal((1, 1, cfg.image_size, cfg.image_size, 3))
+        static = np.repeat(frame, 3, axis=1)
+        moving = static.copy()
+        moving[0, 2, 0, 0, 0] += 1
+        plain = cfg.layers - cfg.temporal_layers
+        calls = spy_layer_calls(monkeypatch)
+        vit_forward(patchify(static, cfg, model.patch), cfg, model)
+        assert calls[:plain] == [(False, 1)] * plain
+        calls.clear()
+        vit_forward(patchify(moving, cfg, model.patch), cfg, model)
+        assert calls[:plain] == [(False, 3)] * plain
