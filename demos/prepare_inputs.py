@@ -31,8 +31,7 @@ def main():
 
     # 2. an image becomes a 4-frame static video
     video = image_to_static_video(tiles[0], 4)
-    print(f"tile 0 repeated: {video.frame_count} frames, "
-          f"static = {video.is_static}")
+    print(f"tile 0 repeated: {video.frame_count} frames")
 
     # 3. a long video is sampled uniformly, endpoints always kept
     long = RawVideo(frames=[fake_image(i, 64, 64) for i in range(50)])

@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 check failure, 2 usage error, 3 I/O error.
+Exit codes: 0 success, 1 check failure, 2 usage error, 3 I/O error,
+4 non-finite value (NaN or Inf) in a computation.
 The default seed comes from --seed, falling back to the PVC_SEED
 environment variable, then 0.
 """
@@ -33,7 +34,7 @@ from .input_pipeline import (
     RawImage,
     RawVideo,
 )
-from .tensor import Rng
+from .tensor import NonFiniteError, Rng
 from .verification import (
     CHECKED_MODULES,
     check_causality,
@@ -47,6 +48,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_NONFINITE = 4
 
 
 def _default_seed(args) -> int:
@@ -304,6 +306,9 @@ def main(argv=None) -> int:
     except (io.PvctError, FileNotFoundError, IsADirectoryError, OSError) as e:
         print(f"pvc: I/O error: {e}", file=sys.stderr)
         return EXIT_IO
+    except NonFiniteError as e:
+        print(f"pvc: non-finite value: {e}", file=sys.stderr)
+        return EXIT_NONFINITE
     except ValueError as e:
         print(f"pvc: {e}", file=sys.stderr)
         return EXIT_USAGE

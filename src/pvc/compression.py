@@ -21,7 +21,7 @@ from .conditioning import (
     sinusoidal_embed,
     temporal_embedding,
 )
-from .tensor import Array, Rng, silu
+from .tensor import Array, Rng, linear, silu
 from .vit import NEW_WEIGHT_STD, PvcConfig, VideoBatch
 
 
@@ -100,4 +100,4 @@ def compress(v: VideoBatch, p: CompressionParams, cfg: PvcConfig) -> Array:
     te = temporal_embedding(sinusoidal_embed(v.timestamps, cfg.ts_scale), p.te)
     z = xt + te[None, :, None, :]
     a = ada_ln(xt, z, p.adaln, eps=cfg.eps)
-    return silu(a @ p.w_in + p.b_in) @ p.w_out + p.b_out
+    return linear(silu(linear(a, p.w_in, p.b_in)), p.w_out, p.b_out)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Array, Rng, layer_norm, silu
+from .tensor import Array, Rng, layer_norm, linear, silu
 
 SINUSOID_DIM = 256
 DEFAULT_TS_SCALE = 1000.0
@@ -98,7 +98,7 @@ def temporal_embedding(t_tilde: Array, p: TemporalEmbeddingParams) -> Array:
     if t_tilde.shape[-1] != p.w1.shape[0]:
         raise ValueError(
             f"sinusoid width {t_tilde.shape[-1]} != W1 rows {p.w1.shape[0]}")
-    return silu(t_tilde @ p.w1) @ p.w2
+    return linear(silu(linear(t_tilde, p.w1)), p.w2)
 
 
 def affine_coeffs(z: Array, p: AdaLnParams) -> tuple[Array, Array]:
@@ -110,8 +110,8 @@ def affine_coeffs(z: Array, p: AdaLnParams) -> tuple[Array, Array]:
     z = np.asarray(z, dtype=np.float64)
     if z.shape[-1] != p.dim:
         raise ValueError(f"condition width {z.shape[-1]} != {p.dim}")
-    gamma = silu(z @ p.w3) @ p.w4
-    beta = silu(z @ p.w5) @ p.w6
+    gamma = linear(silu(linear(z, p.w3)), p.w4)
+    beta = linear(silu(linear(z, p.w5)), p.w6)
     return gamma, beta
 
 

@@ -36,7 +36,6 @@ class RawImage:
 @dataclass
 class RawVideo:
     frames: list[RawImage]
-    is_static: bool = False
 
     def __post_init__(self):
         if not self.frames:
@@ -94,8 +93,7 @@ def image_to_static_video(img: RawImage, t_img: int) -> RawVideo:
     """Repeat one image t_img times into a static video."""
     if t_img < 1:
         raise ValueError(f"t_img must be >= 1, got {t_img}")
-    return RawVideo(frames=[RawImage(img.pixels.copy()) for _ in range(t_img)],
-                    is_static=True)
+    return RawVideo(frames=[RawImage(img.pixels.copy()) for _ in range(t_img)])
 
 
 def sample_frames(v: RawVideo, t: int) -> RawVideo:
@@ -113,7 +111,7 @@ def sample_frames(v: RawVideo, t: int) -> RawVideo:
         idx = [0]
     else:
         idx = [int(np.floor(i * (l - 1) / (t - 1) + 0.5)) for i in range(t)]
-    return RawVideo(frames=[v.frames[i] for i in idx], is_static=v.is_static)
+    return RawVideo(frames=[v.frames[i] for i in idx])
 
 
 def select_tile_grid(width: int, height: int, max_tiles: int) -> tuple[int, int]:

@@ -17,59 +17,40 @@ class NonFiniteError(FloatingPointError):
     """An operation produced NaN or Inf."""
 
 
-def as_tensor(data) -> Array:
-    """Coerce to a contiguous float64 array and verify finiteness."""
-    x = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-    _check_finite(x, "as_tensor")
-    return x
-
-
 def _check_finite(x: Array, op: str) -> None:
     if not np.all(np.isfinite(x)):
         raise NonFiniteError(f"{op}: result contains NaN or Inf")
 
 
-def matmul(a: Array, b: Array) -> Array:
-    """2-D matrix product c[i,j] = sum_p a[i,p] b[p,j]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul inner extents differ: {a.shape} x {b.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = a @ b
-    _check_finite(c, "matmul")
-    return c
+def linear(x: Array, w: Array, b: Array | None = None) -> Array:
+    """x @ w + b over the last axis of x, as one 2-D product.
 
-
-def softmax(x: Array, axis: int = -1) -> Array:
-    """Numerically stable softmax along `axis` (max-subtracted)."""
-    x = np.asarray(x, dtype=np.float64)
-    if not -x.ndim <= axis < x.ndim:
-        raise ValueError(f"softmax axis {axis} invalid for shape {x.shape}")
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / np.sum(e, axis=axis, keepdims=True)
-    _check_finite(out, "softmax")
-    return out
+    NumPy runs a stacked `[..., L, C] @ [C, D]` as one small product per
+    leading index; flattening the leading axes gives BLAS one tall GEMM.
+    """
+    y = x.reshape(-1, x.shape[-1]) @ w
+    if b is not None:
+        y += b
+    return y.reshape(*x.shape[:-1], w.shape[-1])
 
 
 def sigmoid(x: Array) -> Array:
+    """1 / (1 + exp(-x)); exp overflows to inf below x = -709, giving exactly 0."""
     x = np.asarray(x, dtype=np.float64)
-    # split by sign to avoid overflow in exp
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def silu(x: Array) -> Array:
-    """SiLU (sigmoid-weighted linear unit): x * sigmoid(x)."""
+    """SiLU (sigmoid-weighted linear unit): x * sigmoid(x) = x / (1 + exp(-x))."""
     x = np.asarray(x, dtype=np.float64)
-    out = x * sigmoid(x)
+    # computed in one buffer; a -inf input gives -inf/inf = NaN, which the
+    # check below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.negative(x)
+        np.exp(out, out=out)
+        out += 1.0
+        np.divide(x, out, out=out)
     _check_finite(out, "silu")
     return out
 
@@ -108,24 +89,6 @@ def layer_norm(x: Array, axis: int = -1, gamma: Array | None = None,
         out = out + b.reshape(bshape)
     _check_finite(out, "layer_norm")
     return out
-
-
-def reshape(x: Array, shape) -> Array:
-    """Row-major reshape; element count must be preserved."""
-    x = np.asarray(x, dtype=np.float64)
-    shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape)) != x.size:
-        raise ValueError(f"reshape {x.shape} -> {shape}: element count differs")
-    return np.ascontiguousarray(x.reshape(shape))
-
-
-def permute(x: Array, axes) -> Array:
-    """Axis permutation (generalized transpose); values are untouched."""
-    x = np.asarray(x, dtype=np.float64)
-    axes = tuple(int(a) for a in axes)
-    if sorted(axes) != list(range(x.ndim)):
-        raise ValueError(f"permute axes {axes} invalid for ndim {x.ndim}")
-    return np.ascontiguousarray(np.transpose(x, axes))
 
 
 class Rng:

@@ -84,7 +84,8 @@ def _linear_grads(x: Array, dy: Array, w: Array):
     """Grads for y = x @ w + b with arbitrary leading axes."""
     x2 = x.reshape(-1, x.shape[-1])
     d2 = dy.reshape(-1, dy.shape[-1])
-    return d2.reshape(dy.shape) @ w.T, x2.T @ d2, d2.sum(axis=0)
+    dx = (d2 @ w.T).reshape(*dy.shape[:-1], w.shape[0])
+    return dx, x2.T @ d2, d2.sum(axis=0)
 
 
 def _attn_fwd(x: Array, p: AttentionParams, causal: bool):

@@ -26,7 +26,7 @@ from .conditioning import (
     sinusoidal_embed,
     temporal_embedding,
 )
-from .tensor import Array, Rng, layer_norm, silu
+from .tensor import Array, Rng, layer_norm, linear, silu
 
 # Finite stand-in for -inf in masked attention scores; exp underflows to
 # exactly 0, which keeps causality bitwise rather than approximately.
@@ -229,8 +229,8 @@ def patchify(frames: Array, cfg: PvcConfig, patch: PatchEmbedParams) -> VideoBat
     g, ps = cfg.grid, cfg.patch_size
     x = frames.reshape(b, t, g, ps, g, ps, 3)
     x = x.transpose(0, 1, 2, 4, 3, 5, 6).reshape(b, t, g * g, ps * ps * 3)
-    tokens = x @ patch.weight + patch.bias
-    tokens = tokens + patch.pos[None, None, :, :]
+    tokens = linear(x, patch.weight, patch.bias)
+    tokens += patch.pos
     return VideoBatch(features=tokens, timestamps=relative_timestamps(t))
 
 
@@ -240,18 +240,19 @@ def _attention(x: Array, p: AttentionParams, causal: bool) -> Array:
     if c % p.heads != 0:
         raise ValueError(f"channels {c} not divisible by heads {p.heads}")
     d = c // p.heads
-    q = (x @ p.wq + p.bq).reshape(s, l, p.heads, d).transpose(0, 2, 1, 3)
-    k = (x @ p.wk + p.bk).reshape(s, l, p.heads, d).transpose(0, 2, 1, 3)
-    v = (x @ p.wv + p.bv).reshape(s, l, p.heads, d).transpose(0, 2, 1, 3)
-    scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(d)
+    q = linear(x, p.wq, p.bq).reshape(s, l, p.heads, d).transpose(0, 2, 1, 3)
+    k = linear(x, p.wk, p.bk).reshape(s, l, p.heads, d).transpose(0, 2, 1, 3)
+    v = linear(x, p.wv, p.bv).reshape(s, l, p.heads, d).transpose(0, 2, 1, 3)
+    # softmax in place: the [S, H, L, L] scores are the only buffer of that size
+    attn = q @ k.transpose(0, 1, 3, 2)
+    attn /= np.sqrt(d)
     if causal:
-        mask = np.tril(np.ones((l, l), dtype=bool))
-        scores = np.where(mask, scores, MASK_VALUE)
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    attn = e / e.sum(axis=-1, keepdims=True)
+        np.copyto(attn, MASK_VALUE, where=~np.tril(np.ones((l, l), dtype=bool)))
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
     ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(s, l, c)
-    return ctx @ p.wo + p.bo
+    return linear(ctx, p.wo, p.bo)
 
 
 def spatial_mha(x: Array, p: AttentionParams) -> Array:
@@ -262,6 +263,10 @@ def spatial_mha(x: Array, p: AttentionParams) -> Array:
 def temporal_mha_causal(x: Array, p: AttentionParams) -> Array:
     """Causal self-attention along frames at fixed spatial position: [B*N, T, C]."""
     return _attention(x, p, causal=True)
+
+
+def _ffn(h: Array, p: LayerParams) -> Array:
+    return linear(silu(linear(h, p.ffn_w_in, p.ffn_b_in)), p.ffn_w_out, p.ffn_b_out)
 
 
 def layer_te(timestamps: Array, p: LayerParams, ts_scale: float) -> Array:
@@ -290,7 +295,7 @@ def progressive_layer_forward(v: VideoBatch, p: LayerParams,
         x = x + p.gate_alpha * tm
 
     h = layer_norm(x, gamma=p.ln2_gamma, beta=p.ln2_beta, eps=eps)
-    x = x + silu(h @ p.ffn_w_in + p.ffn_b_in) @ p.ffn_w_out + p.ffn_b_out
+    x = x + _ffn(h, p)
 
     return VideoBatch(features=x, timestamps=v.timestamps)
 
@@ -300,7 +305,7 @@ def plain_layer_forward(x: Array, p: LayerParams, eps: float = 1e-6) -> Array:
     h = layer_norm(x, gamma=p.ln1_gamma, beta=p.ln1_beta, eps=eps)
     x = x + spatial_mha(h, p.smha)
     h = layer_norm(x, gamma=p.ln2_gamma, beta=p.ln2_beta, eps=eps)
-    return x + silu(h @ p.ffn_w_in + p.ffn_b_in) @ p.ffn_w_out + p.ffn_b_out
+    return x + _ffn(h, p)
 
 
 def vit_forward(v: VideoBatch, cfg: PvcConfig, model: ModelParams) -> VideoBatch:

@@ -117,6 +117,18 @@ class TestForwardCompress:
         assert code == 3
         assert "I/O error" in err
 
+    def test_forward_nan_tokens_is_nonfinite_error(self, capsys, tmp_path):
+        cfg = toy_config()
+        src = tmp_path / "in.pvct"
+        x = Rng(5).normal((1, 2, cfg.tokens_per_frame, cfg.channels))
+        x[0, 1, 3, 0] = np.nan
+        io.write_tensor(src, x)
+        code, _, err = run(capsys, "forward", "--toy", "--input", str(src),
+                           "--output", str(tmp_path / "out.pvct"))
+        assert code == 4
+        assert err.startswith("pvc: non-finite value:") and "Traceback" not in err
+        assert not (tmp_path / "out.pvct").exists()
+
     def test_forward_missing_input(self, capsys, tmp_path):
         code, _, _ = run(capsys, "forward", "--toy",
                          "--input", str(tmp_path / "nope.pvct"),

@@ -25,7 +25,7 @@ def rand_image(seed, h, w):
 class TestStaticVideo:
     def test_default_repeat(self):
         v = image_to_static_video(rand_image(1, 8, 8), 4)
-        assert v.frame_count == 4 and v.is_static
+        assert v.frame_count == 4
         for f in v.frames[1:]:
             assert np.array_equal(f.pixels, v.frames[0].pixels)
 

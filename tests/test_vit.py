@@ -3,7 +3,7 @@ import pytest
 
 from pvc import vit
 from pvc.conditioning import ada_ln, relative_timestamps
-from pvc.tensor import Rng, layer_norm, silu, softmax
+from pvc.tensor import Rng, layer_norm, silu
 from pvc.verification import randomize_gates, toy_config
 from pvc.vit import (
     AttentionParams,
@@ -22,6 +22,29 @@ from pvc.vit import (
     temporal_mha_causal,
     vit_forward,
 )
+
+
+def softmax(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def reference_attention(x, p, causal):
+    """Multi-head attention one sequence and one head at a time."""
+    s, l, c = x.shape
+    d = c // p.heads
+    out = np.zeros_like(x)
+    for i in range(s):
+        q, k, v = x[i] @ p.wq + p.bq, x[i] @ p.wk + p.bk, x[i] @ p.wv + p.bv
+        ctx = np.zeros((l, c))
+        for h in range(p.heads):
+            cols = slice(h * d, (h + 1) * d)
+            scores = q[:, cols] @ k[:, cols].T / np.sqrt(d)
+            if causal:
+                scores[np.triu_indices(l, 1)] = -np.inf
+            ctx[:, cols] = softmax(scores) @ v[:, cols]
+        out[i] = ctx @ p.wo + p.bo
+    return out
 
 
 def make_batch(rng, cfg, b=1, t=4):
@@ -99,7 +122,7 @@ class TestSpatialMha:
         p = init_attention(rng, c=c, heads=1, std=0.3)
         x = rng.normal((1, 3, c))
         q, k, v = x[0] @ p.wq + p.bq, x[0] @ p.wk + p.bk, x[0] @ p.wv + p.bv
-        attn = softmax(q @ k.T / np.sqrt(c), axis=-1)
+        attn = softmax(q @ k.T / np.sqrt(c))
         expect = (attn @ v) @ p.wo + p.bo
         assert np.max(np.abs(spatial_mha(x, p)[0] - expect)) < 1e-12
 
@@ -132,6 +155,18 @@ class TestTemporalMhaCausal:
             out = temporal_mha_causal(xp, p)
             assert np.array_equal(out[:, :j], base[:, :j])
             assert np.max(np.abs(out[:, j:] - base[:, j:])) > 0
+
+
+@pytest.mark.parametrize("mha, causal", [(spatial_mha, False),
+                                          (temporal_mha_causal, True)])
+def test_attention_matches_reference_and_keeps_input(mha, causal):
+    rng = Rng(10)
+    p = init_attention(rng, c=8, heads=2, std=0.5)
+    x = rng.normal((3, 5, 8)) * 2.0
+    x0 = x.copy()
+    out = mha(x, p)
+    assert np.array_equal(x, x0)
+    assert np.max(np.abs(out - reference_attention(x, p, causal))) <= 1e-12
 
 
 class TestProgressiveLayer:
