@@ -1,8 +1,9 @@
 """Deterministic dense-tensor primitives.
 
 Everything in this package computes in float64 on contiguous row-major
-numpy arrays. Ops are pure: they never write into their inputs, and a
-non-finite result (NaN/Inf) raises instead of propagating silently.
+numpy arrays. Ops are pure: they never write into their inputs unless
+handed an `out=` buffer, and a non-finite result (NaN/Inf) raises instead
+of propagating silently.
 """
 from __future__ import annotations
 
@@ -32,6 +33,26 @@ def linear(x: Array, w: Array, b: Array | None = None) -> Array:
     if b is not None:
         y += b
     return y.reshape(*x.shape[:-1], w.shape[-1])
+
+
+def softmax(x: Array, axis: int = -1, out: Array | None = None) -> Array:
+    """Numerically stable softmax along `axis` (max-subtracted).
+
+    With `out` (x itself allowed) the result is built in that buffer and no
+    other array of x's size is allocated.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if not -x.ndim <= axis < x.ndim:
+        raise ValueError(f"softmax axis {axis} invalid for shape {x.shape}")
+    shift = x.max(axis=axis, keepdims=True)
+    with np.errstate(invalid="ignore"):  # inf - inf; reported below
+        out = np.subtract(x, shift, out=out)
+        np.exp(out, out=out)
+        total = out.sum(axis=axis, keepdims=True)
+    # the terms are >= 0, so a NaN or Inf anywhere shows in its sum
+    _check_finite(total, "softmax")
+    out /= total
+    return out
 
 
 def sigmoid(x: Array) -> Array:

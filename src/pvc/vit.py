@@ -26,7 +26,7 @@ from .conditioning import (
     sinusoidal_embed,
     temporal_embedding,
 )
-from .tensor import Array, Rng, layer_norm, linear, silu
+from .tensor import Array, Rng, layer_norm, linear, silu, softmax
 
 # Finite stand-in for -inf in masked attention scores; exp underflows to
 # exactly 0, which keeps causality bitwise rather than approximately.
@@ -248,9 +248,7 @@ def _attention(x: Array, p: AttentionParams, causal: bool) -> Array:
     attn /= np.sqrt(d)
     if causal:
         np.copyto(attn, MASK_VALUE, where=~np.tril(np.ones((l, l), dtype=bool)))
-    attn -= attn.max(axis=-1, keepdims=True)
-    np.exp(attn, out=attn)
-    attn /= attn.sum(axis=-1, keepdims=True)
+    softmax(attn, out=attn)
     ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(s, l, c)
     return linear(ctx, p.wo, p.bo)
 

@@ -2,8 +2,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from pvc.tensor import NonFiniteError, Rng, layer_norm, linear, sigmoid, silu
+from pvc.tensor import (
+    NonFiniteError,
+    Rng,
+    layer_norm,
+    linear,
+    sigmoid,
+    silu,
+    softmax,
+)
 
 
 def naive_matmul(a, b):
@@ -29,7 +38,9 @@ def split_sigmoid(x):
     return out
 
 
-class TestLinear:
+class TestMatmul:
+    """`linear` without a bias is the plain 2-D matrix product."""
+
     def test_identity(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert np.array_equal(linear(np.eye(2), a), a)
@@ -49,6 +60,8 @@ class TestLinear:
         with pytest.raises(ValueError):
             linear(np.zeros((2, 3)), np.zeros((4, 2)))
 
+
+class TestLinear:
     @pytest.mark.parametrize("shape", [(6, 5), (3, 4, 5), (2, 3, 4, 5)])
     @pytest.mark.parametrize("with_bias", [False, True])
     def test_matches_stacked_matmul(self, shape, with_bias):
@@ -63,6 +76,48 @@ class TestLinear:
         assert np.max(np.abs(y - expect)) <= 1e-12
         assert np.array_equal(x, x0) and np.array_equal(w, w0)
         assert b is None or np.array_equal(b, b0)
+
+
+class TestSoftmax:
+    def test_uniform(self):
+        assert np.allclose(softmax(np.zeros(3)), [1 / 3] * 3, atol=0, rtol=0)
+
+    def test_two_element_shift(self):
+        x = np.array([5.0, 5.0 + 0.7])
+        sig = 1.0 / (1.0 + np.exp(0.7)), 1.0 / (1.0 + np.exp(-0.7))
+        assert np.allclose(softmax(x), sig, atol=1e-15)
+
+    def test_direct_evaluation(self):
+        x = np.array([1.0, 2.0, 3.0])
+        e = np.exp(x - 3.0)
+        assert np.allclose(softmax(x), e / e.sum(), atol=1e-15)
+
+    @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8),
+           st.floats(-30, 30))
+    def test_rows_sum_to_one_and_shift_invariant(self, vals, c):
+        x = np.array(vals)
+        s = softmax(x)
+        assert abs(s.sum() - 1.0) < 1e-12
+        assert np.allclose(s, softmax(x + c), atol=1e-12)
+
+    def test_bad_axis(self):
+        with pytest.raises(ValueError):
+            softmax(np.zeros(3), axis=2)
+
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_out_buffer_matches_pure_call(self, axis):
+        x = Rng(13).normal((3, 4, 5)) * 10
+        x0 = x.copy()
+        expect = softmax(x, axis=axis)
+        assert np.array_equal(x, x0)
+        got = softmax(x, axis=axis, out=x)
+        assert got is x
+        assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, bad):
+        with pytest.raises(NonFiniteError):
+            softmax(np.array([[0.5, 1.0], [bad, bad]]))
 
 
 class TestLayerNorm:
@@ -132,6 +187,7 @@ class TestDeterminismAndRng:
         x = Rng(7).normal((5, 6))
         assert np.array_equal(layer_norm(x), layer_norm(x.copy()))
         assert np.array_equal(silu(x), silu(x.copy()))
+        assert np.array_equal(softmax(x), softmax(x.copy()))
 
     def test_same_seed_same_stream(self):
         a = Rng(123)
