@@ -21,7 +21,7 @@ from .conditioning import (
     sinusoidal_embed,
     temporal_embedding,
 )
-from .tensor import Array, Rng, linear, silu
+from .tensor import Array, Rng, _sub_cache, silu_mlp
 from .vit import NEW_WEIGHT_STD, PvcConfig, VideoBatch
 
 
@@ -91,13 +91,19 @@ def pixel_unshuffle(y: Array, k: int) -> Array:
     return np.ascontiguousarray(g.reshape(b, t, (m * k) ** 2, c))
 
 
-def compress(v: VideoBatch, p: CompressionParams, cfg: PvcConfig) -> Array:
-    """Compress per-frame tokens N -> M = N/k^2; output [B,T,M,C_out]."""
+def compress(v: VideoBatch, p: CompressionParams, cfg: PvcConfig,
+             cache: dict | None = None) -> Array:
+    """Compress per-frame tokens N -> M = N/k^2; output [B,T,M,C_out].
+
+    With a `cache` dict, the intermediates of the temporal embedding, AdaLN
+    and the MLP are recorded in it under `te`, `adaln` and `mlp`.
+    """
     k = cfg.shuffle_kernel
     xt = pixel_shuffle(v.features, k)
     if xt.shape[-1] != p.wide_dim:
         raise ValueError(f"shuffled width {xt.shape[-1]} != params {p.wide_dim}")
-    te = temporal_embedding(sinusoidal_embed(v.timestamps, cfg.ts_scale), p.te)
+    te = temporal_embedding(sinusoidal_embed(v.timestamps, cfg.ts_scale), p.te,
+                            _sub_cache(cache, "te"))
     z = xt + te[None, :, None, :]
-    a = ada_ln(xt, z, p.adaln, eps=cfg.eps)
-    return linear(silu(linear(a, p.w_in, p.b_in)), p.w_out, p.b_out)
+    a = ada_ln(xt, z, p.adaln, eps=cfg.eps, cache=_sub_cache(cache, "adaln"))
+    return silu_mlp(a, p.w_in, p.w_out, p.b_in, p.b_out, _sub_cache(cache, "mlp"))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Array, Rng, layer_norm, linear, silu
+from .tensor import Array, Rng, _sub_cache, layer_norm, silu_mlp
 
 SINUSOID_DIM = 256
 DEFAULT_TS_SCALE = 1000.0
@@ -26,9 +26,6 @@ class TemporalEmbeddingParams:
     def d_out(self) -> int:
         return self.w2.shape[1]
 
-    def param_count(self) -> int:
-        return self.w1.size + self.w2.size
-
 
 @dataclass
 class AdaLnParams:
@@ -41,9 +38,6 @@ class AdaLnParams:
     @property
     def dim(self) -> int:
         return self.w3.shape[0]
-
-    def param_count(self) -> int:
-        return self.w3.size + self.w4.size + self.w5.size + self.w6.size
 
 
 def init_temporal_embedding(rng: Rng, d_out: int, hidden: int | None = None,
@@ -92,38 +86,51 @@ def sinusoidal_embed(t: Array, scale: float = DEFAULT_TS_SCALE) -> Array:
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
 
 
-def temporal_embedding(t_tilde: Array, p: TemporalEmbeddingParams) -> Array:
-    """TE = SiLU(t_tilde @ W1) @ W2, applied row-wise."""
+def temporal_embedding(t_tilde: Array, p: TemporalEmbeddingParams,
+                       cache: dict | None = None) -> Array:
+    """TE = SiLU(t_tilde @ W1) @ W2, applied row-wise.
+
+    With a `cache` dict, the MLP's intermediates are recorded in it.
+    """
     t_tilde = np.asarray(t_tilde, dtype=np.float64)
     if t_tilde.shape[-1] != p.w1.shape[0]:
         raise ValueError(
             f"sinusoid width {t_tilde.shape[-1]} != W1 rows {p.w1.shape[0]}")
-    return linear(silu(linear(t_tilde, p.w1)), p.w2)
+    return silu_mlp(t_tilde, p.w1, p.w2, cache=cache)
 
 
-def affine_coeffs(z: Array, p: AdaLnParams) -> tuple[Array, Array]:
+def affine_coeffs(z: Array, p: AdaLnParams,
+                  cache: dict | None = None) -> tuple[Array, Array]:
     """Per-token scale gamma(z) and bias beta(z).
 
     gamma(z) = SiLU(z @ W3) @ W4 and beta(z) = SiLU(z @ W5) @ W6; each
-    position in the leading extents of z gets its own coefficients.
+    position in the leading extents of z gets its own coefficients. With a
+    `cache` dict, the two MLPs' intermediates are recorded in it under
+    `scale` and `shift`.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.shape[-1] != p.dim:
         raise ValueError(f"condition width {z.shape[-1]} != {p.dim}")
-    gamma = linear(silu(linear(z, p.w3)), p.w4)
-    beta = linear(silu(linear(z, p.w5)), p.w6)
+    gamma = silu_mlp(z, p.w3, p.w4, cache=_sub_cache(cache, "scale"))
+    beta = silu_mlp(z, p.w5, p.w6, cache=_sub_cache(cache, "shift"))
     return gamma, beta
 
 
-def ada_ln(x: Array, z: Array, p: AdaLnParams, eps: float = 1e-6) -> Array:
+def ada_ln(x: Array, z: Array, p: AdaLnParams, eps: float = 1e-6,
+           cache: dict | None = None) -> Array:
     """gamma(z) * LayerNorm(x) + beta(z) over the last axis.
 
     The inner LayerNorm carries no learned affine of its own; the scale
-    and bias come entirely from the condition.
+    and bias come entirely from the condition. With a `cache` dict, the
+    intermediates of affine_coeffs and layer_norm, and gamma, are recorded
+    in it.
     """
     x = np.asarray(x, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     if x.shape != z.shape:
         raise ValueError(f"x shape {x.shape} != z shape {z.shape}")
-    gamma, beta = affine_coeffs(z, p)
-    return gamma * layer_norm(x, axis=-1, eps=eps) + beta
+    gamma, beta = affine_coeffs(z, p, cache)
+    out = gamma * layer_norm(x, axis=-1, eps=eps, cache=cache) + beta
+    if cache is not None:
+        cache["gamma"] = gamma
+    return out

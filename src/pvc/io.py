@@ -63,13 +63,17 @@ def read_tensor(path) -> np.ndarray:
 def write_manifest(path, entries: dict) -> None:
     """Write `key = value` lines; values are stringified."""
     lines = [f"{k} = {v}" for k, v in entries.items()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_manifest(path) -> dict:
     """Parse `key = value` lines; '#' starts a comment, blanks skipped."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:  # a ValueError, which would read as a usage error
+        raise PvctError(f"{path}: not UTF-8 text: {e}") from e
     entries = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -23,6 +23,14 @@ def _check_finite(x: Array, op: str) -> None:
         raise NonFiniteError(f"{op}: result contains NaN or Inf")
 
 
+def _sub_cache(cache: dict | None, key: str) -> dict | None:
+    """A new dict stored as cache[key], or None when nothing is cached."""
+    if cache is None:
+        return None
+    cache[key] = {}
+    return cache[key]
+
+
 def linear(x: Array, w: Array, b: Array | None = None) -> Array:
     """x @ w + b over the last axis of x, as one 2-D product.
 
@@ -76,6 +84,21 @@ def silu(x: Array) -> Array:
     return out
 
 
+def silu_mlp(x: Array, w_in: Array, w_out: Array, b_in: Array | None = None,
+             b_out: Array | None = None, cache: dict | None = None) -> Array:
+    """Two projections with SiLU between: linear(silu(linear(x, w_in, b_in)), w_out, b_out).
+
+    With a `cache` dict, the input, the pre-activation and the activation
+    are recorded in it as `x`, `pre` and `act`.
+    """
+    pre = linear(x, w_in, b_in)
+    act = silu(pre)
+    if cache is not None:
+        cache.update(x=x, pre=pre, act=act)
+    del pre  # without a cache, freed before the second product
+    return linear(act, w_out, b_out)
+
+
 def silu_grad(x: Array) -> Array:
     """Elementwise derivative of SiLU at x."""
     s = sigmoid(np.asarray(x, dtype=np.float64))
@@ -83,10 +106,13 @@ def silu_grad(x: Array) -> Array:
 
 
 def layer_norm(x: Array, axis: int = -1, gamma: Array | None = None,
-               beta: Array | None = None, eps: float = EPS_NORM) -> Array:
+               beta: Array | None = None, eps: float = EPS_NORM,
+               cache: dict | None = None) -> Array:
     """Normalize to zero mean / unit variance along `axis`, then affine.
 
     gamma/beta, when given, are 1-D with the extent of the normalized axis.
+    With a `cache` dict, the normalized x (before the affine) and the
+    standard deviation are recorded in it as `xhat` and `std`.
     """
     x = np.asarray(x, dtype=np.float64)
     if not -x.ndim <= axis < x.ndim:
@@ -94,7 +120,10 @@ def layer_norm(x: Array, axis: int = -1, gamma: Array | None = None,
     ax = axis % x.ndim
     mu = x.mean(axis=ax, keepdims=True)
     var = x.var(axis=ax, keepdims=True)
-    out = (x - mu) / np.sqrt(var + eps)
+    std = np.sqrt(var + eps)
+    out = (x - mu) / std
+    if cache is not None:
+        cache.update(xhat=out, std=std)
     d = x.shape[ax]
     bshape = [1] * x.ndim
     bshape[ax] = d

@@ -2,7 +2,9 @@
 
 Backwards are hand-derived per module rather than taped: the module set
 is small and the derivation itself is what gets verified, against a
-central-finite-difference oracle.
+central-finite-difference oracle. Each backward runs the module's one
+public forward with a `cache` dict and reads the intermediates that
+forward recorded, so the checked forward is the forward the model runs.
 """
 from __future__ import annotations
 
@@ -10,24 +12,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compression import CompressionParams, init_compression, pixel_shuffle, pixel_unshuffle
+from .compression import CompressionParams, compress, init_compression, pixel_unshuffle
 from .conditioning import (
     AdaLnParams,
     TemporalEmbeddingParams,
+    ada_ln,
+    init_adaln,
+    init_temporal_embedding,
     relative_timestamps,
-    sinusoidal_embed,
+    temporal_embedding,
 )
-from .tensor import Array, Rng, sigmoid, silu_grad
+from .tensor import Array, Rng, silu_grad
 from .vit import (
-    MASK_VALUE,
     AttentionParams,
     LayerParams,
     ModelParams,
     PvcConfig,
     VideoBatch,
+    init_attention,
+    init_layer,
     init_model,
+    named_params,
     plain_vit_forward,
     progressive_layer_forward,
+    temporal_mha_causal,
     vit_forward,
 )
 
@@ -65,19 +73,20 @@ def finite_diff_grad(f, x: Array, h: float = FD_STEP) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# shared backward building blocks
+# backward building blocks; each reads the cache its forward filled
 
-def _ln_fwd(x: Array, eps: float):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    return (x - mu) * inv, inv
+def _ln_bwd(dy: Array, cache: dict) -> Array:
+    """Input grad of layer_norm over the last axis (standard three terms)."""
+    xhat = cache["xhat"]
+    return (dy - dy.mean(axis=-1, keepdims=True)
+            - xhat * (dy * xhat).mean(axis=-1, keepdims=True)) / cache["std"]
 
 
-def _ln_bwd(dy: Array, xhat: Array, inv: Array) -> Array:
-    # standard three-term layer-norm backward
-    return inv * (dy - dy.mean(axis=-1, keepdims=True)
-                  - xhat * (dy * xhat).mean(axis=-1, keepdims=True))
+def _ln_affine_bwd(dy: Array, gamma: Array, cache: dict):
+    """Grads (dx, dgamma, dbeta) of layer_norm(x) * gamma + beta."""
+    c = dy.shape[-1]
+    dgamma = (dy * cache["xhat"]).reshape(-1, c).sum(axis=0)
+    return _ln_bwd(dy * gamma, cache), dgamma, dy.reshape(-1, c).sum(axis=0)
 
 
 def _linear_grads(x: Array, dy: Array, w: Array):
@@ -88,31 +97,19 @@ def _linear_grads(x: Array, dy: Array, w: Array):
     return dx, x2.T @ d2, d2.sum(axis=0)
 
 
-def _attn_fwd(x: Array, p: AttentionParams, causal: bool):
-    s, l, c = x.shape
-    h = p.heads
-    d = c // h
-    q = (x @ p.wq + p.bq).reshape(s, l, h, d).transpose(0, 2, 1, 3)
-    k = (x @ p.wk + p.bk).reshape(s, l, h, d).transpose(0, 2, 1, 3)
-    v = (x @ p.wv + p.bv).reshape(s, l, h, d).transpose(0, 2, 1, 3)
-    scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(d)
-    if causal:
-        mask = np.tril(np.ones((l, l), dtype=bool))
-        scores = np.where(mask, scores, MASK_VALUE)
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    attn = e / e.sum(axis=-1, keepdims=True)
-    ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(s, l, c)
-    y = ctx @ p.wo + p.bo
-    cache = {"x": x, "q": q, "k": k, "v": v, "attn": attn, "ctx": ctx, "d": d}
-    return y, cache
+def _mlp_bwd(dy: Array, w_in: Array, w_out: Array, cache: dict):
+    """Grads (dx, dw_in, db_in, dw_out, db_out) of tensor.silu_mlp."""
+    dact, dw_out, db_out = _linear_grads(cache["act"], dy, w_out)
+    dx, dw_in, db_in = _linear_grads(cache["x"], dact * silu_grad(cache["pre"]), w_in)
+    return dx, dw_in, db_in, dw_out, db_out
 
 
 def _attn_bwd(dy: Array, p: AttentionParams, cache: dict):
     x, q, k, v = cache["x"], cache["q"], cache["k"], cache["v"]
-    attn, ctx, d = cache["attn"], cache["ctx"], cache["d"]
+    attn, ctx = cache["attn"], cache["ctx"]
     s, l, c = x.shape
     h = p.heads
+    d = c // h
 
     dctx_m, dwo, dbo = _linear_grads(ctx, dy, p.wo)
     dctx = dctx_m.reshape(s, l, h, d).transpose(0, 2, 1, 3)
@@ -135,49 +132,34 @@ def _attn_bwd(dy: Array, p: AttentionParams, cache: dict):
     return dxq + dxk + dxv, grads
 
 
-def _adaln_fwd(x: Array, z: Array, p: AdaLnParams, eps: float):
-    xhat, inv = _ln_fwd(x, eps)
-    h_g = z @ p.w3
-    a_g = h_g * sigmoid(h_g)
-    gamma = a_g @ p.w4
-    h_b = z @ p.w5
-    a_b = h_b * sigmoid(h_b)
-    beta = a_b @ p.w6
-    y = gamma * xhat + beta
-    cache = {"z": z, "xhat": xhat, "inv": inv, "h_g": h_g, "a_g": a_g,
-             "gamma": gamma, "h_b": h_b, "a_b": a_b}
-    return y, cache
-
-
 def _adaln_bwd(dy: Array, p: AdaLnParams, cache: dict):
-    z, xhat, inv = cache["z"], cache["xhat"], cache["inv"]
-    dgamma = dy * xhat
-    dxhat = dy * cache["gamma"]
-    dx = _ln_bwd(dxhat, xhat, inv)
-
-    da_g, dw4, _ = _linear_grads(cache["a_g"], dgamma, p.w4)
-    dh_g = da_g * silu_grad(cache["h_g"])
-    dz, dw3, _ = _linear_grads(z, dh_g, p.w3)
-
-    da_b, dw6, _ = _linear_grads(cache["a_b"], dy, p.w6)
-    dh_b = da_b * silu_grad(cache["h_b"])
-    dz_b, dw5, _ = _linear_grads(z, dh_b, p.w5)
-    dz = dz + dz_b
-    return dx, dz, {"w3": dw3, "w4": dw4, "w5": dw5, "w6": dw6}
-
-
-def _te_fwd(t_tilde: Array, p: TemporalEmbeddingParams):
-    h1 = t_tilde @ p.w1
-    a1 = h1 * sigmoid(h1)
-    te = a1 @ p.w2
-    return te, {"t_tilde": t_tilde, "h1": h1, "a1": a1}
+    dx = _ln_bwd(dy * cache["gamma"], cache)
+    dz_g, dw3, _, dw4, _ = _mlp_bwd(dy * cache["xhat"], p.w3, p.w4, cache["scale"])
+    dz_b, dw5, _, dw6, _ = _mlp_bwd(dy, p.w5, p.w6, cache["shift"])
+    return dx, dz_g + dz_b, {"w3": dw3, "w4": dw4, "w5": dw5, "w6": dw6}
 
 
 def _te_bwd(d_te: Array, p: TemporalEmbeddingParams, cache: dict):
-    da1, dw2, _ = _linear_grads(cache["a1"], d_te, p.w2)
-    dh1 = da1 * silu_grad(cache["h1"])
-    d_t_tilde, dw1, _ = _linear_grads(cache["t_tilde"], dh1, p.w1)
+    d_t_tilde, dw1, _, dw2, _ = _mlp_bwd(d_te, p.w1, p.w2, cache)
     return d_t_tilde, {"w1": dw1, "w2": dw2}
+
+
+def _prefixed(prefix: str, grads: dict) -> dict:
+    return {f"{prefix}.{k}": g for k, g in grads.items()}
+
+
+def _conditioned_adaln_bwd(dy: Array, p, cache: dict, grads: dict) -> Array:
+    """Input grad of AdaLN(x; z = x + TE) in a layer or the compressor.
+
+    z feeds gradient into x through both the normalized branch and the
+    condition branch, and into the TE MLP through the condition grad pooled
+    over batch and tokens; the adaln.* and te.* grads go into `grads`.
+    """
+    dx, dz, ag = _adaln_bwd(dy, p.adaln, cache["adaln"])
+    grads.update(_prefixed("adaln", ag))
+    _, teg = _te_bwd(dz.sum(axis=(0, 2)), p.te, cache["te"])
+    grads.update(_prefixed("te", teg))
+    return dx + dz
 
 
 # ---------------------------------------------------------------------------
@@ -188,152 +170,96 @@ def backward_adaln(x: Array, z: Array, p: AdaLnParams, upstream: Array,
     """Grads of gamma(z)*LN(x)+beta(z) for x, z, and W3..W6."""
     if x.shape != z.shape or upstream.shape != x.shape:
         raise ValueError("adaln backward: shape mismatch")
-    _, cache = _adaln_fwd(x, z, p, eps)
+    cache: dict = {}
+    ada_ln(x, z, p, eps=eps, cache=cache)
     dx, dz, pg = _adaln_bwd(upstream, p, cache)
     return {"x": dx, "z": dz, **pg}
 
 
 def backward_temporal_embedding(t_tilde: Array, p: TemporalEmbeddingParams,
                                 upstream: Array) -> dict:
-    _, cache = _te_fwd(t_tilde, p)
+    cache: dict = {}
+    temporal_embedding(t_tilde, p, cache)
     d_in, pg = _te_bwd(upstream, p, cache)
     return {"t_tilde": d_in, **pg}
 
 
 def backward_tmha_causal(x: Array, p: AttentionParams, upstream: Array) -> dict:
-    _, cache = _attn_fwd(x, p, causal=True)
+    cache: dict = {}
+    temporal_mha_causal(x, p, cache)
     dx, pg = _attn_bwd(upstream, p, cache)
     return {"x": dx, **pg}
 
 
-def _layer_fwd_cached(v: VideoBatch, p: LayerParams, ts_scale: float, eps: float):
-    """Forward of one (plain or progressive) layer keeping every intermediate."""
-    x0 = v.features
-    b, t, n, c = x0.shape
-    cache: dict = {"shape": (b, t, n, c)}
+def _layer_bwd(dy: Array, p: LayerParams, cache: dict) -> dict:
+    """Reverse pass of one layer from the cache progressive_layer_forward filled."""
+    b, t, n, c = dy.shape
+    grads: dict = {}
 
-    xhat1, inv1 = _ln_fwd(x0, eps)
-    n1 = xhat1 * p.ln1_gamma + p.ln1_beta
-    s_out, smha_cache = _attn_fwd(n1.reshape(b * t, n, c), p.smha, causal=False)
-    x1 = x0 + s_out.reshape(b, t, n, c)
-    cache.update(xhat1=xhat1, inv1=inv1, smha=smha_cache)
+    # FFN branch
+    dn2, *ffn = _mlp_bwd(dy, p.ffn_w_in, p.ffn_w_out, cache["ffn"])
+    grads.update(zip(("ffn_w_in", "ffn_b_in", "ffn_w_out", "ffn_b_out"), ffn))
+    dx2, grads["ln2_gamma"], grads["ln2_beta"] = _ln_affine_bwd(dn2, p.ln2_gamma,
+                                                               cache["ln2"])
+    dx2 += dy
 
+    # temporal branch
     if p.is_temporal:
-        t_tilde = sinusoidal_embed(v.timestamps, ts_scale)
-        te, te_cache = _te_fwd(t_tilde, p.te)
-        z = x1 + te[None, :, None, :]
-        a, adaln_cache = _adaln_fwd(x1, z, p.adaln, eps)
-        a_r = np.ascontiguousarray(a.transpose(0, 2, 1, 3).reshape(b * n, t, c))
-        tm_r, tmha_cache = _attn_fwd(a_r, p.tmha, causal=True)
-        tm = tm_r.reshape(b, n, t, c).transpose(0, 2, 1, 3)
-        x2 = x1 + p.gate_alpha * tm
-        cache.update(te=te_cache, adaln=adaln_cache, tmha=tmha_cache, tm=tm)
+        grads["gate_alpha"] = (dx2 * cache["tm"]).sum(axis=(0, 1, 2))
+        dtm = (dx2 * p.gate_alpha).transpose(0, 2, 1, 3).reshape(b * n, t, c)
+        da, tg = _attn_bwd(dtm, p.tmha, cache["tmha"])
+        grads.update(_prefixed("tmha", tg))
+        da = da.reshape(b, n, t, c).transpose(0, 2, 1, 3)
+        dx1 = dx2 + _conditioned_adaln_bwd(da, p, cache, grads)
     else:
-        x2 = x1
+        dx1 = dx2
 
-    xhat2, inv2 = _ln_fwd(x2, eps)
-    n2 = xhat2 * p.ln2_gamma + p.ln2_beta
-    h2 = n2 @ p.ffn_w_in + p.ffn_b_in
-    a2 = h2 * sigmoid(h2)
-    out = x2 + a2 @ p.ffn_w_out + p.ffn_b_out
-    cache.update(xhat2=xhat2, inv2=inv2, n2=n2, h2=h2, a2=a2)
-    return out, cache
+    # spatial branch
+    dn1, sg = _attn_bwd(dx1.reshape(b * t, n, c), p.smha, cache["smha"])
+    grads.update(_prefixed("smha", sg))
+    dx0, grads["ln1_gamma"], grads["ln1_beta"] = _ln_affine_bwd(dn1, p.ln1_gamma,
+                                                               cache["ln1"])
+    grads["x"] = dx1 + dx0.reshape(b, t, n, c)
+    return grads
 
 
 def backward_progressive_layer(v: VideoBatch, p: LayerParams, upstream: Array,
                                ts_scale: float = 1000.0,
                                eps: float = 1e-6) -> dict:
-    """Full reverse pass of one layer: input grad plus every parameter grad.
-
-    The condition z = x + TE feeds gradient into x through both the
-    normalized branch and the condition branch of AdaLN, and into the
-    temporal-embedding MLP through the summed condition grad.
-    """
+    """Full reverse pass of one layer: input grad plus every parameter grad."""
     if upstream.shape != v.features.shape:
         raise ValueError("upstream shape mismatch")
-    _, cache = _layer_fwd_cached(v, p, ts_scale, eps)
-    b, t, n, c = cache["shape"]
-    grads: dict = {}
-
-    # FFN branch
-    dx2 = upstream.copy()
-    da2, dwout, dbout = _linear_grads(cache["a2"], upstream, p.ffn_w_out)
-    dh2 = da2 * silu_grad(cache["h2"])
-    dn2, dwin, dbin = _linear_grads(cache["n2"], dh2, p.ffn_w_in)
-    grads.update({"ffn_w_out": dwout, "ffn_b_out": dbout,
-                  "ffn_w_in": dwin, "ffn_b_in": dbin})
-    grads["ln2_gamma"] = (dn2 * cache["xhat2"]).sum(axis=(0, 1, 2))
-    grads["ln2_beta"] = dn2.sum(axis=(0, 1, 2))
-    dx2 += _ln_bwd(dn2 * p.ln2_gamma, cache["xhat2"], cache["inv2"])
-
-    # temporal branch
-    if p.is_temporal:
-        tm = cache["tm"]
-        grads["gate_alpha"] = (dx2 * tm).sum(axis=(0, 1, 2))
-        dtm = dx2 * p.gate_alpha
-        dtm_r = np.ascontiguousarray(dtm.transpose(0, 2, 1, 3).reshape(b * n, t, c))
-        da_r, tg = _attn_bwd(dtm_r, p.tmha, cache["tmha"])
-        grads.update({f"tmha.{k}": g for k, g in tg.items()})
-        da = da_r.reshape(b, n, t, c).transpose(0, 2, 1, 3)
-        dx1_ln, dz, ag = _adaln_bwd(da, p.adaln, cache["adaln"])
-        grads.update({f"adaln.{k}": g for k, g in ag.items()})
-        d_te = dz.sum(axis=(0, 2))  # condition grad, pooled over batch and tokens
-        _, teg = _te_bwd(d_te, p.te, cache["te"])
-        grads.update({f"te.{k}": g for k, g in teg.items()})
-        dx1 = dx2 + dx1_ln + dz
-    else:
-        dx1 = dx2
-
-    # spatial branch
-    dn1_r, sg = _attn_bwd(dx1.reshape(b * t, n, c), p.smha, cache["smha"])
-    grads.update({f"smha.{k}": g for k, g in sg.items()})
-    dn1 = dn1_r.reshape(b, t, n, c)
-    grads["ln1_gamma"] = (dn1 * cache["xhat1"]).sum(axis=(0, 1, 2))
-    grads["ln1_beta"] = dn1.sum(axis=(0, 1, 2))
-    dx0 = dx1 + _ln_bwd(dn1 * p.ln1_gamma, cache["xhat1"], cache["inv1"])
-    grads["x"] = dx0
-    return grads
+    cache: dict = {}
+    progressive_layer_forward(v, p, ts_scale, eps, cache)
+    return _layer_bwd(upstream, p, cache)
 
 
 def backward_compression(v: VideoBatch, p: CompressionParams, cfg: PvcConfig,
                          upstream: Array) -> dict:
     """Reverse pass of the compression head back to the ViT tokens."""
-    k = cfg.shuffle_kernel
-    xt = pixel_shuffle(v.features, k)
-    t_tilde = sinusoidal_embed(v.timestamps, cfg.ts_scale)
-    te, te_cache = _te_fwd(t_tilde, p.te)
-    z = xt + te[None, :, None, :]
-    a, adaln_cache = _adaln_fwd(xt, z, p.adaln, cfg.eps)
-    h = a @ p.w_in + p.b_in
-    act = h * sigmoid(h)
-
-    grads: dict = {}
-    dact, dwout, dbout = _linear_grads(act, upstream, p.w_out)
-    dh = dact * silu_grad(h)
-    da, dwin, dbin = _linear_grads(a, dh, p.w_in)
-    grads.update({"w_out": dwout, "b_out": dbout, "w_in": dwin, "b_in": dbin})
-
-    dxt, dz, ag = _adaln_bwd(da, p.adaln, adaln_cache)
-    grads.update({f"adaln.{k_}": g for k_, g in ag.items()})
-    d_te = dz.sum(axis=(0, 2))
-    _, teg = _te_bwd(d_te, p.te, te_cache)
-    grads.update({f"te.{k_}": g for k_, g in teg.items()})
-    grads["x"] = pixel_unshuffle(dxt + dz, k)
+    cache: dict = {}
+    compress(v, p, cfg, cache)
+    da, *mlp = _mlp_bwd(upstream, p.w_in, p.w_out, cache["mlp"])
+    grads = dict(zip(("w_in", "b_in", "w_out", "b_out"), mlp))
+    dxt = _conditioned_adaln_bwd(da, p, cache, grads)
+    grads["x"] = pixel_unshuffle(dxt, cfg.shuffle_kernel)
     return grads
 
 
 def stack_input_gradient(v: VideoBatch, cfg: PvcConfig, model: ModelParams,
                          upstream: Array) -> Array:
-    """d(loss)/d(input tokens) through the whole layer stack."""
-    inputs = [v]
+    """d(loss)/d(input tokens) through the whole layer stack.
+
+    One forward per layer, each keeping its cache for the reverse sweep.
+    """
+    caches = []
     for p in model.layers:
-        inputs.append(progressive_layer_forward(inputs[-1], p,
-                                                ts_scale=cfg.ts_scale,
-                                                eps=cfg.eps))
+        caches.append({})
+        v = progressive_layer_forward(v, p, ts_scale=cfg.ts_scale, eps=cfg.eps,
+                                      cache=caches[-1])
     g = upstream
-    for p, vin in zip(reversed(model.layers), reversed(inputs[:-1])):
-        g = backward_progressive_layer(vin, p, g, ts_scale=cfg.ts_scale,
-                                       eps=cfg.eps)["x"]
+    for p, cache in zip(reversed(model.layers), reversed(caches)):
+        g = _layer_bwd(g, p, cache)["x"]
     return g
 
 
@@ -391,10 +317,8 @@ def _probe(module_id: str, seed: int):
         d, h = 6, 5
         x = rng.normal((2, 3, d))
         z = rng.normal((2, 3, d))
-        p = AdaLnParams(w3=rng.normal((d, h), std), w4=rng.normal((h, d), std),
-                        w5=rng.normal((d, h), std), w6=rng.normal((h, d), std))
-        tensors = {"x": x, "z": z, "w3": p.w3, "w4": p.w4, "w5": p.w5, "w6": p.w6}
-        from .conditioning import ada_ln
+        p = _randomized(init_adaln(Rng(0), d, hidden=h), rng, std)
+        tensors = {"x": x, "z": z, **dict(named_params(p))}
         forward = lambda: ada_ln(x, z, p)
         analytic = lambda g: backward_adaln(x, z, p, g)
         return tensors, forward, analytic
@@ -402,10 +326,8 @@ def _probe(module_id: str, seed: int):
     if module_id == "temporal_embedding":
         t, h, d_out = 3, 4, 5
         t_tilde = rng.uniform((t, 256), -1.0, 1.0)
-        p = TemporalEmbeddingParams(w1=rng.normal((256, h), std),
-                                    w2=rng.normal((h, d_out), std))
-        from .conditioning import temporal_embedding
-        tensors = {"t_tilde": t_tilde, "w1": p.w1, "w2": p.w2}
+        p = _randomized(init_temporal_embedding(Rng(0), d_out, hidden=h), rng, std)
+        tensors = {"t_tilde": t_tilde, **dict(named_params(p))}
         forward = lambda: temporal_embedding(t_tilde, p)
         analytic = lambda g: backward_temporal_embedding(t_tilde, p, g)
         return tensors, forward, analytic
@@ -413,15 +335,8 @@ def _probe(module_id: str, seed: int):
     if module_id == "tmha_causal":
         s, t, c, heads = 2, 4, 6, 2
         x = rng.normal((s, t, c))
-        p = AttentionParams(
-            heads=heads,
-            wq=rng.normal((c, c), std), wk=rng.normal((c, c), std),
-            wv=rng.normal((c, c), std), wo=rng.normal((c, c), std),
-            bq=rng.normal((c,), std), bk=rng.normal((c,), std),
-            bv=rng.normal((c,), std), bo=rng.normal((c,), std))
-        from .vit import temporal_mha_causal
-        tensors = {"x": x, "wq": p.wq, "wk": p.wk, "wv": p.wv, "wo": p.wo,
-                   "bq": p.bq, "bk": p.bk, "bv": p.bv, "bo": p.bo}
+        p = _randomized(init_attention(Rng(0), c, heads), rng, std)
+        tensors = {"x": x, **dict(named_params(p))}
         forward = lambda: temporal_mha_causal(x, p)
         analytic = lambda g: backward_tmha_causal(x, p, g)
         return tensors, forward, analytic
@@ -430,11 +345,10 @@ def _probe(module_id: str, seed: int):
         cfg = PvcConfig(image_size=28, patch_size=14, channels=8, heads=2,
                         ffn_dim=16, layers=1, temporal_layers=1,
                         shuffle_kernel=2)
-        p = _random_temporal_layer(rng, cfg, std)
+        p = _randomized(init_layer(rng, cfg, temporal=True), rng, std)
         x = rng.normal((1, 3, cfg.tokens_per_frame, cfg.channels))
         v = VideoBatch(features=x, timestamps=relative_timestamps(3))
-        tensors = {"x": x}
-        tensors.update(_layer_tensor_map(p))
+        tensors = {"x": x, **dict(named_params(p))}
         forward = lambda: progressive_layer_forward(v, p, cfg.ts_scale, cfg.eps).features
         analytic = lambda g: backward_progressive_layer(v, p, g, cfg.ts_scale, cfg.eps)
         return tensors, forward, analytic
@@ -444,18 +358,11 @@ def _probe(module_id: str, seed: int):
                         ffn_dim=6, layers=1, temporal_layers=0,
                         shuffle_kernel=2)
         p = init_compression(rng, cfg, mlp_hidden=7, out_dim=5)
-        for w in (p.adaln.w3, p.adaln.w4, p.adaln.w5, p.adaln.w6,
-                  p.te.w1, p.te.w2, p.w_in, p.w_out):
-            w *= std / 0.02
+        for _, w in named_params(p):
+            w *= std / 0.02  # the biases are zero and stay zero
         x = rng.normal((1, 2, cfg.tokens_per_frame, cfg.channels))
         v = VideoBatch(features=x, timestamps=relative_timestamps(2))
-        from .compression import compress
-        tensors = {"x": x,
-                   "adaln.w3": p.adaln.w3, "adaln.w4": p.adaln.w4,
-                   "adaln.w5": p.adaln.w5, "adaln.w6": p.adaln.w6,
-                   "te.w1": p.te.w1, "te.w2": p.te.w2,
-                   "w_in": p.w_in, "b_in": p.b_in,
-                   "w_out": p.w_out, "b_out": p.b_out}
+        tensors = {"x": x, **dict(named_params(p))}
         forward = lambda: compress(v, p, cfg)
         analytic = lambda g: backward_compression(v, p, cfg, g)
         return tensors, forward, analytic
@@ -464,32 +371,12 @@ def _probe(module_id: str, seed: int):
                      f"expected one of {CHECKED_MODULES}")
 
 
-def _random_temporal_layer(rng: Rng, cfg: PvcConfig, std: float) -> LayerParams:
-    from .vit import init_layer
-    p = init_layer(rng, cfg, temporal=True)
-    for name, arr in _layer_tensor_map(p).items():
+def _randomized(params, rng: Rng, std: float):
+    """Redraw every array of `params` from rng in named_params order; only
+    the shapes of what `params` held matter."""
+    for _, arr in named_params(params):
         arr[...] = rng.normal(arr.shape, std)
-    return p
-
-
-def _layer_tensor_map(p: LayerParams) -> dict:
-    m = {"ln1_gamma": p.ln1_gamma, "ln1_beta": p.ln1_beta,
-         "ln2_gamma": p.ln2_gamma, "ln2_beta": p.ln2_beta,
-         "ffn_w_in": p.ffn_w_in, "ffn_b_in": p.ffn_b_in,
-         "ffn_w_out": p.ffn_w_out, "ffn_b_out": p.ffn_b_out}
-    for pref, attn in (("smha", p.smha), ("tmha", p.tmha)):
-        if attn is None:
-            continue
-        for k in ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo"):
-            m[f"{pref}.{k}"] = getattr(attn, k)
-    if p.adaln is not None:
-        m.update({"adaln.w3": p.adaln.w3, "adaln.w4": p.adaln.w4,
-                  "adaln.w5": p.adaln.w5, "adaln.w6": p.adaln.w6})
-    if p.te is not None:
-        m.update({"te.w1": p.te.w1, "te.w2": p.te.w2})
-    if p.gate_alpha is not None:
-        m["gate_alpha"] = p.gate_alpha
-    return m
+    return params
 
 
 def run_grad_check(module_id: str, seed: int, tol: float = GRAD_TOL,
@@ -507,17 +394,7 @@ def run_grad_check(module_id: str, seed: int, tol: float = GRAD_TOL,
 
     report = GradCheckReport(module=module_id, seed=seed, tol=tol, h=h)
     for name, arr in tensors.items():
-        fd = np.zeros_like(arr)
-        flat, fdflat = arr.ravel(), fd.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = loss()
-            flat[i] = orig - h
-            fm = loss()
-            flat[i] = orig
-            fdflat[i] = (fp - fm) / (2.0 * h)
-        err = _rel_err(grads[name], fd)
+        err = _rel_err(grads[name], finite_diff_grad(lambda _: loss(), arr, h))
         report.entries.append(GradEntry(name=name, shape=arr.shape,
                                         max_rel_err=err, passed=err < tol))
     return report

@@ -12,6 +12,7 @@ bitwise a plain per-frame ViT.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +27,7 @@ from .conditioning import (
     sinusoidal_embed,
     temporal_embedding,
 )
-from .tensor import Array, Rng, layer_norm, linear, silu, softmax
+from .tensor import Array, Rng, _sub_cache, layer_norm, linear, silu_mlp, softmax
 
 # Finite stand-in for -inf in masked attention scores; exp underflows to
 # exactly 0, which keeps causality bitwise rather than approximately.
@@ -109,23 +110,19 @@ class AttentionParams:
     bv: Array
     bo: Array
 
-    def param_count(self) -> int:
-        return sum(w.size for w in (self.wq, self.wk, self.wv, self.wo,
-                                    self.bq, self.bk, self.bv, self.bo))
-
 
 @dataclass
 class LayerParams:
     """One ViT layer; temporal fields are None for plain layers."""
     ln1_gamma: Array
     ln1_beta: Array
-    smha: AttentionParams
     ln2_gamma: Array
     ln2_beta: Array
     ffn_w_in: Array
     ffn_b_in: Array
     ffn_w_out: Array
     ffn_b_out: Array
+    smha: AttentionParams
     tmha: AttentionParams | None = None
     adaln: AdaLnParams | None = None
     te: TemporalEmbeddingParams | None = None
@@ -139,8 +136,8 @@ class LayerParams:
         """Parameters beyond a plain layer (the progressive additions)."""
         if not self.is_temporal:
             return 0
-        return (self.tmha.param_count() + self.adaln.param_count()
-                + self.te.param_count() + self.gate_alpha.size)
+        return sum(a.size for part in (self.tmha, self.adaln, self.te)
+                   for _, a in named_params(part)) + self.gate_alpha.size
 
 
 @dataclass
@@ -155,6 +152,25 @@ class ModelParams:
     cfg: PvcConfig
     patch: PatchEmbedParams
     layers: list[LayerParams] = field(default_factory=list)
+
+
+def named_params(params, prefix: str = ""):
+    """Yield (dotted name, array) for every array in a parameter dataclass.
+
+    Fields are walked in declaration order; a nested dataclass extends the
+    name (`smha.wq`), the layers of a ModelParams are `layer00.`,
+    `layer01.`, ..., and fields that are None or not arrays are skipped.
+    The names are the weight entries of a saved model's manifest.
+    """
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, np.ndarray):
+            yield prefix + f.name, value
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                yield from named_params(item, f"{prefix}layer{i:02d}.")
+        elif dataclasses.is_dataclass(value):
+            yield from named_params(value, f"{prefix}{f.name}.")
 
 
 def expected_added_params(c: int, adaln_hidden: int | None = None,
@@ -234,7 +250,8 @@ def patchify(frames: Array, cfg: PvcConfig, patch: PatchEmbedParams) -> VideoBat
     return VideoBatch(features=tokens, timestamps=relative_timestamps(t))
 
 
-def _attention(x: Array, p: AttentionParams, causal: bool) -> Array:
+def _attention(x: Array, p: AttentionParams, causal: bool,
+               cache: dict | None = None) -> Array:
     """Multi-head attention over axis 1 of x: [S, L, C] -> [S, L, C]."""
     s, l, c = x.shape
     if c % p.heads != 0:
@@ -250,50 +267,63 @@ def _attention(x: Array, p: AttentionParams, causal: bool) -> Array:
         np.copyto(attn, MASK_VALUE, where=~np.tril(np.ones((l, l), dtype=bool)))
     softmax(attn, out=attn)
     ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(s, l, c)
+    if cache is not None:
+        cache.update(x=x, q=q, k=k, v=v, attn=attn, ctx=ctx)
     return linear(ctx, p.wo, p.bo)
 
 
-def spatial_mha(x: Array, p: AttentionParams) -> Array:
+def spatial_mha(x: Array, p: AttentionParams, cache: dict | None = None) -> Array:
     """Self-attention among the N patch tokens of each frame: [B*T, N, C]."""
-    return _attention(x, p, causal=False)
+    return _attention(x, p, causal=False, cache=cache)
 
 
-def temporal_mha_causal(x: Array, p: AttentionParams) -> Array:
+def temporal_mha_causal(x: Array, p: AttentionParams,
+                        cache: dict | None = None) -> Array:
     """Causal self-attention along frames at fixed spatial position: [B*N, T, C]."""
-    return _attention(x, p, causal=True)
+    return _attention(x, p, causal=True, cache=cache)
 
 
-def _ffn(h: Array, p: LayerParams) -> Array:
-    return linear(silu(linear(h, p.ffn_w_in, p.ffn_b_in)), p.ffn_w_out, p.ffn_b_out)
+def _ffn(h: Array, p: LayerParams, cache: dict | None = None) -> Array:
+    return silu_mlp(h, p.ffn_w_in, p.ffn_w_out, p.ffn_b_in, p.ffn_b_out, cache=cache)
 
 
-def layer_te(timestamps: Array, p: LayerParams, ts_scale: float) -> Array:
+def layer_te(timestamps: Array, p: LayerParams, ts_scale: float,
+             cache: dict | None = None) -> Array:
     """Per-frame conditioning vector [T, C] for one progressive layer."""
-    return temporal_embedding(sinusoidal_embed(timestamps, ts_scale), p.te)
+    return temporal_embedding(sinusoidal_embed(timestamps, ts_scale), p.te, cache)
 
 
 def progressive_layer_forward(v: VideoBatch, p: LayerParams,
                               ts_scale: float = 1000.0,
-                              eps: float = 1e-6) -> VideoBatch:
-    """One ViT layer; applies the gated temporal block only when present."""
+                              eps: float = 1e-6,
+                              cache: dict | None = None) -> VideoBatch:
+    """One ViT layer; applies the gated temporal block only when present.
+
+    With a `cache` dict, each sublayer records its intermediates in a dict
+    under its own key (`ln1`, `smha`, ...), and the ungated T-MHA output is
+    kept as `tm`; the backward pass reads them.
+    """
     x = v.features
     b, t, n, c = x.shape
 
     h = layer_norm(x.reshape(b * t, n, c), gamma=p.ln1_gamma, beta=p.ln1_beta,
-                   eps=eps)
-    x = x + spatial_mha(h, p.smha).reshape(b, t, n, c)
+                   eps=eps, cache=_sub_cache(cache, "ln1"))
+    x = x + spatial_mha(h, p.smha, _sub_cache(cache, "smha")).reshape(b, t, n, c)
 
     if p.is_temporal:
-        te = layer_te(v.timestamps, p, ts_scale)  # [T, C]
+        te = layer_te(v.timestamps, p, ts_scale, _sub_cache(cache, "te"))  # [T, C]
         z = x + te[None, :, None, :]
-        a = ada_ln(x, z, p.adaln, eps=eps)
+        a = ada_ln(x, z, p.adaln, eps=eps, cache=_sub_cache(cache, "adaln"))
         a = a.transpose(0, 2, 1, 3).reshape(b * n, t, c)
-        tm = temporal_mha_causal(a, p.tmha)
+        tm = temporal_mha_causal(a, p.tmha, _sub_cache(cache, "tmha"))
         tm = tm.reshape(b, n, t, c).transpose(0, 2, 1, 3)
+        if cache is not None:
+            cache["tm"] = tm
         x = x + p.gate_alpha * tm
 
-    h = layer_norm(x, gamma=p.ln2_gamma, beta=p.ln2_beta, eps=eps)
-    x = x + _ffn(h, p)
+    h = layer_norm(x, gamma=p.ln2_gamma, beta=p.ln2_beta, eps=eps,
+                   cache=_sub_cache(cache, "ln2"))
+    x = x + _ffn(h, p, _sub_cache(cache, "ffn"))
 
     return VideoBatch(features=x, timestamps=v.timestamps)
 

@@ -147,6 +147,32 @@ class TestForwardCompress:
                          "--input", str(src), "--output", str(dst))
         assert code == 0
 
+    @pytest.mark.parametrize("name, shape", [("layer01.adaln.w4", (5, 32)),
+                                             ("layer01.te.w1", (256, 7))])
+    def test_forward_manifest_wrong_weight_shape_is_io_error(self, capsys, tmp_path,
+                                                             name, shape):
+        manifest = save_model(tmp_path / "model",
+                              init_model(9, toy_config(layers=2, temporal_layers=1)))
+        weight = manifest.parent / io.read_manifest(manifest)[f"weight.{name}"]
+        io.write_tensor(weight, np.zeros(shape))
+        src = tmp_path / "in.pvct"
+        io.write_tensor(src, np.zeros((1, 2, 16, 32)))
+        code, _, err = run(capsys, "forward", "--manifest", str(manifest),
+                           "--input", str(src), "--output", str(tmp_path / "o.pvct"))
+        assert code == 3
+        assert "I/O error" in err and name in err
+
+    @pytest.mark.parametrize("command", ["forward", "budget"])
+    def test_manifest_not_utf8_is_io_error(self, capsys, tmp_path, command):
+        manifest = tmp_path / "bad.manifest"
+        manifest.write_bytes(b"cfg.channels = \xff\n")
+        argv = (["forward", "--manifest", str(manifest), "--input", str(manifest),
+                 "--output", str(tmp_path / "o.pvct")] if command == "forward"
+                else ["budget", "--config", str(manifest)])
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert "bad.manifest" in err
+
     def test_compress_counts(self, capsys, tmp_path):
         src = tmp_path / "in.pvct"
         dst = tmp_path / "out.pvct"

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from pvc import io
-from pvc.model_store import _model_tensors as model_tensors, load_model, save_model
+from pvc.model_store import load_model, save_model
 from pvc.tensor import Rng
 from pvc.verification import toy_config
-from pvc.vit import init_model
+from pvc.vit import init_model, named_params
 
 
 def test_round_trip_bitwise(tmp_path):
@@ -72,9 +72,30 @@ def test_model_round_trip_every_config_field(tmp_path):
     model = init_model(3, cfg)
     back = load_model(save_model(tmp_path, model))
     assert back.cfg == cfg
-    saved, loaded = model_tensors(model), model_tensors(back)
+    saved, loaded = dict(named_params(model)), dict(named_params(back))
     assert saved.keys() == loaded.keys()
     assert all(np.array_equal(loaded[k], v) for k, v in saved.items())
+
+
+def test_named_params_names_are_manifest_entries():
+    # these names are the weight entries of saved manifests: renaming one
+    # makes older models unloadable
+    model = init_model(3, toy_config(layers=2, temporal_layers=1))
+    assert [name for name, _ in named_params(model)] == [
+        "patch.weight", "patch.bias", "patch.pos",
+        "layer00.ln1_gamma", "layer00.ln1_beta", "layer00.ln2_gamma", "layer00.ln2_beta",
+        "layer00.ffn_w_in", "layer00.ffn_b_in", "layer00.ffn_w_out", "layer00.ffn_b_out",
+        "layer00.smha.wq", "layer00.smha.wk", "layer00.smha.wv", "layer00.smha.wo",
+        "layer00.smha.bq", "layer00.smha.bk", "layer00.smha.bv", "layer00.smha.bo",
+        "layer01.ln1_gamma", "layer01.ln1_beta", "layer01.ln2_gamma", "layer01.ln2_beta",
+        "layer01.ffn_w_in", "layer01.ffn_b_in", "layer01.ffn_w_out", "layer01.ffn_b_out",
+        "layer01.smha.wq", "layer01.smha.wk", "layer01.smha.wv", "layer01.smha.wo",
+        "layer01.smha.bq", "layer01.smha.bk", "layer01.smha.bv", "layer01.smha.bo",
+        "layer01.tmha.wq", "layer01.tmha.wk", "layer01.tmha.wv", "layer01.tmha.wo",
+        "layer01.tmha.bq", "layer01.tmha.bk", "layer01.tmha.bv", "layer01.tmha.bo",
+        "layer01.adaln.w3", "layer01.adaln.w4", "layer01.adaln.w5", "layer01.adaln.w6",
+        "layer01.te.w1", "layer01.te.w2", "layer01.gate_alpha",
+    ]
 
 
 @pytest.mark.parametrize("entry, value", [
@@ -101,6 +122,13 @@ def test_manifest_comments_and_blanks(tmp_path):
     path = tmp_path / "m.manifest"
     path.write_text("# header\n\nkey = value  # trailing\n")
     assert io.read_manifest(path) == {"key": "value"}
+
+
+def test_manifest_not_utf8(tmp_path):
+    path = tmp_path / "m.manifest"
+    path.write_bytes(b"key = \xff\xfe\n")
+    with pytest.raises(io.PvctError, match="m.manifest"):
+        io.read_manifest(path)
 
 
 def test_manifest_malformed(tmp_path):
