@@ -3,7 +3,8 @@
 Compares two ways to spend a fixed budget of 256 visual tokens on one
 448x448 image: a single lightly-compressed frame versus four strongly
 compressed repeats of the same frame. The repeats cost only a little
-more because identical frames share the plain encoder layers.
+more because identical frames share the plain encoder layers and the
+first temporal layer's spatial attention.
 """
 from pvc.budget import compare_strategies, count_tokens, estimate_flops, preset
 
@@ -25,8 +26,8 @@ def main():
     print(compare_strategies([base, prog],
                              names=["baseline", "progressive"]).format_text())
 
-    # what the reuse modeling buys: without it, the plain layers run once
-    # per repeated frame instead of once per tile
+    # what the reuse modeling buys: without it, the plain layers and the
+    # first temporal layer's S-MHA run once per repeated frame, not per tile
     no_reuse = estimate_flops(p_work, p_arch, reuse=False)
     saved = no_reuse.total - prog.total
     print(f"\nencoder reuse saves {saved / 1e12:.2f} TFLOPs "

@@ -11,11 +11,14 @@ multiplied by `flops_per_mac` (2 by default: one multiply plus one add).
 The table4 presets use a factor of 1, matching the convention of the
 profiler-style numbers they reproduce; see the preset docstrings.
 
-With `reuse` enabled on a static (repeated-image) workload, the plain ViT
-layers are computed once per tile and shared across the repeats; only the
-temporal layers and the compression head run per repeat. `vit.vit_forward`
-makes this saving whenever every frame of every batch element of its input
-is identical: it runs the plain layers on frame 0 and repeats the result.
+With `reuse` enabled on a static (repeated-image) workload, the repeats
+stay identical until the first temporal layer adds its timestamp
+embedding: the plain ViT layers and that layer's LN1/S-MHA are computed
+once per tile and shared across the repeats, and the rest of the temporal
+layers and the compression head run per repeat. `vit.vit_forward` makes
+this saving whenever every frame of every batch element of its input is
+identical: it runs the stack on frame 0 until the first temporal layer's
+S-MHA residual, whose sum with the timestamp embedding gives the T frames.
 """
 from __future__ import annotations
 
@@ -142,13 +145,13 @@ def estimate_flops(w: WorkloadSpec, a: ArchSpec, reuse: bool = False) -> BudgetR
     n = vit.tokens_per_frame
     d = vit.hidden
     streams, t_seq = _streams(w)
-    # image repeats are bitwise identical, so with reuse the plain layers
-    # run once per tile rather than once per repeat
+    # image repeats are bitwise identical up to the first temporal layer's
+    # S-MHA, so with reuse that prefix runs once per tile, not once per repeat
     can_reuse = reuse and w.kind == "image"
-    plain_streams = w.tiles if can_reuse else streams
+    shared_streams = w.tiles if can_reuse else streams
 
     plain_layers = vit.layers - vit.temporal_layers
-    plain = plain_layers * _layer_macs(plain_streams * n, plain_streams * n * n,
+    plain = plain_layers * _layer_macs(shared_streams * n, shared_streams * n * n,
                                       d, vit.ffn)
 
     temporal = 0.0
@@ -160,6 +163,7 @@ def estimate_flops(w: WorkloadSpec, a: ArchSpec, reuse: bool = False) -> BudgetR
         per_layer += 4.0 * tokens * d * vit.adaln_hidden               # AdaLN MLPs
         per_layer += t_seq * (256.0 * vit.te_hidden + vit.te_hidden * d)
         temporal = vit.temporal_layers * per_layer
+        temporal -= (streams - shared_streams) * (4.0 * n * d * d + 2.0 * n * n * d)
 
     wide = comp.kernel ** 2 * d
     out_tokens = counts.visual_total

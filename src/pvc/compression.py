@@ -38,10 +38,6 @@ class CompressionParams:
     def wide_dim(self) -> int:
         return self.w_in.shape[0]
 
-    @property
-    def out_dim(self) -> int:
-        return self.w_out.shape[1]
-
 
 def init_compression(rng: Rng, cfg: PvcConfig, mlp_hidden: int | None = None,
                      out_dim: int | None = None) -> CompressionParams:

@@ -22,10 +22,6 @@ class TemporalEmbeddingParams:
     w1: Array  # [256, H]
     w2: Array  # [H, D_out]
 
-    @property
-    def d_out(self) -> int:
-        return self.w2.shape[1]
-
 
 @dataclass
 class AdaLnParams:

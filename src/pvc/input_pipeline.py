@@ -132,7 +132,6 @@ def select_tile_grid(width: int, height: int, max_tiles: int) -> tuple[int, int]
 def bilinear_resize(pixels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resample uint8 [H,W,3] with half-pixel-centered sampling."""
     h, w, _ = pixels.shape
-    src = pixels.astype(np.float64)
     ys = np.clip((np.arange(out_h) + 0.5) * h / out_h - 0.5, 0, h - 1)
     xs = np.clip((np.arange(out_w) + 0.5) * w / out_w - 0.5, 0, w - 1)
     y0 = np.floor(ys).astype(int)
@@ -141,9 +140,12 @@ def bilinear_resize(pixels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x1 = np.minimum(x0 + 1, w - 1)
     wy = (ys - y0)[:, None, None]
     wx = (xs - x0)[None, :, None]
-    top = src[y0][:, x0] * (1 - wx) + src[y0][:, x1] * wx
-    bot = src[y1][:, x0] * (1 - wx) + src[y1][:, x1] * wx
-    out = top * (1 - wy) + bot * wy
+    # each source row that is read is resampled along x once, then the
+    # output rows blend two of those along y
+    used, pos = np.unique(np.concatenate([y0, y1]), return_inverse=True)
+    src = pixels[used].astype(np.float64)
+    rows = src[:, x0] * (1 - wx) + src[:, x1] * wx
+    out = rows[pos[:out_h]] * (1 - wy) + rows[pos[out_h:]] * wy
     return np.clip(np.rint(out), 0, 255).astype(np.uint8)
 
 
@@ -168,7 +170,8 @@ def normalize(images, mean=(0.485, 0.456, 0.406), std=(0.229, 0.224, 0.225)) -> 
     """8-bit RGB -> float64, scaled to [0,1] then channel-standardized.
 
     Accepts a RawImage, a list of RawImage, or a uint8 array whose last
-    axis is RGB; output shape is [len, H, W, 3] for lists.
+    axis is RGB; output shape is [len, H, W, 3] for lists. Each of the 256
+    levels of each channel is computed once and the pixels look it up.
     """
     if isinstance(images, RawImage):
         arr = images.pixels[None]
@@ -176,10 +179,12 @@ def normalize(images, mean=(0.485, 0.456, 0.406), std=(0.229, 0.224, 0.225)) -> 
         arr = np.stack([im.pixels for im in images])
     else:
         arr = np.asarray(images)
-    x = arr.astype(np.float64) / 255.0
+    if arr.dtype != np.uint8:
+        raise ValueError(f"pixels must be uint8, got {arr.dtype}")
     mean = np.asarray(mean, dtype=np.float64)
     std = np.asarray(std, dtype=np.float64)
-    return (x - mean) / std
+    table = (np.arange(256.0)[:, None] / 255.0 - mean) / std  # [256, 3]
+    return table[arr, np.arange(3)]
 
 
 def denormalize(x: Array, mean=(0.485, 0.456, 0.406),

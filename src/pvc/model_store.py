@@ -9,10 +9,12 @@ from __future__ import annotations
 import dataclasses
 from pathlib import Path
 
+import numpy as np
+
 from . import io
 from .compression import CompressionParams
-from .conditioning import AdaLnParams, TemporalEmbeddingParams
-from .vit import ModelParams, PvcConfig, init_model, named_params
+from .conditioning import SINUSOID_DIM, AdaLnParams, TemporalEmbeddingParams
+from .vit import ModelParams, PvcConfig, build_model, named_params
 
 # Config entries a manifest must carry; the others fall back to their
 # defaults, as in manifests written before they were saved.
@@ -55,6 +57,25 @@ def _config_from_entries(entries: dict, manifest_path) -> PvcConfig:
         raise io.PvctError(f"{manifest_path}: {e}") from e
 
 
+# Extents a compressor's weights must share: a letter is bound by the
+# first weight that has it, and every later weight must agree with it.
+_COMPRESSION_SHAPES = {
+    "w_in": ("D", "F"), "b_in": ("F",), "w_out": ("F", "O"), "b_out": ("O",),
+    "adaln.w3": ("D", "A"), "adaln.w4": ("A", "D"),
+    "adaln.w5": ("D", "S"), "adaln.w6": ("S", "D"),
+    "te.w1": (SINUSOID_DIM, "H"), "te.w2": ("H", "D"),
+}
+
+
+class _NoDraws:
+    """Stands in for Rng where every drawn weight is overwritten: the
+    weights come back uninitialised and no random number is drawn."""
+
+    @staticmethod
+    def normal(shape, std: float = 1.0):
+        return np.empty(shape)
+
+
 def _weight(entries: dict, manifest_path: Path, name: str):
     key = f"weight.{name}"
     if key not in entries:
@@ -84,13 +105,13 @@ def save_model(directory, model: ModelParams) -> Path:
 def load_model(manifest_path) -> ModelParams:
     """Rebuild a ModelParams from a manifest written by save_model.
 
-    The model is built for the manifest's config, then every weight is
-    filled from its file; a missing entry or a shape other than the
-    config's raises PvctError.
+    The model is built for the manifest's config without drawing its
+    weights, then every weight is filled from its file; a missing entry or
+    a shape other than the config's raises PvctError.
     """
     manifest_path = Path(manifest_path)
     entries = io.read_manifest(manifest_path)
-    model = init_model(0, _config_from_entries(entries, manifest_path))
+    model = build_model(_NoDraws(), _config_from_entries(entries, manifest_path))
     for name, arr in named_params(model):
         loaded = _weight(entries, manifest_path, name)
         if loaded.shape != arr.shape:
@@ -106,16 +127,28 @@ def save_compression(directory, p: CompressionParams, prefix: str = "comp") -> N
 
 
 def load_compression(manifest_path) -> CompressionParams:
+    """Rebuild a CompressionParams from a manifest written by save_compression.
+
+    A missing entry, or a weight whose shape disagrees with the others
+    (see _COMPRESSION_SHAPES), raises PvctError naming the weight.
+    """
     manifest_path = Path(manifest_path)
     entries = io.read_manifest(manifest_path)
-
-    def tensor(name):
-        return _weight(entries, manifest_path, name)
-
+    extents, w = {}, {}
+    for name, dims in _COMPRESSION_SHAPES.items():
+        arr = w[name] = _weight(entries, manifest_path, name)
+        if arr.ndim == len(dims):
+            for d, n in zip(dims, arr.shape):
+                if isinstance(d, str):
+                    extents.setdefault(d, n)
+        expected = tuple(extents.get(d, d) for d in dims)
+        if arr.shape != expected:
+            raise io.PvctError(f"{manifest_path}: weight {name} has shape "
+                               f"{arr.shape}, expected "
+                               f"({', '.join(map(str, expected))})")
     return CompressionParams(
-        adaln=AdaLnParams(w3=tensor("adaln.w3"), w4=tensor("adaln.w4"),
-                          w5=tensor("adaln.w5"), w6=tensor("adaln.w6")),
-        te=TemporalEmbeddingParams(w1=tensor("te.w1"), w2=tensor("te.w2")),
-        w_in=tensor("w_in"), b_in=tensor("b_in"),
-        w_out=tensor("w_out"), b_out=tensor("b_out"),
+        adaln=AdaLnParams(w3=w["adaln.w3"], w4=w["adaln.w4"],
+                          w5=w["adaln.w5"], w6=w["adaln.w6"]),
+        te=TemporalEmbeddingParams(w1=w["te.w1"], w2=w["te.w2"]),
+        w_in=w["w_in"], b_in=w["b_in"], w_out=w["w_out"], b_out=w["b_out"],
     )

@@ -76,22 +76,22 @@ class PvcConfig:
     def compressed_tokens(self) -> int:
         return self.tokens_per_frame // self.shuffle_kernel ** 2
 
-    @property
-    def head_dim(self) -> int:
-        return self.channels // self.heads
-
 
 @dataclass
 class VideoBatch:
-    """Patch-token features [B, T, N, C] with per-frame timestamps."""
+    """Patch-token features [B, T, N, C] with per-frame timestamps.
+
+    A static video may be held once: features [B, 1, N, C] stand for all T
+    frames of the T timestamps.
+    """
     features: Array
     timestamps: Array
 
     def __post_init__(self):
         if self.features.ndim != 4:
             raise ValueError(f"features must be [B,T,N,C], got {self.features.shape}")
-        if len(self.timestamps) != self.features.shape[1]:
-            raise ValueError("timestamps length must equal frame count")
+        if self.features.shape[1] not in (1, len(self.timestamps)):
+            raise ValueError("frame count must be 1 or the timestamps length")
 
     @property
     def shape(self):
@@ -215,7 +215,11 @@ def init_layer(rng: Rng, cfg: PvcConfig, temporal: bool) -> LayerParams:
 
 
 def init_model(seed: int, cfg: PvcConfig) -> ModelParams:
-    rng = Rng(seed)
+    return build_model(Rng(seed), cfg)
+
+
+def build_model(rng: Rng, cfg: PvcConfig) -> ModelParams:
+    """A model for cfg whose random weights come from `rng.normal`."""
     n = cfg.tokens_per_frame
     patch = PatchEmbedParams(
         weight=rng.normal((cfg.patch_size * cfg.patch_size * 3, cfg.channels),
@@ -299,12 +303,18 @@ def progressive_layer_forward(v: VideoBatch, p: LayerParams,
                               cache: dict | None = None) -> VideoBatch:
     """One ViT layer; applies the gated temporal block only when present.
 
+    A static video held once runs LN1 and S-MHA on its one frame; adding
+    the timestamp embedding gives it T distinct frames.
+
     With a `cache` dict, each sublayer records its intermediates in a dict
     under its own key (`ln1`, `smha`, ...), and the ungated T-MHA output is
     kept as `tm`; the backward pass reads them.
     """
     x = v.features
     b, t, n, c = x.shape
+    if cache is not None and t != len(v.timestamps):
+        raise ValueError("a static video held once cannot be cached; "
+                         "the backward passes expect every frame")
 
     h = layer_norm(x.reshape(b * t, n, c), gamma=p.ln1_gamma, beta=p.ln1_beta,
                    eps=eps, cache=_sub_cache(cache, "ln1"))
@@ -313,7 +323,9 @@ def progressive_layer_forward(v: VideoBatch, p: LayerParams,
     if p.is_temporal:
         te = layer_te(v.timestamps, p, ts_scale, _sub_cache(cache, "te"))  # [T, C]
         z = x + te[None, :, None, :]
-        a = ada_ln(x, z, p.adaln, eps=eps, cache=_sub_cache(cache, "adaln"))
+        t = z.shape[1]
+        a = ada_ln(np.broadcast_to(x, z.shape), z, p.adaln, eps=eps,
+                   cache=_sub_cache(cache, "adaln"))
         a = a.transpose(0, 2, 1, 3).reshape(b * n, t, c)
         tm = temporal_mha_causal(a, p.tmha, _sub_cache(cache, "tmha"))
         tm = tm.reshape(b, n, t, c).transpose(0, 2, 1, 3)
@@ -339,27 +351,28 @@ def plain_layer_forward(x: Array, p: LayerParams, eps: float = 1e-6) -> Array:
 def vit_forward(v: VideoBatch, cfg: PvcConfig, model: ModelParams) -> VideoBatch:
     """Run the full stack: plain layers first, progressive layers last.
 
-    Plain layers see each frame alone, so when every frame of the input is
-    identical (an image repeated as a static video) they run on frame 0
-    only, and their output is repeated to all T frames before the first
-    temporal layer. The result equals running them on every frame.
+    Until the first temporal layer adds the timestamp embedding, every
+    layer works on each frame alone. So when every frame of the input is
+    identical (an image repeated as a static video), the stack is handed
+    frame 0 alone, and the first temporal layer's LN1 + S-MHA output is
+    broadcast to the T frames. A stack without temporal layers repeats its
+    output at the end. The result equals running every layer on every frame.
     """
     if len(model.layers) != cfg.layers:
         raise ValueError(f"expected {cfg.layers} layers, got {len(model.layers)}")
     plain = cfg.layers - cfg.temporal_layers
     x, timestamps = v.features, v.timestamps
-    t = x.shape[1]
-    static = plain > 0 and t > 1 and bool((x == x[:, :1]).all())
-    if static:
-        v = VideoBatch(features=x[:, :1], timestamps=timestamps[:1])
+    t = len(timestamps)
+    if t > 1 and bool((x == x[:, :1]).all()):
+        v = VideoBatch(features=x[:, :1], timestamps=timestamps)
     for i, p in enumerate(model.layers):
         if p.is_temporal != (i >= plain):
             raise ValueError(f"layer {i}: temporal={p.is_temporal}, expected "
                              f"{'temporal' if i >= plain else 'plain'}")
         v = progressive_layer_forward(v, p, ts_scale=cfg.ts_scale, eps=cfg.eps)
-        if static and i == plain - 1:
-            v = VideoBatch(features=np.repeat(v.features, t, axis=1),
-                           timestamps=timestamps)
+    if v.features.shape[1] != t:
+        v = VideoBatch(features=np.repeat(v.features, t, axis=1),
+                       timestamps=timestamps)
     return v
 
 

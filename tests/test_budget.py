@@ -99,8 +99,11 @@ class TestEstimateFlops:
         without = estimate_flops(work, arch, reuse=False)
         assert without.stages["vit_plain"] == \
             work.t_img * with_reuse.stages["vit_plain"]
-        # temporal layers and compression are unaffected by reuse
-        assert without.stages["vit_temporal"] == with_reuse.stages["vit_temporal"]
+        # the first temporal layer's S-MHA runs once per tile, not per repeat
+        n, d = arch.vit.tokens_per_frame, arch.vit.hidden
+        smha = arch.flops_per_mac * (4 * n * d * d + 2 * n * n * d)
+        assert without.stages["vit_temporal"] - with_reuse.stages["vit_temporal"] \
+            == (work.t_img - 1) * work.tiles * smha
         assert without.stages["compression"] == with_reuse.stages["compression"]
 
     def test_invalid_workload_kind(self):

@@ -6,7 +6,8 @@ import pytest
 from pvc import io
 from pvc.cli import main
 from pvc.input_pipeline import RawImage, write_ppm
-from pvc.model_store import save_model
+from pvc.compression import init_compression
+from pvc.model_store import save_compression, save_model
 from pvc.tensor import Rng
 from pvc.verification import toy_config
 from pvc.vit import init_model
@@ -184,6 +185,22 @@ class TestForwardCompress:
         assert y.shape[:3] == (1, 3, 4)
         side = io.read_manifest(str(dst) + ".manifest")
         assert side["M"] == "4" and side["T"] == "3"
+
+    def test_compress_manifest_wrong_weight_shape_is_io_error(self, capsys, tmp_path):
+        # C=8, k=4: the compressor's width is D = 128
+        cfg = toy_config(channels=8, heads=2, shuffle_kernel=4)
+        save_compression(tmp_path, init_compression(Rng(6), cfg))
+        manifest = tmp_path / "comp.manifest"
+        src = tmp_path / "in.pvct"
+        io.write_tensor(src, Rng(6).normal((1, 2, 16, 8)))
+        argv = ["compress", "--kernel", "4", "--comp-manifest", str(manifest),
+                "--input", str(src), "--output", str(tmp_path / "o.pvct")]
+        assert run(capsys, *argv)[0] == 0
+        weight = tmp_path / io.read_manifest(manifest)["weight.adaln.w4"]
+        io.write_tensor(weight, np.zeros((5, 128)))
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert "I/O error" in err and "adaln.w4" in err
 
     def test_compress_non_square_grid(self, capsys, tmp_path):
         src = tmp_path / "in.pvct"

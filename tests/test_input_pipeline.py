@@ -22,6 +22,25 @@ def rand_image(seed, h, w):
     return RawImage(gen.integers(0, 256, size=(h, w, 3), dtype=np.uint8))
 
 
+def reference_resize(pixels, out_h, out_w):
+    """Bilinear resize that blends four full-size gathers per output pixel."""
+    h, w, _ = pixels.shape
+    src = pixels.astype(np.float64)
+    ys = np.clip((np.arange(out_h) + 0.5) * h / out_h - 0.5, 0, h - 1)
+    xs = np.clip((np.arange(out_w) + 0.5) * w / out_w - 0.5, 0, w - 1)
+    y0, x0 = np.floor(ys).astype(int), np.floor(xs).astype(int)
+    y1, x1 = np.minimum(y0 + 1, h - 1), np.minimum(x0 + 1, w - 1)
+    wy, wx = (ys - y0)[:, None, None], (xs - x0)[None, :, None]
+    top = src[y0][:, x0] * (1 - wx) + src[y0][:, x1] * wx
+    bot = src[y1][:, x0] * (1 - wx) + src[y1][:, x1] * wx
+    return np.clip(np.rint(top * (1 - wy) + bot * wy), 0, 255).astype(np.uint8)
+
+
+def reference_normalize(pixels, mean, std):
+    x = pixels.astype(np.float64) / 255.0
+    return (x - np.asarray(mean, dtype=np.float64)) / np.asarray(std, dtype=np.float64)
+
+
 class TestStaticVideo:
     def test_default_repeat(self):
         v = image_to_static_video(rand_image(1, 8, 8), 4)
@@ -110,7 +129,33 @@ class TestDynamicTile:
             assert len(tiles) <= mt
 
 
+@pytest.mark.parametrize("h, w, out_h, out_w", [
+    (1, 1, 1, 1), (1, 1, 5, 7), (7, 3, 2, 9), (9, 13, 31, 1), (2, 2, 1, 1),
+    (5, 5, 5, 5), (33, 17, 13, 29), (60, 80, 56, 56), (3, 101, 8, 7)])
+def test_bilinear_resize_matches_reference_bitwise(h, w, out_h, out_w):
+    pixels = rand_image(h * 131 + w, h, w).pixels
+    out = bilinear_resize(pixels, out_h, out_w)
+    assert out.shape == (out_h, out_w, 3) and out.dtype == np.uint8
+    assert np.array_equal(out, reference_resize(pixels, out_h, out_w))
+
+
 class TestNormalize:
+    @pytest.mark.parametrize("shape", [(1, 1, 1, 3), (2, 7, 5, 3), (3, 13, 1, 3)])
+    def test_matches_reference_bitwise(self, shape):
+        gen = np.random.Generator(np.random.Philox(sum(shape)))
+        pixels = gen.integers(0, 256, size=shape, dtype=np.uint8)
+        pixels.flat[:2] = (0, 255)
+        for mean, std in (((0.485, 0.456, 0.406), (0.229, 0.224, 0.225)),
+                          ((0.5, 0.5, 0.5), (0.5, 0.5, 0.5))):
+            out = normalize(pixels, mean=mean, std=std)
+            assert np.array_equal(out, reference_normalize(pixels, mean, std))
+        images = [RawImage(p) for p in pixels]
+        assert np.array_equal(normalize(images), normalize(pixels))
+
+    def test_rejects_non_uint8(self):
+        with pytest.raises(ValueError, match="uint8"):
+            normalize(np.zeros((1, 2, 2, 3)))
+
     def test_zero_pixel(self):
         img = RawImage(np.zeros((1, 1, 3), dtype=np.uint8))
         out = normalize(img, mean=(0.5, 0.5, 0.5), std=(0.5, 0.5, 0.5))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from pvc import io
-from pvc.model_store import load_model, save_model
+from pvc.compression import init_compression
+from pvc.model_store import load_compression, load_model, save_compression, save_model
 from pvc.tensor import Rng
 from pvc.verification import toy_config
 from pvc.vit import init_model, named_params
@@ -75,6 +76,42 @@ def test_model_round_trip_every_config_field(tmp_path):
     saved, loaded = dict(named_params(model)), dict(named_params(back))
     assert saved.keys() == loaded.keys()
     assert all(np.array_equal(loaded[k], v) for k, v in saved.items())
+
+
+def test_load_model_draws_no_random_weights(tmp_path, monkeypatch):
+    model = init_model(3, toy_config(layers=2, temporal_layers=1))
+    manifest = save_model(tmp_path, model)
+
+    def no_draws(self, shape, std=1.0):
+        raise AssertionError(f"Rng.normal{tuple(shape)} called during load_model")
+
+    monkeypatch.setattr(Rng, "normal", no_draws)
+    back = load_model(manifest)
+    assert all(np.array_equal(a, b) for (_, a), (_, b)
+               in zip(named_params(model), named_params(back)))
+
+
+def test_compression_round_trip(tmp_path):
+    comp = init_compression(Rng(4), toy_config(), mlp_hidden=48, out_dim=24)
+    save_compression(tmp_path, comp)
+    back = load_compression(tmp_path / "comp.manifest")
+    saved, loaded = dict(named_params(comp)), dict(named_params(back))
+    assert saved.keys() == loaded.keys()
+    assert all(np.array_equal(loaded[k], v) for k, v in saved.items())
+
+
+@pytest.mark.parametrize("name, shape", [
+    ("adaln.w4", (5, 128)), ("adaln.w3", (128,)), ("adaln.w6", (128, 7)),
+    ("te.w1", (255, 128)), ("te.w2", (128, 64)), ("w_in", (128,)),
+    ("b_in", (47,)), ("w_out", (47, 24)), ("b_out", (23,))])
+def test_load_compression_rejects_disagreeing_shapes(tmp_path, name, shape):
+    save_compression(tmp_path, init_compression(Rng(4), toy_config(),
+                                                mlp_hidden=48, out_dim=24))
+    manifest = tmp_path / "comp.manifest"
+    io.write_tensor(tmp_path / io.read_manifest(manifest)[f"weight.{name}"],
+                    np.zeros(shape))
+    with pytest.raises(io.PvctError, match=f"weight {name} has shape"):
+        load_compression(manifest)
 
 
 def test_named_params_names_are_manifest_entries():

@@ -348,14 +348,52 @@ class TestPlainLayerReuse:
         out = vit_forward(v, cfg, model).features
         assert np.array_equal(out, layerwise_reference(v, cfg, model))
 
-    def test_static_runs_plain_layers_on_one_frame(self, monkeypatch):
+    @pytest.mark.parametrize("cfg, b", [(toy_config(temporal_layers=8), 1),
+                                        (toy_config(), 2)],
+                             ids=["all_temporal", "batch2"])
+    def test_static_equals_layerwise_bitwise_more_stacks(self, cfg, b):
+        model = self._model(50, cfg)
+        v = self._static_batch(Rng(51), cfg, b=b)
+        out = vit_forward(v, cfg, model).features
+        assert np.array_equal(out, layerwise_reference(v, cfg, model))
+
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_static_runs_spatial_mha_on_one_frame_through_first_temporal(self, b, monkeypatch):
         cfg = toy_config()
         model = self._model(42, cfg)
+        sequences = []
+        real = vit.spatial_mha
+
+        def spy(x, p, cache=None):
+            sequences.append(x.shape[0])
+            return real(x, p, cache)
+
+        monkeypatch.setattr(vit, "spatial_mha", spy)
         calls = spy_layer_calls(monkeypatch)
-        out = vit_forward(self._static_batch(Rng(43), cfg), cfg, model)
+        out = vit_forward(self._static_batch(Rng(43), cfg, b=b), cfg, model)
+        # layers after the first temporal one see T distinct frames
         plain = cfg.layers - cfg.temporal_layers
-        assert calls == [(False, 1)] * plain + [(True, 4)] * cfg.temporal_layers
-        assert out.features.shape[1] == 4 and len(out.timestamps) == 4
+        assert sequences == [b] * (plain + 1) + [4 * b] * (cfg.temporal_layers - 1)
+        assert calls == ([(False, 1)] * plain + [(True, 1)]
+                         + [(True, 4)] * (cfg.temporal_layers - 1))
+        assert out.features.shape[:2] == (b, 4) and len(out.timestamps) == 4
+
+    def test_held_once_batch_with_cache_raises(self):
+        cfg = toy_config()
+        p = init_layer(Rng(52), cfg, temporal=True)
+        v = VideoBatch(features=Rng(53).normal((1, 1, cfg.tokens_per_frame,
+                                                 cfg.channels)),
+                       timestamps=relative_timestamps(4))
+        with pytest.raises(ValueError, match="held once"):
+            progressive_layer_forward(v, p, cache={})
+
+    def test_video_batch_frame_count_is_one_or_t(self):
+        x = np.zeros((1, 2, 3, 4))
+        with pytest.raises(ValueError):
+            VideoBatch(features=x, timestamps=relative_timestamps(4))
+        held = VideoBatch(features=x[:, :1], timestamps=relative_timestamps(4))
+        assert held.features.shape[1] == 1
+        assert VideoBatch(features=x, timestamps=relative_timestamps(2)).shape == x.shape
 
     def test_static_without_temporal_layers(self, monkeypatch):
         cfg = toy_config(temporal_layers=0)
