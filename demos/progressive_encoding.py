@@ -25,7 +25,7 @@ def main():
 
     # 1. at init the gates are zero, so the stack is the plain ViT
     out = vit_forward(v, cfg, model).features
-    ref = plain_vit_forward(v, cfg, model).features
+    ref = plain_vit_forward(v, model).features
     print(f"\nzero-gate vs plain per-frame ViT: "
           f"max |diff| = {np.max(np.abs(out - ref)):.3e}")
 

@@ -267,6 +267,10 @@ _SPEC_FIELDS = {
     "vit": VitSpec, "compression": CompressionSpec, "llm": LlmSpec,
 }
 
+# Spec fields that may be 0 (no AdaLN, no TE, no temporal layers); every
+# other spec field is an extent and must be at least 1.
+_MAY_BE_ZERO = ("adaln_hidden", "te_hidden", "temporal_layers")
+
 
 def specs_from_entries(entries: dict) -> tuple[ArchSpec, WorkloadSpec]:
     """Build specs from manifest-style entries like `vit.layers = 24`."""
@@ -285,7 +289,12 @@ def specs_from_entries(entries: dict) -> tuple[ArchSpec, WorkloadSpec]:
             target = getattr(arch, section)
             if fld not in target.__dataclass_fields__:
                 raise ValueError(f"unknown {section} field {fld!r}")
-            setattr(target, fld, int(value))
+            n, least = int(value), 0 if fld in _MAY_BE_ZERO else 1
+            if n < least:
+                raise ValueError(f"{key} = {n}: must be at least {least}")
+            setattr(target, fld, n)
         else:
             raise ValueError(f"unknown config key {key!r}")
+    if arch.vit.tokens_per_frame < 1:
+        raise ValueError("vit.image_size is smaller than vit.patch: no tokens")
     return arch, work

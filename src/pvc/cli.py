@@ -37,6 +37,7 @@ from .input_pipeline import (
 from .tensor import NonFiniteError, Rng
 from .verification import (
     CHECKED_MODULES,
+    GRAD_TOL,
     check_causality,
     check_init_identity,
     run_grad_check,
@@ -193,6 +194,8 @@ def _cmd_pipeline(args) -> int:
         frames_arr = io.read_tensor(args.video)
         if frames_arr.ndim != 4 or frames_arr.shape[-1] != 3:
             raise io.PvctError(f"{args.video}: expected [T,H,W,3] frames")
+        if not np.all(np.isfinite(frames_arr)):
+            raise NonFiniteError(f"{args.video}: frames contain NaN or Inf")
         raw = RawVideo(frames=[RawImage(np.clip(f, 0, 255).astype(np.uint8))
                                for f in frames_arr])
         t = args.frames or raw.frame_count
@@ -264,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grad-check", help="analytic backward vs finite differences")
     p.add_argument("--module", required=True, choices=CHECKED_MODULES)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=GRAD_TOL)
     p.add_argument("--output", help="also write the report to this file")
     add_seed(p)
     p.set_defaults(fn=_cmd_grad_check)

@@ -21,8 +21,8 @@ from .conditioning import (
     sinusoidal_embed,
     temporal_embedding,
 )
-from .tensor import Array, Rng, _sub_cache, silu_mlp
-from .vit import NEW_WEIGHT_STD, PvcConfig, VideoBatch
+from .tensor import NEW_WEIGHT_STD, Array, Rng, _sub_cache, silu_mlp
+from .vit import PvcConfig, VideoBatch
 
 
 @dataclass
@@ -98,8 +98,7 @@ def compress(v: VideoBatch, p: CompressionParams, cfg: PvcConfig,
     xt = pixel_shuffle(v.features, k)
     if xt.shape[-1] != p.wide_dim:
         raise ValueError(f"shuffled width {xt.shape[-1]} != params {p.wide_dim}")
-    te = temporal_embedding(sinusoidal_embed(v.timestamps, cfg.ts_scale), p.te,
-                            _sub_cache(cache, "te"))
+    te = temporal_embedding(sinusoidal_embed(v.timestamps), p.te, _sub_cache(cache, "te"))
     z = xt + te[None, :, None, :]
-    a = ada_ln(xt, z, p.adaln, eps=cfg.eps, cache=_sub_cache(cache, "adaln"))
+    a = ada_ln(xt, z, p.adaln, _sub_cache(cache, "adaln"))
     return silu_mlp(a, p.w_in, p.w_out, p.b_in, p.b_out, _sub_cache(cache, "mlp"))

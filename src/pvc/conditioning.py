@@ -10,10 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Array, Rng, _sub_cache, layer_norm, silu_mlp
+from .tensor import NEW_WEIGHT_STD, Array, Rng, _sub_cache, layer_norm, silu_mlp
 
 SINUSOID_DIM = 256
-DEFAULT_TS_SCALE = 1000.0
+TS_SCALE = 1000.0  # stretches t in [0,1] so sub-second spacings reach fast channels
 
 
 @dataclass
@@ -36,17 +36,17 @@ class AdaLnParams:
         return self.w3.shape[0]
 
 
-def init_temporal_embedding(rng: Rng, d_out: int, hidden: int | None = None,
-                            std: float = 0.02) -> TemporalEmbeddingParams:
+def init_temporal_embedding(rng: Rng, d_out: int,
+                            hidden: int | None = None) -> TemporalEmbeddingParams:
     h = d_out if hidden is None else hidden
     return TemporalEmbeddingParams(
-        w1=rng.normal((SINUSOID_DIM, h), std),
-        w2=rng.normal((h, d_out), std),
+        w1=rng.normal((SINUSOID_DIM, h), NEW_WEIGHT_STD),
+        w2=rng.normal((h, d_out), NEW_WEIGHT_STD),
     )
 
 
 def init_adaln(rng: Rng, dim: int, hidden: int | None = None,
-               std: float = 0.02) -> AdaLnParams:
+               std: float = NEW_WEIGHT_STD) -> AdaLnParams:
     h = dim if hidden is None else hidden
     return AdaLnParams(
         w3=rng.normal((dim, h), std),
@@ -65,19 +65,17 @@ def relative_timestamps(t: int) -> Array:
     return np.linspace(0.0, 1.0, t)
 
 
-def sinusoidal_embed(t: Array, scale: float = DEFAULT_TS_SCALE) -> Array:
-    """Encode timestamps in [0,1] as 256-d sinusoids.
+def sinusoidal_embed(t: Array) -> Array:
+    """Encode timestamps in [0,1] as 256-d sinusoids of TS_SCALE * t.
 
     Frequencies are geometric, f_j = 10000^(-j/127) for j in 0..127, the
-    sin block first then the cos block. `scale` stretches the timestamps
-    before the trig so sub-second spacings reach the high-frequency
-    channels.
+    sin block first then the cos block.
     """
     t = np.asarray(t, dtype=np.float64)
     if t.ndim != 1:
         raise ValueError(f"timestamps must be 1-D, got shape {t.shape}")
     half = SINUSOID_DIM // 2
-    freqs = 10000.0 ** (-np.arange(half) / (half - 1)) * float(scale)
+    freqs = 10000.0 ** (-np.arange(half) / (half - 1)) * TS_SCALE
     angles = t[:, None] * freqs[None, :]
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
 
@@ -112,7 +110,7 @@ def affine_coeffs(z: Array, p: AdaLnParams,
     return gamma, beta
 
 
-def ada_ln(x: Array, z: Array, p: AdaLnParams, eps: float = 1e-6,
+def ada_ln(x: Array, z: Array, p: AdaLnParams,
            cache: dict | None = None) -> Array:
     """gamma(z) * LayerNorm(x) + beta(z) over the last axis.
 
@@ -126,7 +124,7 @@ def ada_ln(x: Array, z: Array, p: AdaLnParams, eps: float = 1e-6,
     if x.shape != z.shape:
         raise ValueError(f"x shape {x.shape} != z shape {z.shape}")
     gamma, beta = affine_coeffs(z, p, cache)
-    out = gamma * layer_norm(x, axis=-1, eps=eps, cache=cache) + beta
+    out = gamma * layer_norm(x, cache=cache) + beta
     if cache is not None:
         cache["gamma"] = gamma
     return out

@@ -13,13 +13,18 @@ import numpy as np
 
 from . import io
 from .compression import CompressionParams
-from .conditioning import SINUSOID_DIM, AdaLnParams, TemporalEmbeddingParams
+from .conditioning import SINUSOID_DIM, TS_SCALE, AdaLnParams, TemporalEmbeddingParams
+from .tensor import EPS_NORM
 from .vit import ModelParams, PvcConfig, build_model, named_params
 
 # Config entries a manifest must carry; the others fall back to their
 # defaults, as in manifests written before they were saved.
 _CFG_KEYS = ("image_size", "patch_size", "channels", "heads", "ffn_dim",
              "layers", "temporal_layers", "shuffle_kernel", "t_img")
+
+# Entries of older manifests for values that are now constants of the
+# model; any other value would load a model with different numerics.
+_FIXED_ENTRIES = {"cfg.eps": EPS_NORM, "cfg.ts_scale": TS_SCALE}
 
 
 def _config_entries(cfg: PvcConfig) -> dict:
@@ -33,6 +38,14 @@ def _config_entries(cfg: PvcConfig) -> dict:
 
 
 def _config_from_entries(entries: dict, manifest_path) -> PvcConfig:
+    for key, value in _FIXED_ENTRIES.items():
+        try:
+            held = key not in entries or float(entries[key]) == value
+        except ValueError:
+            held = False
+        if not held:
+            raise io.PvctError(f"{manifest_path}: config entry {key} = {entries[key]!r} "
+                               f"is not supported; it must be {value!r}")
     kwargs = {}
     for f in dataclasses.fields(PvcConfig):
         key = f"cfg.{f.name}"

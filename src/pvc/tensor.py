@@ -12,6 +12,7 @@ import numpy as np
 Array = np.ndarray
 
 EPS_NORM = 1e-6
+NEW_WEIGHT_STD = 0.02  # std of every freshly drawn weight matrix
 
 
 class NonFiniteError(FloatingPointError):
@@ -43,20 +44,18 @@ def linear(x: Array, w: Array, b: Array | None = None) -> Array:
     return y.reshape(*x.shape[:-1], w.shape[-1])
 
 
-def softmax(x: Array, axis: int = -1, out: Array | None = None) -> Array:
-    """Numerically stable softmax along `axis` (max-subtracted).
+def softmax(x: Array, out: Array | None = None) -> Array:
+    """Numerically stable softmax along the last axis (max-subtracted).
 
     With `out` (x itself allowed) the result is built in that buffer and no
     other array of x's size is allocated.
     """
     x = np.asarray(x, dtype=np.float64)
-    if not -x.ndim <= axis < x.ndim:
-        raise ValueError(f"softmax axis {axis} invalid for shape {x.shape}")
-    shift = x.max(axis=axis, keepdims=True)
+    shift = x.max(axis=-1, keepdims=True)
     with np.errstate(invalid="ignore"):  # inf - inf; reported below
         out = np.subtract(x, shift, out=out)
         np.exp(out, out=out)
-        total = out.sum(axis=axis, keepdims=True)
+        total = out.sum(axis=-1, keepdims=True)
     # the terms are >= 0, so a NaN or Inf anywhere shows in its sum
     _check_finite(total, "softmax")
     out /= total
@@ -105,38 +104,32 @@ def silu_grad(x: Array) -> Array:
     return s * (1.0 + x * (1.0 - s))
 
 
-def layer_norm(x: Array, axis: int = -1, gamma: Array | None = None,
-               beta: Array | None = None, eps: float = EPS_NORM,
+def layer_norm(x: Array, gamma: Array | None = None, beta: Array | None = None,
                cache: dict | None = None) -> Array:
-    """Normalize to zero mean / unit variance along `axis`, then affine.
+    """Normalize to zero mean / unit variance along the last axis, then affine.
 
-    gamma/beta, when given, are 1-D with the extent of the normalized axis.
+    gamma/beta, when given, are 1-D with the extent of the last axis.
     With a `cache` dict, the normalized x (before the affine) and the
     standard deviation are recorded in it as `xhat` and `std`.
     """
     x = np.asarray(x, dtype=np.float64)
-    if not -x.ndim <= axis < x.ndim:
-        raise ValueError(f"layer_norm axis {axis} invalid for shape {x.shape}")
-    ax = axis % x.ndim
-    mu = x.mean(axis=ax, keepdims=True)
-    var = x.var(axis=ax, keepdims=True)
-    std = np.sqrt(var + eps)
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    std = np.sqrt(var + EPS_NORM)
     out = (x - mu) / std
     if cache is not None:
         cache.update(xhat=out, std=std)
-    d = x.shape[ax]
-    bshape = [1] * x.ndim
-    bshape[ax] = d
+    d = x.shape[-1]
     if gamma is not None:
         g = np.asarray(gamma, dtype=np.float64)
         if g.shape != (d,):
             raise ValueError(f"gamma shape {g.shape} != ({d},)")
-        out = out * g.reshape(bshape)
+        out = out * g
     if beta is not None:
         b = np.asarray(beta, dtype=np.float64)
         if b.shape != (d,):
             raise ValueError(f"beta shape {b.shape} != ({d},)")
-        out = out + b.reshape(bshape)
+        out = out + b
     _check_finite(out, "layer_norm")
     return out
 

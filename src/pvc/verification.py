@@ -22,7 +22,7 @@ from .conditioning import (
     relative_timestamps,
     temporal_embedding,
 )
-from .tensor import Array, Rng, silu_grad
+from .tensor import NEW_WEIGHT_STD, Array, Rng, silu_grad
 from .vit import (
     AttentionParams,
     LayerParams,
@@ -42,6 +42,8 @@ from .vit import (
 GRAD_TOL = 1e-6
 FD_STEP = 1e-5
 REL_ERR_FLOOR = 1e-8
+IDENTITY_TOL = 1e-15
+LEAK_TOL = 1e-12
 
 CHECKED_MODULES = ("adaln", "temporal_embedding", "tmha_causal",
                    "progressive_layer", "compression")
@@ -50,8 +52,8 @@ CHECKED_MODULES = ("adaln", "temporal_embedding", "tmha_causal",
 # ---------------------------------------------------------------------------
 # finite-difference oracle
 
-def finite_diff_grad(f, x: Array, h: float = FD_STEP) -> Array:
-    """Central difference (f(x+h e_i) - f(x-h e_i)) / 2h per coordinate.
+def finite_diff_grad(f, x: Array) -> Array:
+    """Central difference (f(x+h e_i) - f(x-h e_i)) / 2h per coordinate, h = FD_STEP.
 
     f must be a pure scalar-valued function; x is not modified on exit.
     """
@@ -61,14 +63,14 @@ def finite_diff_grad(f, x: Array, h: float = FD_STEP) -> Array:
     gflat = g.ravel()
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
+        flat[i] = orig + FD_STEP
         fp = float(f(x))
-        flat[i] = orig - h
+        flat[i] = orig - FD_STEP
         fm = float(f(x))
         flat[i] = orig
         if not (np.isfinite(fp) and np.isfinite(fm)):
             raise FloatingPointError("finite_diff_grad: non-finite objective")
-        gflat[i] = (fp - fm) / (2.0 * h)
+        gflat[i] = (fp - fm) / (2.0 * FD_STEP)
     return g
 
 
@@ -165,13 +167,12 @@ def _conditioned_adaln_bwd(dy: Array, p, cache: dict, grads: dict) -> Array:
 # ---------------------------------------------------------------------------
 # module-level backwards (the public surfaces)
 
-def backward_adaln(x: Array, z: Array, p: AdaLnParams, upstream: Array,
-                   eps: float = 1e-6) -> dict:
+def backward_adaln(x: Array, z: Array, p: AdaLnParams, upstream: Array) -> dict:
     """Grads of gamma(z)*LN(x)+beta(z) for x, z, and W3..W6."""
     if x.shape != z.shape or upstream.shape != x.shape:
         raise ValueError("adaln backward: shape mismatch")
     cache: dict = {}
-    ada_ln(x, z, p, eps=eps, cache=cache)
+    ada_ln(x, z, p, cache)
     dx, dz, pg = _adaln_bwd(upstream, p, cache)
     return {"x": dx, "z": dz, **pg}
 
@@ -223,14 +224,12 @@ def _layer_bwd(dy: Array, p: LayerParams, cache: dict) -> dict:
     return grads
 
 
-def backward_progressive_layer(v: VideoBatch, p: LayerParams, upstream: Array,
-                               ts_scale: float = 1000.0,
-                               eps: float = 1e-6) -> dict:
+def backward_progressive_layer(v: VideoBatch, p: LayerParams, upstream: Array) -> dict:
     """Full reverse pass of one layer: input grad plus every parameter grad."""
     if upstream.shape != v.features.shape:
         raise ValueError("upstream shape mismatch")
     cache: dict = {}
-    progressive_layer_forward(v, p, ts_scale, eps, cache)
+    progressive_layer_forward(v, p, cache)
     return _layer_bwd(upstream, p, cache)
 
 
@@ -246,8 +245,7 @@ def backward_compression(v: VideoBatch, p: CompressionParams, cfg: PvcConfig,
     return grads
 
 
-def stack_input_gradient(v: VideoBatch, cfg: PvcConfig, model: ModelParams,
-                         upstream: Array) -> Array:
+def stack_input_gradient(v: VideoBatch, model: ModelParams, upstream: Array) -> Array:
     """d(loss)/d(input tokens) through the whole layer stack.
 
     One forward per layer, each keeping its cache for the reverse sweep.
@@ -255,8 +253,7 @@ def stack_input_gradient(v: VideoBatch, cfg: PvcConfig, model: ModelParams,
     caches = []
     for p in model.layers:
         caches.append({})
-        v = progressive_layer_forward(v, p, ts_scale=cfg.ts_scale, eps=cfg.eps,
-                                      cache=caches[-1])
+        v = progressive_layer_forward(v, p, caches[-1])
     g = upstream
     for p, cache in zip(reversed(model.layers), reversed(caches)):
         g = _layer_bwd(g, p, cache)["x"]
@@ -279,7 +276,6 @@ class GradCheckReport:
     module: str
     seed: int
     tol: float
-    h: float
     entries: list[GradEntry] = field(default_factory=list)
 
     @property
@@ -288,7 +284,7 @@ class GradCheckReport:
 
     def format_text(self) -> str:
         lines = [f"module = {self.module}", f"seed = {self.seed}",
-                 f"tol = {self.tol:g}", f"h = {self.h:g}"]
+                 f"tol = {self.tol:g}", f"h = {FD_STEP:g}"]
         for e in self.entries:
             lines.append(f"param {e.name} shape={'x'.join(map(str, e.shape))} "
                          f"max_rel_err = {e.max_rel_err:.3e} "
@@ -349,8 +345,8 @@ def _probe(module_id: str, seed: int):
         x = rng.normal((1, 3, cfg.tokens_per_frame, cfg.channels))
         v = VideoBatch(features=x, timestamps=relative_timestamps(3))
         tensors = {"x": x, **dict(named_params(p))}
-        forward = lambda: progressive_layer_forward(v, p, cfg.ts_scale, cfg.eps).features
-        analytic = lambda g: backward_progressive_layer(v, p, g, cfg.ts_scale, cfg.eps)
+        forward = lambda: progressive_layer_forward(v, p).features
+        analytic = lambda g: backward_progressive_layer(v, p, g)
         return tensors, forward, analytic
 
     if module_id == "compression":
@@ -359,7 +355,7 @@ def _probe(module_id: str, seed: int):
                         shuffle_kernel=2)
         p = init_compression(rng, cfg, mlp_hidden=7, out_dim=5)
         for _, w in named_params(p):
-            w *= std / 0.02  # the biases are zero and stay zero
+            w *= std / NEW_WEIGHT_STD  # the biases are zero and stay zero
         x = rng.normal((1, 2, cfg.tokens_per_frame, cfg.channels))
         v = VideoBatch(features=x, timestamps=relative_timestamps(2))
         tensors = {"x": x, **dict(named_params(p))}
@@ -379,8 +375,7 @@ def _randomized(params, rng: Rng, std: float):
     return params
 
 
-def run_grad_check(module_id: str, seed: int, tol: float = GRAD_TOL,
-                   h: float = FD_STEP) -> GradCheckReport:
+def run_grad_check(module_id: str, seed: int, tol: float = GRAD_TOL) -> GradCheckReport:
     """Compare every parameter's analytic gradient with finite differences."""
     tensors, forward, analytic = _probe(module_id, seed)
     out0 = forward()
@@ -392,9 +387,9 @@ def run_grad_check(module_id: str, seed: int, tol: float = GRAD_TOL,
     loss = lambda: float(np.sum(forward() * g_up))
     grads = analytic(g_up)
 
-    report = GradCheckReport(module=module_id, seed=seed, tol=tol, h=h)
+    report = GradCheckReport(module=module_id, seed=seed, tol=tol)
     for name, arr in tensors.items():
-        err = _rel_err(grads[name], finite_diff_grad(lambda _: loss(), arr, h))
+        err = _rel_err(grads[name], finite_diff_grad(lambda _: loss(), arr))
         report.entries.append(GradEntry(name=name, shape=arr.shape,
                                         max_rel_err=err, passed=err < tol))
     return report
@@ -417,29 +412,28 @@ def randomize_gates(model: ModelParams, rng: Rng, std: float = 0.5) -> None:
             p.gate_alpha[...] = rng.normal(p.gate_alpha.shape, std)
 
 
-def check_init_identity(seed: int, cfg: PvcConfig | None = None,
-                        t: int = 4, tol: float = 1e-15):
-    """Freshly initialized stack (gates zero) vs the plain per-frame stack."""
-    cfg = cfg or toy_config()
+def check_init_identity(seed: int):
+    """Freshly initialized toy stack (gates zero) vs the plain per-frame
+    stack on 4 frames; passes when they differ by at most IDENTITY_TOL."""
+    cfg, t = toy_config(), 4
     model = init_model(seed, cfg)
     rng = Rng(seed + 1000)
     x = rng.normal((1, t, cfg.tokens_per_frame, cfg.channels))
     v = VideoBatch(features=x, timestamps=relative_timestamps(t))
     out = vit_forward(v, cfg, model).features
-    ref = plain_vit_forward(v, cfg, model).features
+    ref = plain_vit_forward(v, model).features
     diff = float(np.max(np.abs(out - ref)))
-    return diff <= tol, diff
+    return diff <= IDENTITY_TOL, diff
 
 
-def check_causality(seed: int, cfg: PvcConfig | None = None, t: int = 6,
-                    tol: float = 1e-12):
-    """Perturbation causality plus exact gradient causality on a toy stack.
+def check_causality(seed: int):
+    """Perturbation causality plus exact gradient causality on a 6-frame toy stack.
 
     Returns (passed, details) where details carries the worst forward
-    leak at frames before the perturbation and the largest gradient that
-    reached a later frame (must be exactly 0).
+    leak at frames before the perturbation (at most LEAK_TOL) and the
+    largest gradient that reached a later frame (must be exactly 0).
     """
-    cfg = cfg or toy_config()
+    cfg, t = toy_config(), 6
     model = init_model(seed, cfg)
     rng = Rng(seed + 2000)
     randomize_gates(model, rng)
@@ -462,9 +456,9 @@ def check_causality(seed: int, cfg: PvcConfig | None = None, t: int = 6,
     for j in range(t - 1):
         up = np.zeros_like(base)
         up[:, j] = rng.normal((n, c))
-        g = stack_input_gradient(v, cfg, model, up)
+        g = stack_input_gradient(v, model, up)
         worst_grad_leak = max(worst_grad_leak,
                               float(np.max(np.abs(g[:, j + 1:]))))
 
-    passed = worst_leak <= tol and worst_grad_leak == 0.0
+    passed = worst_leak <= LEAK_TOL and worst_grad_leak == 0.0
     return passed, {"forward_leak": worst_leak, "grad_leak": worst_grad_leak}

@@ -27,13 +27,12 @@ from .conditioning import (
     sinusoidal_embed,
     temporal_embedding,
 )
-from .tensor import Array, Rng, _sub_cache, layer_norm, linear, silu_mlp, softmax
+from .tensor import (NEW_WEIGHT_STD, Array, Rng, _sub_cache, layer_norm, linear,
+                     silu_mlp, softmax)
 
 # Finite stand-in for -inf in masked attention scores; exp underflows to
 # exactly 0, which keeps causality bitwise rather than approximately.
 MASK_VALUE = -1e30
-
-NEW_WEIGHT_STD = 0.02
 
 
 @dataclass
@@ -49,18 +48,20 @@ class PvcConfig:
     shuffle_kernel: int = 4
     t_img: int = 4
     frame_bounds: tuple[int, int] = (16, 96)
-    ts_scale: float = 1000.0
-    eps: float = 1e-6
     pixel_mean: tuple[float, float, float] = (0.485, 0.456, 0.406)
     pixel_std: tuple[float, float, float] = (0.229, 0.224, 0.225)
 
     def __post_init__(self):
+        for name in ("image_size", "patch_size", "channels", "heads", "ffn_dim",
+                     "layers", "shuffle_kernel", "t_img"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0 <= self.temporal_layers <= self.layers:
+            raise ValueError("temporal_layers must be in [0, layers]")
         if self.image_size % self.patch_size != 0:
             raise ValueError("image_size must be divisible by patch_size")
         if self.channels % self.heads != 0:
             raise ValueError("channels must be divisible by heads")
-        if self.temporal_layers > self.layers:
-            raise ValueError("temporal_layers cannot exceed layers")
         if self.tokens_per_frame % (self.shuffle_kernel ** 2) != 0:
             raise ValueError("shuffle kernel^2 must divide tokens per frame")
 
@@ -291,15 +292,12 @@ def _ffn(h: Array, p: LayerParams, cache: dict | None = None) -> Array:
     return silu_mlp(h, p.ffn_w_in, p.ffn_w_out, p.ffn_b_in, p.ffn_b_out, cache=cache)
 
 
-def layer_te(timestamps: Array, p: LayerParams, ts_scale: float,
-             cache: dict | None = None) -> Array:
+def layer_te(timestamps: Array, p: LayerParams, cache: dict | None = None) -> Array:
     """Per-frame conditioning vector [T, C] for one progressive layer."""
-    return temporal_embedding(sinusoidal_embed(timestamps, ts_scale), p.te, cache)
+    return temporal_embedding(sinusoidal_embed(timestamps), p.te, cache)
 
 
 def progressive_layer_forward(v: VideoBatch, p: LayerParams,
-                              ts_scale: float = 1000.0,
-                              eps: float = 1e-6,
                               cache: dict | None = None) -> VideoBatch:
     """One ViT layer; applies the gated temporal block only when present.
 
@@ -317,14 +315,14 @@ def progressive_layer_forward(v: VideoBatch, p: LayerParams,
                          "the backward passes expect every frame")
 
     h = layer_norm(x.reshape(b * t, n, c), gamma=p.ln1_gamma, beta=p.ln1_beta,
-                   eps=eps, cache=_sub_cache(cache, "ln1"))
+                   cache=_sub_cache(cache, "ln1"))
     x = x + spatial_mha(h, p.smha, _sub_cache(cache, "smha")).reshape(b, t, n, c)
 
     if p.is_temporal:
-        te = layer_te(v.timestamps, p, ts_scale, _sub_cache(cache, "te"))  # [T, C]
+        te = layer_te(v.timestamps, p, _sub_cache(cache, "te"))  # [T, C]
         z = x + te[None, :, None, :]
         t = z.shape[1]
-        a = ada_ln(np.broadcast_to(x, z.shape), z, p.adaln, eps=eps,
+        a = ada_ln(np.broadcast_to(x, z.shape), z, p.adaln,
                    cache=_sub_cache(cache, "adaln"))
         a = a.transpose(0, 2, 1, 3).reshape(b * n, t, c)
         tm = temporal_mha_causal(a, p.tmha, _sub_cache(cache, "tmha"))
@@ -333,19 +331,11 @@ def progressive_layer_forward(v: VideoBatch, p: LayerParams,
             cache["tm"] = tm
         x = x + p.gate_alpha * tm
 
-    h = layer_norm(x, gamma=p.ln2_gamma, beta=p.ln2_beta, eps=eps,
+    h = layer_norm(x, gamma=p.ln2_gamma, beta=p.ln2_beta,
                    cache=_sub_cache(cache, "ln2"))
     x = x + _ffn(h, p, _sub_cache(cache, "ffn"))
 
     return VideoBatch(features=x, timestamps=v.timestamps)
-
-
-def plain_layer_forward(x: Array, p: LayerParams, eps: float = 1e-6) -> Array:
-    """The layer with the temporal block skipped; operates per frame."""
-    h = layer_norm(x, gamma=p.ln1_gamma, beta=p.ln1_beta, eps=eps)
-    x = x + spatial_mha(h, p.smha)
-    h = layer_norm(x, gamma=p.ln2_gamma, beta=p.ln2_beta, eps=eps)
-    return x + _ffn(h, p)
 
 
 def vit_forward(v: VideoBatch, cfg: PvcConfig, model: ModelParams) -> VideoBatch:
@@ -369,17 +359,17 @@ def vit_forward(v: VideoBatch, cfg: PvcConfig, model: ModelParams) -> VideoBatch
         if p.is_temporal != (i >= plain):
             raise ValueError(f"layer {i}: temporal={p.is_temporal}, expected "
                              f"{'temporal' if i >= plain else 'plain'}")
-        v = progressive_layer_forward(v, p, ts_scale=cfg.ts_scale, eps=cfg.eps)
+        v = progressive_layer_forward(v, p)
     if v.features.shape[1] != t:
         v = VideoBatch(features=np.repeat(v.features, t, axis=1),
                        timestamps=timestamps)
     return v
 
 
-def plain_vit_forward(v: VideoBatch, cfg: PvcConfig, model: ModelParams) -> VideoBatch:
-    """Reference path: every frame through the per-frame (gate-free) stack."""
-    b, t, n, c = v.features.shape
-    x = v.features.reshape(b * t, n, c)
+def plain_vit_forward(v: VideoBatch, model: ModelParams) -> VideoBatch:
+    """Reference path: every frame through the stack with each layer's
+    temporal block removed, so every layer works on each frame alone."""
     for p in model.layers:
-        x = plain_layer_forward(x, p, eps=cfg.eps)
-    return VideoBatch(features=x.reshape(b, t, n, c), timestamps=v.timestamps)
+        v = progressive_layer_forward(
+            v, dataclasses.replace(p, tmha=None, adaln=None, te=None, gate_alpha=None))
+    return v

@@ -45,7 +45,7 @@ def test_01_zero_gate_stack_matches_plain_vit():
 
 def test_02_frame_causality_forward_and_gradient():
     start = time.monotonic()
-    ok, details = check_causality(seed=0, t=6)
+    ok, details = check_causality(seed=0)
     elapsed = time.monotonic() - start
     _verdict("frame causality (forward and gradient)",
              ok and details["forward_leak"] <= 1e-12

@@ -86,6 +86,18 @@ class TestBudget:
         code, _, _ = run(capsys, "budget", "--nonsense")
         assert code == 2
 
+    @pytest.mark.parametrize("key, value, code", [
+        ("vit.patch", 0, 2), ("compression.kernel", 0, 2), ("vit.image_size", 0, 2),
+        ("vit.image_size", 10, 2), ("llm.heads", -1, 2), ("vit.temporal_layers", -1, 2),
+        ("vit.temporal_layers", 0, 0), ("vit.adaln_hidden", 0, 0),
+        ("compression.te_hidden", 0, 0)])
+    def test_config_extents(self, capsys, tmp_path, key, value, code):
+        cfg = tmp_path / "arch.cfg"
+        io.write_manifest(cfg, {"vit.layers": 4, "vit.temporal_layers": 2, key: value})
+        got, out, err = run(capsys, "budget", "--config", str(cfg))
+        assert got == code
+        assert (key in err) if code else "flops.total" in out
+
 
 class TestForwardCompress:
     def test_forward_round_trip(self, capsys, tmp_path):
@@ -202,6 +214,30 @@ class TestForwardCompress:
         assert code == 3
         assert "I/O error" in err and "adaln.w4" in err
 
+    @pytest.mark.parametrize("entry, value", [
+        ("cfg.heads", "0"), ("cfg.patch_size", "0"), ("cfg.shuffle_kernel", "0"),
+        ("cfg.channels", "-32"), ("cfg.eps", "1e-05"), ("cfg.ts_scale", "500.0")])
+    def test_forward_manifest_bad_config_entry_is_io_error(self, capsys, tmp_path,
+                                                           entry, value):
+        manifest = save_model(tmp_path / "model",
+                              init_model(9, toy_config(layers=2, temporal_layers=1)))
+        io.write_manifest(manifest, {**io.read_manifest(manifest), entry: value})
+        src = tmp_path / "in.pvct"
+        io.write_tensor(src, np.zeros((1, 2, 16, 32)))
+        code, _, err = run(capsys, "forward", "--manifest", str(manifest),
+                           "--input", str(src), "--output", str(tmp_path / "o.pvct"))
+        assert code == 3
+        assert "I/O error" in err and entry.removeprefix("cfg.") in err
+
+    @pytest.mark.parametrize("kernel", ["0", "-2"])
+    def test_compress_non_positive_kernel_is_usage_error(self, capsys, tmp_path, kernel):
+        src = tmp_path / "in.pvct"
+        io.write_tensor(src, Rng(6).normal((1, 1, 16, 4)))
+        code, _, err = run(capsys, "compress", "--input", str(src),
+                           "--output", str(src) + ".out", "--kernel", kernel)
+        assert code == 2
+        assert "shuffle_kernel must be positive" in err
+
     def test_compress_non_square_grid(self, capsys, tmp_path):
         src = tmp_path / "in.pvct"
         io.write_tensor(src, Rng(6).normal((1, 1, 10, 4)))
@@ -240,6 +276,19 @@ class TestPipeline:
         code, _, _ = run(capsys, "pipeline", "--toy", "--video", str(src),
                          "--no-frame-bounds", "--output", str(dst))
         assert code == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_video_non_finite_frames_is_nonfinite_error(self, capsys, tmp_path, bad):
+        src = tmp_path / "vid.pvct"
+        frames = np.full((4, 56, 56, 3), 128.0)
+        frames[2, 10, 20, 1] = bad
+        io.write_tensor(src, frames)
+        dst = tmp_path / "out.pvct"
+        code, _, err = run(capsys, "pipeline", "--toy", "--video", str(src),
+                           "--no-frame-bounds", "--output", str(dst))
+        assert code == 4
+        assert err.startswith("pvc: non-finite value:") and "vid.pvct" in err
+        assert not dst.exists()
 
     def test_malformed_ppm_is_io_error(self, capsys, tmp_path):
         ppm = tmp_path / "img.ppm"

@@ -106,7 +106,7 @@ class TestCompress:
         v = VideoBatch(features=rng.normal((2, 3, 16, 3)),
                        timestamps=relative_timestamps(3))
         xt = pixel_shuffle(v.features, 2)
-        te = temporal_embedding(sinusoidal_embed(v.timestamps, cfg.ts_scale), p.te)
+        te = temporal_embedding(sinusoidal_embed(v.timestamps), p.te)
         a = ada_ln(xt, xt + te[None, :, None, :], p.adaln)
         expect = silu(a @ p.w_in + p.b_in) @ p.w_out + p.b_out
         assert np.max(np.abs(compress(v, p, cfg) - expect)) < 1e-12

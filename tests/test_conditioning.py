@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pvc.conditioning import (
+    TS_SCALE,
     AdaLnParams,
     TemporalEmbeddingParams,
     ada_ln,
@@ -47,8 +48,8 @@ class TestSinusoidalEmbed:
         assert np.all(np.abs(e) <= 1.0)
 
     def test_lowest_frequency_at_scale_one(self):
-        # j=0 channel at t=1 with scale 1: (sin 1, cos 1)
-        e = sinusoidal_embed(np.array([1.0]), scale=1.0)
+        # j=0 channel at TS_SCALE * t = 1: (sin 1, cos 1)
+        e = sinusoidal_embed(np.array([1.0]) / TS_SCALE)
         assert abs(e[0, 0] - 0.8414709848078965) < 1e-15
         assert abs(e[0, 128] - 0.5403023058681398) < 1e-15
 
@@ -56,7 +57,7 @@ class TestSinusoidalEmbed:
         # distinct timestamps down to 1e-6 spacing give distinct embeddings
         t = np.concatenate([np.linspace(0, 1, 101),
                             np.array([0.5 + 1e-6, 0.25 + 1e-6])])
-        e = sinusoidal_embed(t, scale=1.0)
+        e = sinusoidal_embed(t / TS_SCALE)
         d = np.linalg.norm(e[:, None, :] - e[None, :, :], axis=-1)
         d[np.diag_indices(len(t))] = np.inf
         assert d.min() > 0.0

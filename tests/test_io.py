@@ -68,7 +68,7 @@ def test_malformed_header(tmp_path, header):
 
 def test_model_round_trip_every_config_field(tmp_path):
     cfg = toy_config(layers=2, temporal_layers=1, t_img=3,
-                     frame_bounds=(8, 40), ts_scale=500.0, eps=1e-5,
+                     frame_bounds=(8, 40),
                      pixel_mean=(0.5, 0.25, 0.125), pixel_std=(0.3, 0.2, 0.1))
     model = init_model(3, cfg)
     back = load_model(save_model(tmp_path, model))
@@ -76,6 +76,22 @@ def test_model_round_trip_every_config_field(tmp_path):
     saved, loaded = dict(named_params(model)), dict(named_params(back))
     assert saved.keys() == loaded.keys()
     assert all(np.array_equal(loaded[k], v) for k, v in saved.items())
+
+
+@pytest.mark.parametrize("eps, ts_scale, loads", [
+    ("1e-06", "1000.0", True), ("0.000001", "1e3", True), ("1e-05", "1000.0", False),
+    ("1e-06", "500.0", False), ("junk", "1000.0", False)])
+def test_load_model_checks_entries_of_former_config_fields(tmp_path, eps, ts_scale, loads):
+    # manifests saved while eps and ts_scale were PvcConfig fields carry them
+    model = init_model(3, toy_config(layers=2, temporal_layers=1))
+    manifest = save_model(tmp_path, model)
+    io.write_manifest(manifest, {**io.read_manifest(manifest),
+                                 "cfg.eps": eps, "cfg.ts_scale": ts_scale})
+    if loads:
+        assert load_model(manifest).cfg == model.cfg
+    else:
+        with pytest.raises(io.PvctError, match="is not supported"):
+            load_model(manifest)
 
 
 def test_load_model_draws_no_random_weights(tmp_path, monkeypatch):

@@ -100,17 +100,12 @@ class TestSoftmax:
         assert abs(s.sum() - 1.0) < 1e-12
         assert np.allclose(s, softmax(x + c), atol=1e-12)
 
-    def test_bad_axis(self):
-        with pytest.raises(ValueError):
-            softmax(np.zeros(3), axis=2)
-
-    @pytest.mark.parametrize("axis", [0, 1, -1])
-    def test_out_buffer_matches_pure_call(self, axis):
+    def test_out_buffer_matches_pure_call(self):
         x = Rng(13).normal((3, 4, 5)) * 10
         x0 = x.copy()
-        expect = softmax(x, axis=axis)
+        expect = softmax(x)
         assert np.array_equal(x, x0)
-        got = softmax(x, axis=axis, out=x)
+        got = softmax(x, out=x)
         assert got is x
         assert np.array_equal(got, expect)
 

@@ -124,16 +124,16 @@ def _cache_forwards():
         ("silu_mlp", lambda cache: silu_mlp(x, layer.ffn_w_in, layer.ffn_w_out,
                                             layer.ffn_b_in, layer.ffn_b_out, cache)),
         ("temporal_embedding", lambda cache: temporal_embedding(t_tilde, te, cache)),
-        ("layer_te", lambda cache: layer_te(v.timestamps, layer, cfg.ts_scale, cache)),
+        ("layer_te", lambda cache: layer_te(v.timestamps, layer, cache)),
         ("affine_coeffs", lambda cache: np.stack(affine_coeffs(z, adaln, cache))),
         ("ada_ln", lambda cache: ada_ln(x, z, adaln, cache=cache)),
         ("spatial_mha", lambda cache: spatial_mha(x, attn, cache)),
         ("temporal_mha_causal", lambda cache: temporal_mha_causal(x, attn, cache)),
         ("ffn", lambda cache: vit._ffn(x, layer, cache)),
         ("progressive_layer_forward", lambda cache: progressive_layer_forward(
-            v, layer, cfg.ts_scale, cfg.eps, cache).features),
+            v, layer, cache).features),
         ("plain_layer_forward", lambda cache: progressive_layer_forward(
-            v, plain, cfg.ts_scale, cfg.eps, cache).features),
+            v, plain, cache).features),
         ("compress", lambda cache: compress(tokens, comp, comp_cfg, cache)),
     ]
 
@@ -179,7 +179,7 @@ class TestProgressiveLayerBackward:
 
         def loss(alpha):
             p.gate_alpha[...] = alpha
-            out = progressive_layer_forward(v, p, cfg.ts_scale, cfg.eps).features
+            out = progressive_layer_forward(v, p).features
             return float(np.sum(out * g_up))
 
         fd = finite_diff_grad(loss, np.zeros_like(p.gate_alpha))
@@ -220,8 +220,7 @@ class TestStackChecks:
             return progressive_layer_forward(*args, **kwargs)
 
         monkeypatch.setattr(verification, "progressive_layer_forward", spy)
-        stack_input_gradient(VideoBatch(x, relative_timestamps(2)), cfg, model,
-                             np.ones_like(x))
+        stack_input_gradient(VideoBatch(x, relative_timestamps(2)), model, np.ones_like(x))
         assert len(calls) == cfg.layers
 
     def test_stack_gradient_matches_finite_difference_probe(self):
@@ -234,7 +233,7 @@ class TestStackChecks:
         v = VideoBatch(features=x, timestamps=relative_timestamps(2))
         g_up = rng.normal(x.shape)
         g_up *= 1e-4 / float(np.sum(np.abs(g_up)))
-        g = stack_input_gradient(v, cfg, model, g_up)
+        g = stack_input_gradient(v, model, g_up)
 
         # probe a handful of coordinates against central differences
         h = 1e-5

@@ -210,7 +210,7 @@ class TestProgressiveLayer:
         x = v.features
         h = layer_norm(x, gamma=p.ln1_gamma, beta=p.ln1_beta)
         x = x + spatial_mha(h.reshape(b * t, n, c), p.smha).reshape(b, t, n, c)
-        te = layer_te(v.timestamps, p, cfg.ts_scale)
+        te = layer_te(v.timestamps, p)
         z = x + te[None, :, None, :]
         a = ada_ln(x, z, p.adaln).transpose(0, 2, 1, 3).reshape(b * n, t, c)
         tm = temporal_mha_causal(a, p.tmha).reshape(b, n, t, c).transpose(0, 2, 1, 3)
@@ -241,7 +241,7 @@ class TestVitForward:
         model = init_model(21, cfg)
         v = make_batch(Rng(22), cfg)
         out = vit_forward(v, cfg, model).features
-        ref = plain_vit_forward(v, cfg, model).features
+        ref = plain_vit_forward(v, model).features
         assert np.max(np.abs(out - ref)) < 1e-15
 
     def test_no_temporal_layers_static_stays_static(self):
@@ -313,7 +313,7 @@ class TestVitForward:
 def layerwise_reference(v, cfg, model):
     """Every layer over all T frames: the forward without plain-layer reuse."""
     for p in model.layers:
-        v = progressive_layer_forward(v, p, ts_scale=cfg.ts_scale, eps=cfg.eps)
+        v = progressive_layer_forward(v, p)
     return v.features
 
 
