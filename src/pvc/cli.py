@@ -87,7 +87,7 @@ def _cmd_compress(args) -> int:
     x = io.read_tensor(args.input)
     if x.ndim != 4:
         raise io.PvctError(f"{args.input}: expected [B,T,N,C] tokens, got {x.shape}")
-    b, t, n, c = x.shape
+    _, t, n, c = x.shape
     # geometry comes from the tokens themselves; only the kernel matters
     cfg = _compress_config(n, c, args.kernel)
     if args.comp_manifest:
@@ -96,14 +96,18 @@ def _cmd_compress(args) -> int:
         params = init_compression(Rng(seed), cfg)
     v = VideoBatch(features=x, timestamps=relative_timestamps(t))
     out = compress(v, params, cfg)
-    io.write_tensor(args.output, out)
-    ts = " ".join(f"{t_:.12g}" for t_ in v.timestamps)
-    io.write_manifest(str(args.output) + ".manifest", {
-        "B": b, "T": t, "M": out.shape[2], "C_out": out.shape[3],
-        "timestamps": ts,
-    })
+    _write_tokens(args.output, out, v.timestamps)
     print(f"compress: wrote {args.output} shape={out.shape}")
     return EXIT_OK
+
+
+def _write_tokens(path, out, timestamps) -> None:
+    """Write compressed tokens [B,T,M,C_out] and their side manifest."""
+    io.write_tensor(path, out)
+    io.write_manifest(str(path) + ".manifest", {
+        "B": out.shape[0], "T": out.shape[1], "M": out.shape[2],
+        "C_out": out.shape[3], "timestamps": " ".join(f"{t:.12g}" for t in timestamps),
+    })
 
 
 def _compress_config(n: int, c: int, k: int) -> PvcConfig:
@@ -170,18 +174,15 @@ def _cmd_budget(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    seed = _default_seed(args)
-    cfg = toy_config() if args.toy else PvcConfig()
-    if args.tile_px:
-        if args.tile_px != cfg.image_size:
-            raise io.PvctError(
-                f"--tile-px {args.tile_px} does not match model input "
-                f"size {cfg.image_size}")
-
+    if not (args.image or args.video):
+        print("pipeline: need --image or --video", file=sys.stderr)
+        return EXIT_USAGE
+    model = _load_or_init_model(args)
+    cfg = model.cfg
     if args.image:
         img = read_ppm(args.image)
         tiles, grid = dynamic_tile(img, cfg.image_size, args.max_tiles)
-        t_img = args.t_img or cfg.t_img
+        t_img = cfg.t_img if args.t_img is None else args.t_img
         # tiles ride the batch axis; every tile of a frame shares its timestamp
         pixels = np.stack([
             normalize(image_to_static_video(tile, t_img).frames,
@@ -190,7 +191,7 @@ def _cmd_pipeline(args) -> int:
         ])  # [tiles, T, H, W, 3]
         print(f"pipeline: {len(tiles)} tile(s), grid {grid[0]}x{grid[1]}, "
               f"t_img={t_img}")
-    elif args.video:
+    else:
         frames_arr = io.read_tensor(args.video)
         if frames_arr.ndim != 4 or frames_arr.shape[-1] != 3:
             raise io.PvctError(f"{args.video}: expected [T,H,W,3] frames")
@@ -198,7 +199,7 @@ def _cmd_pipeline(args) -> int:
             raise NonFiniteError(f"{args.video}: frames contain NaN or Inf")
         raw = RawVideo(frames=[RawImage(np.clip(f, 0, 255).astype(np.uint8))
                                for f in frames_arr])
-        t = args.frames or raw.frame_count
+        t = raw.frame_count if args.frames is None else args.frames
         lo, hi = cfg.frame_bounds
         if not args.no_frame_bounds and not lo <= t <= hi:
             print(f"pipeline: frame count {t} outside validated bounds "
@@ -208,22 +209,10 @@ def _cmd_pipeline(args) -> int:
         sampled = sample_frames(raw, t)
         pixels = normalize(sampled.frames, cfg.pixel_mean, cfg.pixel_std)[None]
         print(f"pipeline: video, {t} sampled frame(s)")
-    else:
-        print("pipeline: need --image or --video", file=sys.stderr)
-        return EXIT_USAGE
 
-    model = (model_store.load_model(args.manifest) if args.manifest
-             else init_model(seed, cfg))
-    v = patchify(pixels, cfg, model.patch)
-    v = vit_forward(v, cfg, model)
-    comp = init_compression(Rng(seed + 1), cfg)
-    out = compress(v, comp, cfg)
-    io.write_tensor(args.output, out)
-    ts = " ".join(f"{t_:.12g}" for t_ in v.timestamps)
-    io.write_manifest(str(args.output) + ".manifest", {
-        "B": out.shape[0], "T": out.shape[1], "M": out.shape[2],
-        "C_out": out.shape[3], "timestamps": ts,
-    })
+    v = vit_forward(patchify(pixels, cfg, model.patch), cfg, model)
+    out = compress(v, init_compression(Rng(_default_seed(args) + 1), cfg), cfg)
+    _write_tokens(args.output, out, v.timestamps)
     print(f"pipeline: wrote {args.output} shape={out.shape} "
           f"({out.shape[0] * out.shape[1] * out.shape[2]} visual tokens)")
     return EXIT_OK
@@ -288,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-img", type=int, default=None)
     p.add_argument("--frames", type=int, default=None)
     p.add_argument("--max-tiles", type=int, default=12)
-    p.add_argument("--tile-px", type=int, default=None)
     p.add_argument("--no-frame-bounds", action="store_true")
     p.add_argument("--manifest", help="model manifest (else init from seed)")
     p.add_argument("--toy", action="store_true", help="toy-scale config")

@@ -96,6 +96,36 @@ def _weight(entries: dict, manifest_path: Path, name: str):
     return io.read_tensor(manifest_path.parent / entries[key])
 
 
+def _check_shape(manifest_path: Path, name: str, shape: tuple, expected: tuple) -> None:
+    if shape != expected:
+        raise io.PvctError(f"{manifest_path}: weight {name} has shape {shape}, "
+                           f"expected ({', '.join(map(str, expected))})")
+
+
+def _check_no_other_weights(entries: dict, names, manifest_path: Path) -> None:
+    """Refuse a weight entry the loaded parameters have no place for."""
+    for key in entries:
+        if key.startswith("weight.") and key.removeprefix("weight.") not in names:
+            raise io.PvctError(f"{manifest_path}: weight entry {key} is not a "
+                               f"weight of this model")
+
+
+def _check_extents(cfg: PvcConfig, entries: dict, manifest_path: Path) -> None:
+    """Check the config's layer count and extents against the manifest's
+    layer entries and the weight files, before anything of the config's
+    size is allocated."""
+    layers = {k.split(".")[1] for k in entries if k.startswith("weight.layer")}
+    if len(layers) != cfg.layers:
+        raise io.PvctError(f"{manifest_path}: cfg.layers = {cfg.layers}, but the "
+                           f"manifest has weights for {len(layers)} layers")
+    c = cfg.channels
+    for name, expected in (("patch.weight", (cfg.patch_size ** 2 * 3, c)),
+                           ("patch.pos", (cfg.tokens_per_frame, c)),
+                           ("layer00.ffn_w_in", (c, cfg.ffn_dim))):
+        _check_shape(manifest_path, name, _weight(entries, manifest_path, name).shape,
+                     expected)
+
+
 def _save_tensors(directory, params, entries: dict, prefix: str = "") -> dict:
     """Write each named array of `params` as a PVCT file; add its manifest entry."""
     directory = Path(directory)
@@ -118,18 +148,21 @@ def save_model(directory, model: ModelParams) -> Path:
 def load_model(manifest_path) -> ModelParams:
     """Rebuild a ModelParams from a manifest written by save_model.
 
-    The model is built for the manifest's config without drawing its
-    weights, then every weight is filled from its file; a missing entry or
-    a shape other than the config's raises PvctError.
+    The config is checked against the weight files, the model is built for
+    it without drawing its weights, then every weight is filled from its
+    file; a missing or extra weight entry, or a shape other than the
+    config's, raises PvctError.
     """
     manifest_path = Path(manifest_path)
     entries = io.read_manifest(manifest_path)
-    model = build_model(_NoDraws(), _config_from_entries(entries, manifest_path))
-    for name, arr in named_params(model):
+    cfg = _config_from_entries(entries, manifest_path)
+    _check_extents(cfg, entries, manifest_path)
+    model = build_model(_NoDraws(), cfg)
+    weights = dict(named_params(model))
+    _check_no_other_weights(entries, weights, manifest_path)
+    for name, arr in weights.items():
         loaded = _weight(entries, manifest_path, name)
-        if loaded.shape != arr.shape:
-            raise io.PvctError(f"{manifest_path}: weight {name} has shape "
-                               f"{loaded.shape}, expected {arr.shape}")
+        _check_shape(manifest_path, name, loaded.shape, arr.shape)
         arr[...] = loaded
     return model
 
@@ -142,11 +175,12 @@ def save_compression(directory, p: CompressionParams, prefix: str = "comp") -> N
 def load_compression(manifest_path) -> CompressionParams:
     """Rebuild a CompressionParams from a manifest written by save_compression.
 
-    A missing entry, or a weight whose shape disagrees with the others
-    (see _COMPRESSION_SHAPES), raises PvctError naming the weight.
+    A missing or extra entry, or a weight whose shape disagrees with the
+    others (see _COMPRESSION_SHAPES), raises PvctError naming the weight.
     """
     manifest_path = Path(manifest_path)
     entries = io.read_manifest(manifest_path)
+    _check_no_other_weights(entries, _COMPRESSION_SHAPES, manifest_path)
     extents, w = {}, {}
     for name, dims in _COMPRESSION_SHAPES.items():
         arr = w[name] = _weight(entries, manifest_path, name)
@@ -154,11 +188,8 @@ def load_compression(manifest_path) -> CompressionParams:
             for d, n in zip(dims, arr.shape):
                 if isinstance(d, str):
                     extents.setdefault(d, n)
-        expected = tuple(extents.get(d, d) for d in dims)
-        if arr.shape != expected:
-            raise io.PvctError(f"{manifest_path}: weight {name} has shape "
-                               f"{arr.shape}, expected "
-                               f"({', '.join(map(str, expected))})")
+        _check_shape(manifest_path, name, arr.shape,
+                     tuple(extents.get(d, d) for d in dims))
     return CompressionParams(
         adaln=AdaLnParams(w3=w["adaln.w3"], w4=w["adaln.w4"],
                           w5=w["adaln.w5"], w6=w["adaln.w6"]),

@@ -2,9 +2,11 @@
 
 Backwards are hand-derived per module rather than taped: the module set
 is small and the derivation itself is what gets verified, against a
-central-finite-difference oracle. Each backward runs the module's one
-public forward with a `cache` dict and reads the intermediates that
-forward recorded, so the checked forward is the forward the model runs.
+central-finite-difference oracle. Each backward reads the intermediates
+that the module's one public forward recorded in a `cache` dict its
+caller passed, so the checked forward is the forward the model runs.
+Each returns one dict: input grads under `x`, `z` or `t_tilde`, and
+parameter grads under their `named_params` names.
 """
 from __future__ import annotations
 
@@ -106,7 +108,7 @@ def _mlp_bwd(dy: Array, w_in: Array, w_out: Array, cache: dict):
     return dx, dw_in, db_in, dw_out, db_out
 
 
-def _attn_bwd(dy: Array, p: AttentionParams, cache: dict):
+def _attn_bwd(dy: Array, p: AttentionParams, cache: dict) -> dict:
     x, q, k, v = cache["x"], cache["q"], cache["k"], cache["v"]
     attn, ctx = cache["attn"], cache["ctx"]
     s, l, c = x.shape
@@ -129,25 +131,26 @@ def _attn_bwd(dy: Array, p: AttentionParams, cache: dict):
     dxq, dwq, dbq = _linear_grads(x, dq_m, p.wq)
     dxk, dwk, dbk = _linear_grads(x, dk_m, p.wk)
     dxv, dwv, dbv = _linear_grads(x, dv_m, p.wv)
-    grads = {"wq": dwq, "wk": dwk, "wv": dwv, "wo": dwo,
-             "bq": dbq, "bk": dbk, "bv": dbv, "bo": dbo}
-    return dxq + dxk + dxv, grads
+    return {"x": dxq + dxk + dxv, "wq": dwq, "wk": dwk, "wv": dwv, "wo": dwo,
+            "bq": dbq, "bk": dbk, "bv": dbv, "bo": dbo}
 
 
-def _adaln_bwd(dy: Array, p: AdaLnParams, cache: dict):
-    dx = _ln_bwd(dy * cache["gamma"], cache)
+def _adaln_bwd(dy: Array, p: AdaLnParams, cache: dict) -> dict:
     dz_g, dw3, _, dw4, _ = _mlp_bwd(dy * cache["xhat"], p.w3, p.w4, cache["scale"])
     dz_b, dw5, _, dw6, _ = _mlp_bwd(dy, p.w5, p.w6, cache["shift"])
-    return dx, dz_g + dz_b, {"w3": dw3, "w4": dw4, "w5": dw5, "w6": dw6}
+    return {"x": _ln_bwd(dy * cache["gamma"], cache), "z": dz_g + dz_b,
+            "w3": dw3, "w4": dw4, "w5": dw5, "w6": dw6}
 
 
-def _te_bwd(d_te: Array, p: TemporalEmbeddingParams, cache: dict):
+def _te_bwd(d_te: Array, p: TemporalEmbeddingParams, cache: dict) -> dict:
     d_t_tilde, dw1, _, dw2, _ = _mlp_bwd(d_te, p.w1, p.w2, cache)
-    return d_t_tilde, {"w1": dw1, "w2": dw2}
+    return {"t_tilde": d_t_tilde, "w1": dw1, "w2": dw2}
 
 
 def _prefixed(prefix: str, grads: dict) -> dict:
-    return {f"{prefix}.{k}": g for k, g in grads.items()}
+    """The parameter grads of a sub-module, named as in its parent."""
+    return {f"{prefix}.{k}": g for k, g in grads.items()
+            if k not in ("x", "z", "t_tilde")}
 
 
 def _conditioned_adaln_bwd(dy: Array, p, cache: dict, grads: dict) -> Array:
@@ -157,39 +160,10 @@ def _conditioned_adaln_bwd(dy: Array, p, cache: dict, grads: dict) -> Array:
     condition branch, and into the TE MLP through the condition grad pooled
     over batch and tokens; the adaln.* and te.* grads go into `grads`.
     """
-    dx, dz, ag = _adaln_bwd(dy, p.adaln, cache["adaln"])
+    ag = _adaln_bwd(dy, p.adaln, cache["adaln"])
     grads.update(_prefixed("adaln", ag))
-    _, teg = _te_bwd(dz.sum(axis=(0, 2)), p.te, cache["te"])
-    grads.update(_prefixed("te", teg))
-    return dx + dz
-
-
-# ---------------------------------------------------------------------------
-# module-level backwards (the public surfaces)
-
-def backward_adaln(x: Array, z: Array, p: AdaLnParams, upstream: Array) -> dict:
-    """Grads of gamma(z)*LN(x)+beta(z) for x, z, and W3..W6."""
-    if x.shape != z.shape or upstream.shape != x.shape:
-        raise ValueError("adaln backward: shape mismatch")
-    cache: dict = {}
-    ada_ln(x, z, p, cache)
-    dx, dz, pg = _adaln_bwd(upstream, p, cache)
-    return {"x": dx, "z": dz, **pg}
-
-
-def backward_temporal_embedding(t_tilde: Array, p: TemporalEmbeddingParams,
-                                upstream: Array) -> dict:
-    cache: dict = {}
-    temporal_embedding(t_tilde, p, cache)
-    d_in, pg = _te_bwd(upstream, p, cache)
-    return {"t_tilde": d_in, **pg}
-
-
-def backward_tmha_causal(x: Array, p: AttentionParams, upstream: Array) -> dict:
-    cache: dict = {}
-    temporal_mha_causal(x, p, cache)
-    dx, pg = _attn_bwd(upstream, p, cache)
-    return {"x": dx, **pg}
+    grads.update(_prefixed("te", _te_bwd(ag["z"].sum(axis=(0, 2)), p.te, cache["te"])))
+    return ag["x"] + ag["z"]
 
 
 def _layer_bwd(dy: Array, p: LayerParams, cache: dict) -> dict:
@@ -208,19 +182,27 @@ def _layer_bwd(dy: Array, p: LayerParams, cache: dict) -> dict:
     if p.is_temporal:
         grads["gate_alpha"] = (dx2 * cache["tm"]).sum(axis=(0, 1, 2))
         dtm = (dx2 * p.gate_alpha).transpose(0, 2, 1, 3).reshape(b * n, t, c)
-        da, tg = _attn_bwd(dtm, p.tmha, cache["tmha"])
+        tg = _attn_bwd(dtm, p.tmha, cache["tmha"])
         grads.update(_prefixed("tmha", tg))
-        da = da.reshape(b, n, t, c).transpose(0, 2, 1, 3)
+        da = tg["x"].reshape(b, n, t, c).transpose(0, 2, 1, 3)
         dx1 = dx2 + _conditioned_adaln_bwd(da, p, cache, grads)
     else:
         dx1 = dx2
 
     # spatial branch
-    dn1, sg = _attn_bwd(dx1.reshape(b * t, n, c), p.smha, cache["smha"])
+    sg = _attn_bwd(dx1.reshape(b * t, n, c), p.smha, cache["smha"])
     grads.update(_prefixed("smha", sg))
-    dx0, grads["ln1_gamma"], grads["ln1_beta"] = _ln_affine_bwd(dn1, p.ln1_gamma,
+    dx0, grads["ln1_gamma"], grads["ln1_beta"] = _ln_affine_bwd(sg["x"], p.ln1_gamma,
                                                                cache["ln1"])
     grads["x"] = dx1 + dx0.reshape(b, t, n, c)
+    return grads
+
+
+def _compression_bwd(dy: Array, p: CompressionParams, k: int, cache: dict) -> dict:
+    """Reverse pass of the compression head back to the ViT tokens."""
+    da, *mlp = _mlp_bwd(dy, p.w_in, p.w_out, cache["mlp"])
+    grads = dict(zip(("w_in", "b_in", "w_out", "b_out"), mlp))
+    grads["x"] = pixel_unshuffle(_conditioned_adaln_bwd(da, p, cache, grads), k)
     return grads
 
 
@@ -231,18 +213,6 @@ def backward_progressive_layer(v: VideoBatch, p: LayerParams, upstream: Array) -
     cache: dict = {}
     progressive_layer_forward(v, p, cache)
     return _layer_bwd(upstream, p, cache)
-
-
-def backward_compression(v: VideoBatch, p: CompressionParams, cfg: PvcConfig,
-                         upstream: Array) -> dict:
-    """Reverse pass of the compression head back to the ViT tokens."""
-    cache: dict = {}
-    compress(v, p, cfg, cache)
-    da, *mlp = _mlp_bwd(upstream, p.w_in, p.w_out, cache["mlp"])
-    grads = dict(zip(("w_in", "b_in", "w_out", "b_out"), mlp))
-    dxt = _conditioned_adaln_bwd(da, p, cache, grads)
-    grads["x"] = pixel_unshuffle(dxt, cfg.shuffle_kernel)
-    return grads
 
 
 def stack_input_gradient(v: VideoBatch, model: ModelParams, upstream: Array) -> Array:
@@ -299,69 +269,54 @@ def _rel_err(g_analytic: Array, g_fd: Array) -> float:
 
 
 def _probe(module_id: str, seed: int):
-    """Build (tensors-to-check, forward, analytic) for one module.
+    """Build (inputs, params, forward, backward) for one module.
 
-    `tensors` maps name -> array; the arrays are aliased into the
-    structures `forward` reads, so the FD loop can poke them in place.
-    Probe weights are drawn wide (std 0.2) so no gradient entry sits in
-    the finite-difference noise floor.
+    `forward(cache)` runs the module's forward, filling `cache` when it is
+    a dict, and `backward(g, cache)` returns every grad from that cache. The
+    input arrays and the arrays of `params` are the ones `forward` reads, so
+    the FD loop can poke them in place. Probe weights are drawn wide (std
+    0.2) so no gradient entry sits in the finite-difference noise floor.
     """
     rng = Rng(seed)
     std = 0.2
 
     if module_id == "adaln":
-        d, h = 6, 5
-        x = rng.normal((2, 3, d))
-        z = rng.normal((2, 3, d))
-        p = _randomized(init_adaln(Rng(0), d, hidden=h), rng, std)
-        tensors = {"x": x, "z": z, **dict(named_params(p))}
-        forward = lambda: ada_ln(x, z, p)
-        analytic = lambda g: backward_adaln(x, z, p, g)
-        return tensors, forward, analytic
+        x = rng.normal((2, 3, 6))
+        z = rng.normal((2, 3, 6))
+        p = _randomized(init_adaln(Rng(0), 6, hidden=5), rng, std)
+        return ({"x": x, "z": z}, p, lambda cache: ada_ln(x, z, p, cache),
+                lambda g, cache: _adaln_bwd(g, p, cache))
 
     if module_id == "temporal_embedding":
-        t, h, d_out = 3, 4, 5
-        t_tilde = rng.uniform((t, 256), -1.0, 1.0)
-        p = _randomized(init_temporal_embedding(Rng(0), d_out, hidden=h), rng, std)
-        tensors = {"t_tilde": t_tilde, **dict(named_params(p))}
-        forward = lambda: temporal_embedding(t_tilde, p)
-        analytic = lambda g: backward_temporal_embedding(t_tilde, p, g)
-        return tensors, forward, analytic
+        t_tilde = rng.uniform((3, 256), -1.0, 1.0)
+        p = _randomized(init_temporal_embedding(Rng(0), 5, hidden=4), rng, std)
+        return ({"t_tilde": t_tilde}, p, lambda cache: temporal_embedding(t_tilde, p, cache),
+                lambda g, cache: _te_bwd(g, p, cache))
 
     if module_id == "tmha_causal":
-        s, t, c, heads = 2, 4, 6, 2
-        x = rng.normal((s, t, c))
-        p = _randomized(init_attention(Rng(0), c, heads), rng, std)
-        tensors = {"x": x, **dict(named_params(p))}
-        forward = lambda: temporal_mha_causal(x, p)
-        analytic = lambda g: backward_tmha_causal(x, p, g)
-        return tensors, forward, analytic
+        x = rng.normal((2, 4, 6))
+        p = _randomized(init_attention(Rng(0), 6, heads=2), rng, std)
+        return ({"x": x}, p, lambda cache: temporal_mha_causal(x, p, cache),
+                lambda g, cache: _attn_bwd(g, p, cache))
 
     if module_id == "progressive_layer":
-        cfg = PvcConfig(image_size=28, patch_size=14, channels=8, heads=2,
-                        ffn_dim=16, layers=1, temporal_layers=1,
-                        shuffle_kernel=2)
+        cfg = toy_config(image_size=28, channels=8, heads=2, ffn_dim=16,
+                         layers=1, temporal_layers=1)
         p = _randomized(init_layer(rng, cfg, temporal=True), rng, std)
         x = rng.normal((1, 3, cfg.tokens_per_frame, cfg.channels))
         v = VideoBatch(features=x, timestamps=relative_timestamps(3))
-        tensors = {"x": x, **dict(named_params(p))}
-        forward = lambda: progressive_layer_forward(v, p).features
-        analytic = lambda g: backward_progressive_layer(v, p, g)
-        return tensors, forward, analytic
+        return ({"x": x}, p, lambda cache: progressive_layer_forward(v, p, cache).features,
+                lambda g, cache: _layer_bwd(g, p, cache))
 
     if module_id == "compression":
-        cfg = PvcConfig(image_size=56, patch_size=14, channels=3, heads=1,
-                        ffn_dim=6, layers=1, temporal_layers=0,
-                        shuffle_kernel=2)
+        cfg = toy_config(channels=3, heads=1, ffn_dim=6, layers=1, temporal_layers=0)
         p = init_compression(rng, cfg, mlp_hidden=7, out_dim=5)
         for _, w in named_params(p):
             w *= std / NEW_WEIGHT_STD  # the biases are zero and stay zero
         x = rng.normal((1, 2, cfg.tokens_per_frame, cfg.channels))
         v = VideoBatch(features=x, timestamps=relative_timestamps(2))
-        tensors = {"x": x, **dict(named_params(p))}
-        forward = lambda: compress(v, p, cfg)
-        analytic = lambda g: backward_compression(v, p, cfg, g)
-        return tensors, forward, analytic
+        return ({"x": x}, p, lambda cache: compress(v, p, cfg, cache),
+                lambda g, cache: _compression_bwd(g, p, cfg.shuffle_kernel, cache))
 
     raise ValueError(f"unknown module id {module_id!r}; "
                      f"expected one of {CHECKED_MODULES}")
@@ -376,16 +331,19 @@ def _randomized(params, rng: Rng, std: float):
 
 
 def run_grad_check(module_id: str, seed: int, tol: float = GRAD_TOL) -> GradCheckReport:
-    """Compare every parameter's analytic gradient with finite differences."""
-    tensors, forward, analytic = _probe(module_id, seed)
-    out0 = forward()
+    """Compare every input's and parameter's analytic gradient with finite
+    differences; the forward runs once with a cache for the backward."""
+    inputs, params, forward, backward = _probe(module_id, seed)
+    tensors = {**inputs, **dict(named_params(params))}
+    cache: dict = {}
+    out0 = forward(cache)
     g_up = Rng(seed + 1).normal(out0.shape)
     # keep the objective tiny so float64 rounding of the loss stays below
     # the 1e-8 denominator floor; structurally-zero gradients (e.g. the
     # key bias, a softmax shift invariance) would otherwise drown in FD noise
     g_up *= 1e-4 / float(np.sum(np.abs(out0 * g_up)))
-    loss = lambda: float(np.sum(forward() * g_up))
-    grads = analytic(g_up)
+    grads = backward(g_up, cache)
+    loss = lambda: float(np.sum(forward(None) * g_up))
 
     report = GradCheckReport(module=module_id, seed=seed, tol=tol)
     for name, arr in tensors.items():

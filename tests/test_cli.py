@@ -229,6 +229,20 @@ class TestForwardCompress:
         assert code == 3
         assert "I/O error" in err and entry.removeprefix("cfg.") in err
 
+    @pytest.mark.parametrize("entry, value", [
+        ("cfg.temporal_layers", "0"), ("weight.bogus", "layer00_ln1_gamma.pvct"),
+        ("cfg.image_size", "2800000"), ("cfg.layers", str(10 ** 9))])
+    def test_forward_manifest_config_the_weights_do_not_match_is_io_error(
+            self, capsys, tmp_path, entry, value):
+        manifest = save_model(tmp_path / "model", init_model(9, toy_config()))
+        io.write_manifest(manifest, {**io.read_manifest(manifest), entry: value})
+        src = tmp_path / "in.pvct"
+        io.write_tensor(src, np.zeros((1, 2, 16, 32)))
+        code, _, err = run(capsys, "forward", "--manifest", str(manifest),
+                           "--input", str(src), "--output", str(tmp_path / "o.pvct"))
+        assert code == 3
+        assert err.startswith("pvc: I/O error:") and "Traceback" not in err
+
     @pytest.mark.parametrize("kernel", ["0", "-2"])
     def test_compress_non_positive_kernel_is_usage_error(self, capsys, tmp_path, kernel):
         src = tmp_path / "in.pvct"
@@ -302,3 +316,48 @@ class TestPipeline:
         code, _, _ = run(capsys, "pipeline", "--toy",
                          "--output", str(tmp_path / "o.pvct"))
         assert code == 2
+
+    @pytest.mark.parametrize("source", ["image", "video"])
+    @pytest.mark.parametrize("toy", [[], ["--toy"]], ids=["manifest", "manifest_and_toy"])
+    def test_manifest_config_sets_geometry(self, capsys, tmp_path, source, toy):
+        # 2 layers, 28 px tiles, 3 image frames: none of them the toy default
+        cfg = toy_config(layers=2, temporal_layers=1, image_size=28, t_img=3)
+        manifest = save_model(tmp_path / "model", init_model(9, cfg))
+        gen = np.random.Generator(np.random.Philox(14))
+        if source == "image":
+            src = tmp_path / "img.ppm"
+            write_ppm(src, RawImage(gen.integers(0, 256, size=(28, 28, 3), dtype=np.uint8)))
+            frames = cfg.t_img
+        else:
+            src = tmp_path / "vid.pvct"
+            io.write_tensor(src, gen.integers(0, 256, size=(4, 28, 28, 3)).astype(np.float64))
+            frames = 4
+        dst = tmp_path / "out.pvct"
+        code, _, err = run(capsys, "pipeline", *toy, "--manifest", str(manifest),
+                           f"--{source}", str(src), "--no-frame-bounds",
+                           "--output", str(dst))
+        assert code == 0, err
+        shape = (1, frames, cfg.compressed_tokens, cfg.channels)
+        assert io.read_tensor(dst).shape == shape
+        side = io.read_manifest(str(dst) + ".manifest")
+        assert [int(side[k]) for k in ("B", "T", "M", "C_out")] == list(shape)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--image", "img.ppm", "--t-img", "0"], "t_img must be >= 1, got 0"),
+        (["--video", "vid.pvct", "--frames", "0"], "frame count 0 outside"),
+        (["--video", "vid.pvct", "--frames", "0", "--no-frame-bounds"],
+         "frame count must be >= 1, got 0"),
+        (["--image", "img.ppm", "--tile-px", "56"], "unrecognized arguments: --tile-px")],
+        ids=["t_img_0", "frames_0", "frames_0_unbounded", "tile_px"])
+    def test_zero_frames_and_removed_flag_are_usage_errors(self, capsys, tmp_path,
+                                                           flags, message):
+        gen = np.random.Generator(np.random.Philox(15))
+        write_ppm(tmp_path / "img.ppm",
+                  RawImage(gen.integers(0, 256, size=(56, 56, 3), dtype=np.uint8)))
+        io.write_tensor(tmp_path / "vid.pvct",
+                        gen.integers(0, 256, size=(4, 56, 56, 3)).astype(np.float64))
+        argv = [str(tmp_path / f) if f in ("img.ppm", "vid.pvct") else f for f in flags]
+        dst = tmp_path / "out.pvct"
+        code, _, err = run(capsys, "pipeline", "--toy", *argv, "--output", str(dst))
+        assert code == 2 and message in err
+        assert not dst.exists()

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from pvc import io
+from pvc import io, model_store
 from pvc.compression import init_compression
 from pvc.model_store import load_compression, load_model, save_compression, save_model
 from pvc.tensor import Rng
@@ -189,3 +189,46 @@ def test_manifest_malformed(tmp_path):
     path.write_text("not a pair\n")
     with pytest.raises(io.PvctError):
         io.read_manifest(path)
+
+
+@pytest.mark.parametrize("entry, value", [
+    ("cfg.temporal_layers", "0"),                 # drops layers 4-7's temporal weights
+    ("weight.bogus", "layer00_ln1_gamma.pvct"),   # names no weight of the model
+])
+def test_load_model_rejects_weight_entries_it_does_not_use(tmp_path, entry, value):
+    manifest = save_model(tmp_path, init_model(3, toy_config()))  # last 4 of 8 temporal
+    io.write_manifest(manifest, {**io.read_manifest(manifest), entry: value})
+    with pytest.raises(io.PvctError, match=r"weight entry weight\.\S+ is not a weight"):
+        load_model(manifest)
+
+
+@pytest.mark.parametrize("entry, value, weight", [
+    ("image_size", "2800000", "patch.pos"),       # a 9.31 TiB position table
+    ("layers", str(10 ** 9), None),
+    ("channels", str(2 ** 40), "patch.weight"),
+    ("ffn_dim", str(2 ** 40), "layer00.ffn_w_in"),
+    ("patch_size", "28", "patch.weight"),
+])
+def test_load_model_checks_extents_before_building(tmp_path, monkeypatch,
+                                                   entry, value, weight):
+    manifest = save_model(tmp_path, init_model(3, toy_config(layers=2, temporal_layers=1)))
+    io.write_manifest(manifest, {**io.read_manifest(manifest), f"cfg.{entry}": value})
+
+    def no_build(rng, cfg):
+        raise AssertionError("the model was built from an unchecked config")
+
+    monkeypatch.setattr(model_store, "build_model", no_build)
+    message = (f"weight {weight} has shape" if weight
+               else f"cfg.layers = {value}, but the manifest has weights for 2 layers")
+    with pytest.raises(io.PvctError, match=message):
+        load_model(manifest)
+
+
+def test_load_compression_rejects_other_weight_entries(tmp_path):
+    save_compression(tmp_path, init_compression(Rng(4), toy_config(),
+                                                mlp_hidden=48, out_dim=24))
+    manifest = tmp_path / "comp.manifest"
+    entries = io.read_manifest(manifest)
+    io.write_manifest(manifest, {**entries, "weight.te.w3": entries["weight.te.w2"]})
+    with pytest.raises(io.PvctError, match=r"weight entry weight\.te\.w3 is not"):
+        load_compression(manifest)

@@ -98,6 +98,20 @@ class TestGradCheckRunner:
             report = run_grad_check(module, seed=7)
             assert [e.name for e in report.entries] == names, module
 
+    def test_runs_the_forward_once_before_finite_differences(self, monkeypatch):
+        # one forward fills the cache the backward reads, then two per
+        # probed coordinate
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return progressive_layer_forward(*args, **kwargs)
+
+        monkeypatch.setattr(verification, "progressive_layer_forward", spy)
+        report = run_grad_check("progressive_layer", 0)
+        probed = sum(int(np.prod(e.shape)) for e in report.entries)
+        assert len(calls) == 1 + 2 * probed == 6721
+
 
 def _cache_forwards():
     """(name, forward taking a cache keyword) for every forward that fills one."""
