@@ -9,10 +9,8 @@ frame knows where it sits in time.
 import numpy as np
 
 from pvc.compression import compress, init_compression, pixel_shuffle, pixel_unshuffle
-from pvc.conditioning import relative_timestamps
 from pvc.tensor import Rng
 from pvc.verification import toy_config
-from pvc.vit import VideoBatch
 
 
 def main():
@@ -32,9 +30,8 @@ def main():
     # static video: four copies of one frame
     params = init_compression(rng, cfg)
     frame = rng.normal((1, 1, n, cfg.channels))
-    v = VideoBatch(features=np.repeat(frame, 4, axis=1),
-                   timestamps=relative_timestamps(4))
-    out = compress(v, params, cfg)
+    static = np.repeat(frame, 4, axis=1)
+    out = compress(static, params, cfg)
 
     print("\nstatic 4-frame video, pairwise output distances:")
     for a in range(4):
@@ -45,7 +42,7 @@ def main():
     # kill the conditioning and the frames collapse to one output
     for w in (params.adaln.w3, params.adaln.w4, params.adaln.w5, params.adaln.w6):
         w[...] = 0.0
-    out = compress(v, params, cfg)
+    out = compress(static, params, cfg)
     same = all(np.array_equal(out[:, 0], out[:, j]) for j in range(1, 4))
     print(f"\nwith conditioning zeroed, all frames identical: {same}")
 

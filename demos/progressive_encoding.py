@@ -7,10 +7,9 @@ start to see their predecessors (and only their predecessors).
 """
 import numpy as np
 
-from pvc.conditioning import relative_timestamps
 from pvc.tensor import Rng
 from pvc.verification import randomize_gates, toy_config
-from pvc.vit import VideoBatch, init_model, plain_vit_forward, vit_forward
+from pvc.vit import init_model, plain_vit_forward, vit_forward
 
 
 def main():
@@ -21,17 +20,16 @@ def main():
     model = init_model(seed=0, cfg=cfg)
     rng = Rng(1)
     x = rng.normal((1, 4, cfg.tokens_per_frame, cfg.channels))
-    v = VideoBatch(features=x, timestamps=relative_timestamps(4))
 
     # 1. at init the gates are zero, so the stack is the plain ViT
-    out = vit_forward(v, cfg, model).features
-    ref = plain_vit_forward(v, model).features
+    out = vit_forward(x, cfg, model)
+    ref = plain_vit_forward(x, model)
     print(f"\nzero-gate vs plain per-frame ViT: "
           f"max |diff| = {np.max(np.abs(out - ref)):.3e}")
 
     # 2. open the gates: frames now interact through temporal attention
     randomize_gates(model, Rng(2))
-    out = vit_forward(v, cfg, model).features
+    out = vit_forward(x, cfg, model)
     print(f"after opening gates:              "
           f"max |diff| = {np.max(np.abs(out - ref)):.3e}")
 
@@ -39,7 +37,7 @@ def main():
     #    frames move.
     xp = x.copy()
     xp[:, 2] += rng.normal(xp[:, 2].shape)
-    moved = vit_forward(VideoBatch(xp, v.timestamps), cfg, model).features
+    moved = vit_forward(xp, cfg, model)
     print("\nperturbing frame 2:")
     for t in range(4):
         d = np.max(np.abs(moved[:, t] - out[:, t]))

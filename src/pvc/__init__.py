@@ -28,7 +28,6 @@ from .vit import (
     LayerParams,
     ModelParams,
     PvcConfig,
-    VideoBatch,
     init_model,
     patchify,
     progressive_layer_forward,

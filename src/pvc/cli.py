@@ -43,7 +43,7 @@ from .verification import (
     run_grad_check,
     toy_config,
 )
-from .vit import PvcConfig, VideoBatch, init_model, patchify, vit_forward
+from .vit import PvcConfig, init_model, patchify, vit_forward
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -75,10 +75,9 @@ def _cmd_forward(args) -> int:
         raise io.PvctError(
             f"{args.input}: tokens {x.shape} do not match model "
             f"(N={cfg.tokens_per_frame}, C={cfg.channels})")
-    v = VideoBatch(features=x, timestamps=relative_timestamps(x.shape[1]))
-    out = vit_forward(v, cfg, model)
-    io.write_tensor(args.output, out.features)
-    print(f"forward: wrote {args.output} shape={out.features.shape}")
+    out = vit_forward(x, cfg, model)
+    io.write_tensor(args.output, out)
+    print(f"forward: wrote {args.output} shape={out.shape}")
     return EXIT_OK
 
 
@@ -87,26 +86,27 @@ def _cmd_compress(args) -> int:
     x = io.read_tensor(args.input)
     if x.ndim != 4:
         raise io.PvctError(f"{args.input}: expected [B,T,N,C] tokens, got {x.shape}")
-    _, t, n, c = x.shape
+    _, _, n, c = x.shape
     # geometry comes from the tokens themselves; only the kernel matters
     cfg = _compress_config(n, c, args.kernel)
     if args.comp_manifest:
         params = model_store.load_compression(args.comp_manifest)
     else:
         params = init_compression(Rng(seed), cfg)
-    v = VideoBatch(features=x, timestamps=relative_timestamps(t))
-    out = compress(v, params, cfg)
-    _write_tokens(args.output, out, v.timestamps)
+    out = compress(x, params, cfg)
+    _write_tokens(args.output, out)
     print(f"compress: wrote {args.output} shape={out.shape}")
     return EXIT_OK
 
 
-def _write_tokens(path, out, timestamps) -> None:
-    """Write compressed tokens [B,T,M,C_out] and their side manifest."""
+def _write_tokens(path, out) -> None:
+    """Write compressed tokens [B,T,M,C_out] and their side manifest, which
+    lists the T frames' timestamps."""
+    b, t, m, c_out = out.shape
     io.write_tensor(path, out)
     io.write_manifest(str(path) + ".manifest", {
-        "B": out.shape[0], "T": out.shape[1], "M": out.shape[2],
-        "C_out": out.shape[3], "timestamps": " ".join(f"{t:.12g}" for t in timestamps),
+        "B": b, "T": t, "M": m, "C_out": c_out,
+        "timestamps": " ".join(f"{s:.12g}" for s in relative_timestamps(t)),
     })
 
 
@@ -210,9 +210,9 @@ def _cmd_pipeline(args) -> int:
         pixels = normalize(sampled.frames, cfg.pixel_mean, cfg.pixel_std)[None]
         print(f"pipeline: video, {t} sampled frame(s)")
 
-    v = vit_forward(patchify(pixels, cfg, model.patch), cfg, model)
-    out = compress(v, init_compression(Rng(_default_seed(args) + 1), cfg), cfg)
-    _write_tokens(args.output, out, v.timestamps)
+    x = vit_forward(patchify(pixels, cfg, model.patch), cfg, model)
+    out = compress(x, init_compression(Rng(_default_seed(args) + 1), cfg), cfg)
+    _write_tokens(args.output, out)
     print(f"pipeline: wrote {args.output} shape={out.shape} "
           f"({out.shape[0] * out.shape[1] * out.shape[2]} visual tokens)")
     return EXIT_OK
@@ -294,7 +294,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (io.PvctError, FileNotFoundError, IsADirectoryError, OSError) as e:
+    except OSError as e:
         print(f"pvc: I/O error: {e}", file=sys.stderr)
         return EXIT_IO
     except NonFiniteError as e:

@@ -4,7 +4,8 @@ Per frame, the n x n token grid is cut into non-overlapping k x k blocks;
 each block becomes one token whose channels are the k^2 source tokens'
 channels concatenated in row-major block order. The widened tokens then
 pass through AdaLN conditioned on (token + temporal embedding) and a
-two-layer MLP shared across frames.
+two-layer MLP shared across frames. Frame t of T is embedded at the
+timestamp `relative_timestamps(T)[t]`.
 """
 from __future__ import annotations
 
@@ -18,11 +19,12 @@ from .conditioning import (
     ada_ln,
     init_adaln,
     init_temporal_embedding,
+    relative_timestamps,
     sinusoidal_embed,
     temporal_embedding,
 )
 from .tensor import NEW_WEIGHT_STD, Array, Rng, _sub_cache, silu_mlp
-from .vit import PvcConfig, VideoBatch
+from .vit import PvcConfig
 
 
 @dataclass
@@ -87,18 +89,19 @@ def pixel_unshuffle(y: Array, k: int) -> Array:
     return np.ascontiguousarray(g.reshape(b, t, (m * k) ** 2, c))
 
 
-def compress(v: VideoBatch, p: CompressionParams, cfg: PvcConfig,
+def compress(x: Array, p: CompressionParams, cfg: PvcConfig,
              cache: dict | None = None) -> Array:
-    """Compress per-frame tokens N -> M = N/k^2; output [B,T,M,C_out].
+    """Compress tokens [B,T,N,C] per frame, N -> M = N/k^2; output [B,T,M,C_out].
 
     With a `cache` dict, the intermediates of the temporal embedding, AdaLN
     and the MLP are recorded in it under `te`, `adaln` and `mlp`.
     """
     k = cfg.shuffle_kernel
-    xt = pixel_shuffle(v.features, k)
+    xt = pixel_shuffle(x, k)
     if xt.shape[-1] != p.wide_dim:
         raise ValueError(f"shuffled width {xt.shape[-1]} != params {p.wide_dim}")
-    te = temporal_embedding(sinusoidal_embed(v.timestamps), p.te, _sub_cache(cache, "te"))
+    te = temporal_embedding(sinusoidal_embed(relative_timestamps(xt.shape[1])), p.te,
+                            _sub_cache(cache, "te"))
     z = xt + te[None, :, None, :]
     a = ada_ln(xt, z, p.adaln, _sub_cache(cache, "adaln"))
     return silu_mlp(a, p.w_in, p.w_out, p.b_in, p.b_out, _sub_cache(cache, "mlp"))

@@ -12,6 +12,10 @@ import numpy as np
 
 from .tensor import Array
 
+# ImageNet channel statistics of [0,1]-scaled RGB, the default standardization
+PIXEL_MEAN = (0.485, 0.456, 0.406)
+PIXEL_STD = (0.229, 0.224, 0.225)
+
 
 @dataclass
 class RawImage:
@@ -166,7 +170,7 @@ def dynamic_tile(img: RawImage, tile_px: int,
     return tiles, (rows, cols)
 
 
-def normalize(images, mean=(0.485, 0.456, 0.406), std=(0.229, 0.224, 0.225)) -> Array:
+def normalize(images, mean=PIXEL_MEAN, std=PIXEL_STD) -> Array:
     """8-bit RGB -> float64, scaled to [0,1] then channel-standardized.
 
     Accepts a RawImage, a list of RawImage, or a uint8 array whose last
@@ -187,15 +191,6 @@ def normalize(images, mean=(0.485, 0.456, 0.406), std=(0.229, 0.224, 0.225)) -> 
     return table[arr, np.arange(3)]
 
 
-def denormalize(x: Array, mean=(0.485, 0.456, 0.406),
-                std=(0.229, 0.224, 0.225)) -> Array:
-    """Inverse of normalize, back to the [0,1] scale (not re-quantized)."""
-    mean = np.asarray(mean, dtype=np.float64)
-    std = np.asarray(std, dtype=np.float64)
-    return np.asarray(x, dtype=np.float64) * std + mean
-
-
-def video_to_pixel_tensor(v: RawVideo, mean=(0.485, 0.456, 0.406),
-                          std=(0.229, 0.224, 0.225)) -> Array:
+def video_to_pixel_tensor(v: RawVideo, mean=PIXEL_MEAN, std=PIXEL_STD) -> Array:
     """[1, T, H, W, 3] normalized pixel tensor for patchify."""
     return normalize(v.frames, mean, std)[None]

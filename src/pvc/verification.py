@@ -21,7 +21,6 @@ from .conditioning import (
     ada_ln,
     init_adaln,
     init_temporal_embedding,
-    relative_timestamps,
     temporal_embedding,
 )
 from .tensor import NEW_WEIGHT_STD, Array, Rng, silu_grad
@@ -30,7 +29,6 @@ from .vit import (
     LayerParams,
     ModelParams,
     PvcConfig,
-    VideoBatch,
     init_attention,
     init_layer,
     init_model,
@@ -206,16 +204,16 @@ def _compression_bwd(dy: Array, p: CompressionParams, k: int, cache: dict) -> di
     return grads
 
 
-def backward_progressive_layer(v: VideoBatch, p: LayerParams, upstream: Array) -> dict:
+def backward_progressive_layer(x: Array, p: LayerParams, upstream: Array) -> dict:
     """Full reverse pass of one layer: input grad plus every parameter grad."""
-    if upstream.shape != v.features.shape:
+    if upstream.shape != x.shape:
         raise ValueError("upstream shape mismatch")
     cache: dict = {}
-    progressive_layer_forward(v, p, cache)
+    progressive_layer_forward(x, x.shape[1], p, cache)
     return _layer_bwd(upstream, p, cache)
 
 
-def stack_input_gradient(v: VideoBatch, model: ModelParams, upstream: Array) -> Array:
+def stack_input_gradient(x: Array, model: ModelParams, upstream: Array) -> Array:
     """d(loss)/d(input tokens) through the whole layer stack.
 
     One forward per layer, each keeping its cache for the reverse sweep.
@@ -223,7 +221,7 @@ def stack_input_gradient(v: VideoBatch, model: ModelParams, upstream: Array) -> 
     caches = []
     for p in model.layers:
         caches.append({})
-        v = progressive_layer_forward(v, p, caches[-1])
+        x = progressive_layer_forward(x, x.shape[1], p, caches[-1])
     g = upstream
     for p, cache in zip(reversed(model.layers), reversed(caches)):
         g = _layer_bwd(g, p, cache)["x"]
@@ -304,8 +302,7 @@ def _probe(module_id: str, seed: int):
                          layers=1, temporal_layers=1)
         p = _randomized(init_layer(rng, cfg, temporal=True), rng, std)
         x = rng.normal((1, 3, cfg.tokens_per_frame, cfg.channels))
-        v = VideoBatch(features=x, timestamps=relative_timestamps(3))
-        return ({"x": x}, p, lambda cache: progressive_layer_forward(v, p, cache).features,
+        return ({"x": x}, p, lambda cache: progressive_layer_forward(x, 3, p, cache),
                 lambda g, cache: _layer_bwd(g, p, cache))
 
     if module_id == "compression":
@@ -314,8 +311,7 @@ def _probe(module_id: str, seed: int):
         for _, w in named_params(p):
             w *= std / NEW_WEIGHT_STD  # the biases are zero and stay zero
         x = rng.normal((1, 2, cfg.tokens_per_frame, cfg.channels))
-        v = VideoBatch(features=x, timestamps=relative_timestamps(2))
-        return ({"x": x}, p, lambda cache: compress(v, p, cfg, cache),
+        return ({"x": x}, p, lambda cache: compress(x, p, cfg, cache),
                 lambda g, cache: _compression_bwd(g, p, cfg.shuffle_kernel, cache))
 
     raise ValueError(f"unknown module id {module_id!r}; "
@@ -377,9 +373,8 @@ def check_init_identity(seed: int):
     model = init_model(seed, cfg)
     rng = Rng(seed + 1000)
     x = rng.normal((1, t, cfg.tokens_per_frame, cfg.channels))
-    v = VideoBatch(features=x, timestamps=relative_timestamps(t))
-    out = vit_forward(v, cfg, model).features
-    ref = plain_vit_forward(v, model).features
+    out = vit_forward(x, cfg, model)
+    ref = plain_vit_forward(x, model)
     diff = float(np.max(np.abs(out - ref)))
     return diff <= IDENTITY_TOL, diff
 
@@ -397,15 +392,13 @@ def check_causality(seed: int):
     randomize_gates(model, rng)
     n, c = cfg.tokens_per_frame, cfg.channels
     x = rng.normal((1, t, n, c))
-    v = VideoBatch(features=x, timestamps=relative_timestamps(t))
-    base = vit_forward(v, cfg, model).features
+    base = vit_forward(x, cfg, model)
 
     worst_leak = 0.0
     for j in range(t):
         xp = x.copy()
         xp[:, j] += rng.normal((n, c))
-        out = vit_forward(VideoBatch(features=xp, timestamps=v.timestamps),
-                          cfg, model).features
+        out = vit_forward(xp, cfg, model)
         if j > 0:
             worst_leak = max(worst_leak,
                              float(np.max(np.abs(out[:, :j] - base[:, :j]))))
@@ -414,7 +407,7 @@ def check_causality(seed: int):
     for j in range(t - 1):
         up = np.zeros_like(base)
         up[:, j] = rng.normal((n, c))
-        g = stack_input_gradient(v, model, up)
+        g = stack_input_gradient(x, model, up)
         worst_grad_leak = max(worst_grad_leak,
                               float(np.max(np.abs(g[:, j + 1:]))))
 

@@ -9,6 +9,10 @@ additionally carry a gated, causally masked attention across frames:
 
 The gate alpha starts at exactly zero, so a freshly constructed stack is
 bitwise a plain per-frame ViT.
+
+Tokens travel as plain [B, T, N, C] arrays. Frame t of T is conditioned on
+the timestamp `relative_timestamps(T)[t]`, computed from the frame count
+where the temporal embedding reads it.
 """
 from __future__ import annotations
 
@@ -27,6 +31,7 @@ from .conditioning import (
     sinusoidal_embed,
     temporal_embedding,
 )
+from .input_pipeline import PIXEL_MEAN, PIXEL_STD
 from .tensor import (NEW_WEIGHT_STD, Array, Rng, _sub_cache, layer_norm, linear,
                      silu_mlp, softmax)
 
@@ -48,8 +53,8 @@ class PvcConfig:
     shuffle_kernel: int = 4
     t_img: int = 4
     frame_bounds: tuple[int, int] = (16, 96)
-    pixel_mean: tuple[float, float, float] = (0.485, 0.456, 0.406)
-    pixel_std: tuple[float, float, float] = (0.229, 0.224, 0.225)
+    pixel_mean: tuple[float, float, float] = PIXEL_MEAN
+    pixel_std: tuple[float, float, float] = PIXEL_STD
 
     def __post_init__(self):
         for name in ("image_size", "patch_size", "channels", "heads", "ffn_dim",
@@ -76,27 +81,6 @@ class PvcConfig:
     @property
     def compressed_tokens(self) -> int:
         return self.tokens_per_frame // self.shuffle_kernel ** 2
-
-
-@dataclass
-class VideoBatch:
-    """Patch-token features [B, T, N, C] with per-frame timestamps.
-
-    A static video may be held once: features [B, 1, N, C] stand for all T
-    frames of the T timestamps.
-    """
-    features: Array
-    timestamps: Array
-
-    def __post_init__(self):
-        if self.features.ndim != 4:
-            raise ValueError(f"features must be [B,T,N,C], got {self.features.shape}")
-        if self.features.shape[1] not in (1, len(self.timestamps)):
-            raise ValueError("frame count must be 1 or the timestamps length")
-
-    @property
-    def shape(self):
-        return self.features.shape
 
 
 @dataclass
@@ -133,13 +117,6 @@ class LayerParams:
     def is_temporal(self) -> bool:
         return self.tmha is not None
 
-    def added_param_count(self) -> int:
-        """Parameters beyond a plain layer (the progressive additions)."""
-        if not self.is_temporal:
-            return 0
-        return sum(a.size for part in (self.tmha, self.adaln, self.te)
-                   for _, a in named_params(part)) + self.gate_alpha.size
-
 
 @dataclass
 class PatchEmbedParams:
@@ -172,18 +149,6 @@ def named_params(params, prefix: str = ""):
                 yield from named_params(item, f"{prefix}layer{i:02d}.")
         elif dataclasses.is_dataclass(value):
             yield from named_params(value, f"{prefix}{f.name}.")
-
-
-def expected_added_params(c: int, adaln_hidden: int | None = None,
-                          te_hidden: int | None = None) -> int:
-    """Closed-form count of the per-layer progressive additions."""
-    h_a = c if adaln_hidden is None else adaln_hidden
-    h_t = c if te_hidden is None else te_hidden
-    tmha = 4 * c * c + 4 * c
-    adaln = 4 * c * h_a
-    te = 256 * h_t + h_t * c
-    gate = c
-    return tmha + adaln + te + gate
 
 
 def init_attention(rng: Rng, c: int, heads: int,
@@ -234,7 +199,7 @@ def build_model(rng: Rng, cfg: PvcConfig) -> ModelParams:
     return ModelParams(cfg=cfg, patch=patch, layers=layers)
 
 
-def patchify(frames: Array, cfg: PvcConfig, patch: PatchEmbedParams) -> VideoBatch:
+def patchify(frames: Array, cfg: PvcConfig, patch: PatchEmbedParams) -> Array:
     """Project [B,T,H,W,3] pixels to patch tokens [B,T,N,C].
 
     Each patch_size^2 pixel block is flattened row-major (row, col,
@@ -252,7 +217,7 @@ def patchify(frames: Array, cfg: PvcConfig, patch: PatchEmbedParams) -> VideoBat
     x = x.transpose(0, 1, 2, 4, 3, 5, 6).reshape(b, t, g * g, ps * ps * 3)
     tokens = linear(x, patch.weight, patch.bias)
     tokens += patch.pos
-    return VideoBatch(features=tokens, timestamps=relative_timestamps(t))
+    return tokens
 
 
 def _attention(x: Array, p: AttentionParams, causal: bool,
@@ -292,25 +257,29 @@ def _ffn(h: Array, p: LayerParams, cache: dict | None = None) -> Array:
     return silu_mlp(h, p.ffn_w_in, p.ffn_w_out, p.ffn_b_in, p.ffn_b_out, cache=cache)
 
 
-def layer_te(timestamps: Array, p: LayerParams, cache: dict | None = None) -> Array:
-    """Per-frame conditioning vector [T, C] for one progressive layer."""
-    return temporal_embedding(sinusoidal_embed(timestamps), p.te, cache)
+def layer_te(t: int, p: LayerParams, cache: dict | None = None) -> Array:
+    """Per-frame conditioning vector [T, C] for one progressive layer of a
+    T-frame video."""
+    return temporal_embedding(sinusoidal_embed(relative_timestamps(t)), p.te, cache)
 
 
-def progressive_layer_forward(v: VideoBatch, p: LayerParams,
-                              cache: dict | None = None) -> VideoBatch:
-    """One ViT layer; applies the gated temporal block only when present.
+def progressive_layer_forward(x: Array, frames: int, p: LayerParams,
+                              cache: dict | None = None) -> Array:
+    """One ViT layer on tokens [B, T, N, C] of a `frames`-frame video.
 
-    A static video held once runs LN1 and S-MHA on its one frame; adding
-    the timestamp embedding gives it T distinct frames.
+    T is `frames`, or 1 for a static video held once: that runs LN1 and
+    S-MHA on its one frame, and adding the timestamp embedding gives it
+    `frames` distinct frames. Applies the gated temporal block only when
+    present.
 
     With a `cache` dict, each sublayer records its intermediates in a dict
     under its own key (`ln1`, `smha`, ...), and the ungated T-MHA output is
     kept as `tm`; the backward pass reads them.
     """
-    x = v.features
     b, t, n, c = x.shape
-    if cache is not None and t != len(v.timestamps):
+    if t not in (1, frames):
+        raise ValueError(f"frame count {t} must be 1 or {frames}")
+    if cache is not None and t != frames:
         raise ValueError("a static video held once cannot be cached; "
                          "the backward passes expect every frame")
 
@@ -319,9 +288,9 @@ def progressive_layer_forward(v: VideoBatch, p: LayerParams,
     x = x + spatial_mha(h, p.smha, _sub_cache(cache, "smha")).reshape(b, t, n, c)
 
     if p.is_temporal:
-        te = layer_te(v.timestamps, p, _sub_cache(cache, "te"))  # [T, C]
+        te = layer_te(frames, p, _sub_cache(cache, "te"))  # [T, C]
         z = x + te[None, :, None, :]
-        t = z.shape[1]
+        t = frames
         a = ada_ln(np.broadcast_to(x, z.shape), z, p.adaln,
                    cache=_sub_cache(cache, "adaln"))
         a = a.transpose(0, 2, 1, 3).reshape(b * n, t, c)
@@ -333,12 +302,10 @@ def progressive_layer_forward(v: VideoBatch, p: LayerParams,
 
     h = layer_norm(x, gamma=p.ln2_gamma, beta=p.ln2_beta,
                    cache=_sub_cache(cache, "ln2"))
-    x = x + _ffn(h, p, _sub_cache(cache, "ffn"))
-
-    return VideoBatch(features=x, timestamps=v.timestamps)
+    return x + _ffn(h, p, _sub_cache(cache, "ffn"))
 
 
-def vit_forward(v: VideoBatch, cfg: PvcConfig, model: ModelParams) -> VideoBatch:
+def vit_forward(x: Array, cfg: PvcConfig, model: ModelParams) -> Array:
     """Run the full stack: plain layers first, progressive layers last.
 
     Until the first temporal layer adds the timestamp embedding, every
@@ -348,28 +315,28 @@ def vit_forward(v: VideoBatch, cfg: PvcConfig, model: ModelParams) -> VideoBatch
     broadcast to the T frames. A stack without temporal layers repeats its
     output at the end. The result equals running every layer on every frame.
     """
+    if x.ndim != 4:
+        raise ValueError(f"tokens must be [B,T,N,C], got {x.shape}")
     if len(model.layers) != cfg.layers:
         raise ValueError(f"expected {cfg.layers} layers, got {len(model.layers)}")
     plain = cfg.layers - cfg.temporal_layers
-    x, timestamps = v.features, v.timestamps
-    t = len(timestamps)
+    t = x.shape[1]
     if t > 1 and bool((x == x[:, :1]).all()):
-        v = VideoBatch(features=x[:, :1], timestamps=timestamps)
+        x = x[:, :1]
     for i, p in enumerate(model.layers):
         if p.is_temporal != (i >= plain):
             raise ValueError(f"layer {i}: temporal={p.is_temporal}, expected "
                              f"{'temporal' if i >= plain else 'plain'}")
-        v = progressive_layer_forward(v, p)
-    if v.features.shape[1] != t:
-        v = VideoBatch(features=np.repeat(v.features, t, axis=1),
-                       timestamps=timestamps)
-    return v
+        x = progressive_layer_forward(x, t, p)
+    if x.shape[1] != t:
+        x = np.repeat(x, t, axis=1)
+    return x
 
 
-def plain_vit_forward(v: VideoBatch, model: ModelParams) -> VideoBatch:
+def plain_vit_forward(x: Array, model: ModelParams) -> Array:
     """Reference path: every frame through the stack with each layer's
     temporal block removed, so every layer works on each frame alone."""
     for p in model.layers:
-        v = progressive_layer_forward(
-            v, dataclasses.replace(p, tmha=None, adaln=None, te=None, gate_alpha=None))
-    return v
+        plain = dataclasses.replace(p, tmha=None, adaln=None, te=None, gate_alpha=None)
+        x = progressive_layer_forward(x, x.shape[1], plain)
+    return x

@@ -10,7 +10,6 @@ import numpy as np
 from pvc import io
 from pvc.budget import WorkloadSpec, count_tokens, estimate_flops, preset
 from pvc.compression import compress, init_compression, pixel_shuffle, pixel_unshuffle
-from pvc.conditioning import relative_timestamps
 from pvc.tensor import Rng
 from pvc.verification import (
     CHECKED_MODULES,
@@ -19,7 +18,7 @@ from pvc.verification import (
     run_grad_check,
     toy_config,
 )
-from pvc.vit import PvcConfig, VideoBatch, init_model, vit_forward
+from pvc.vit import PvcConfig, init_model, vit_forward
 
 
 def _verdict(label, ok, detail=""):
@@ -134,9 +133,7 @@ def test_07_static_frames_distinct_iff_conditioned():
         rng = Rng(1000 + seed)
         params = init_compression(rng, cfg)
         frame = rng.normal((1, 1, cfg.tokens_per_frame, cfg.channels))
-        v = VideoBatch(features=np.repeat(frame, 4, axis=1),
-                       timestamps=relative_timestamps(4))
-        out = compress(v, params, cfg)
+        out = compress(np.repeat(frame, 4, axis=1), params, cfg)
         for a in range(4):
             for b in range(a + 1, 4):
                 min_dist = min(min_dist,
@@ -148,9 +145,7 @@ def test_07_static_frames_distinct_iff_conditioned():
               params.adaln.w6):
         w[...] = 0.0
     frame = rng.normal((1, 1, cfg.tokens_per_frame, cfg.channels))
-    v = VideoBatch(features=np.repeat(frame, 4, axis=1),
-                   timestamps=relative_timestamps(4))
-    out = compress(v, params, cfg)
+    out = compress(np.repeat(frame, 4, axis=1), params, cfg)
     identical = all(np.array_equal(out[:, 0], out[:, j]) for j in range(1, 4))
 
     _verdict("static frames distinct iff conditioned",
@@ -166,10 +161,9 @@ def test_08_determinism_and_lossless_serialization(tmp_path):
         model = init_model(7, cfg)
         rng = Rng(8)
         x = rng.normal((1, 3, cfg.tokens_per_frame, cfg.channels))
-        v = VideoBatch(features=x, timestamps=relative_timestamps(3))
-        y = vit_forward(v, cfg, model).features
+        y = vit_forward(x, cfg, model)
         comp = init_compression(Rng(9), cfg)
-        z = compress(VideoBatch(y, v.timestamps), comp, cfg)
+        z = compress(y, comp, cfg)
         outputs.append((y, z))
     deterministic = (np.array_equal(outputs[0][0], outputs[1][0])
                      and np.array_equal(outputs[0][1], outputs[1][1]))

@@ -10,7 +10,7 @@ from pvc.compression import (
 )
 from pvc.conditioning import ada_ln, relative_timestamps, sinusoidal_embed, temporal_embedding
 from pvc.tensor import Rng, silu
-from pvc.vit import PvcConfig, VideoBatch
+from pvc.vit import PvcConfig
 
 
 def shuffle_oracle(x, k):
@@ -87,29 +87,24 @@ class TestCompress:
         p = init_compression(Rng(4), cfg)
         p.w_in[...] = 0
         p.w_out[...] = 0
-        v = VideoBatch(features=Rng(5).normal((1, 2, 16, 3)),
-                       timestamps=relative_timestamps(2))
-        out = compress(v, p, cfg)
+        out = compress(Rng(5).normal((1, 2, 16, 3)), p, cfg)
         assert np.array_equal(out, np.zeros_like(out))
 
     def test_full_scale_shape(self):
         cfg = PvcConfig(channels=2, heads=1, ffn_dim=4)
         p = init_compression(Rng(6), cfg, out_dim=5)
-        v = VideoBatch(features=Rng(7).normal((1, 4, 1024, 2)),
-                       timestamps=relative_timestamps(4))
-        assert compress(v, p, cfg).shape == (1, 4, 64, 5)
+        assert compress(Rng(7).normal((1, 4, 1024, 2)), p, cfg).shape == (1, 4, 64, 5)
 
     def test_composition_oracle(self):
         cfg = small_cfg()
         rng = Rng(8)
         p = init_compression(rng, cfg, mlp_hidden=5, out_dim=4)
-        v = VideoBatch(features=rng.normal((2, 3, 16, 3)),
-                       timestamps=relative_timestamps(3))
-        xt = pixel_shuffle(v.features, 2)
-        te = temporal_embedding(sinusoidal_embed(v.timestamps), p.te)
+        x = rng.normal((2, 3, 16, 3))
+        xt = pixel_shuffle(x, 2)
+        te = temporal_embedding(sinusoidal_embed(relative_timestamps(3)), p.te)
         a = ada_ln(xt, xt + te[None, :, None, :], p.adaln)
         expect = silu(a @ p.w_in + p.b_in) @ p.w_out + p.b_out
-        assert np.max(np.abs(compress(v, p, cfg) - expect)) < 1e-12
+        assert np.max(np.abs(compress(x, p, cfg) - expect)) < 1e-12
 
     def test_timestep_sensitivity_on_static_input(self):
         cfg = small_cfg()
@@ -120,9 +115,7 @@ class TestCompress:
                   p.te.w1, p.te.w2):
             w *= 20.0
         frame = rng.normal((1, 1, 16, 3))
-        v = VideoBatch(features=np.repeat(frame, 4, axis=1),
-                       timestamps=relative_timestamps(4))
-        out = compress(v, p, cfg)
+        out = compress(np.repeat(frame, 4, axis=1), p, cfg)
         for a in range(4):
             for b in range(a + 1, 4):
                 assert np.linalg.norm(out[0, a] - out[0, b]) > 0.0
@@ -134,9 +127,7 @@ class TestCompress:
         for w in (p.adaln.w3, p.adaln.w4, p.adaln.w5, p.adaln.w6):
             w[...] = 0.0
         frame = rng.normal((1, 1, 16, 3))
-        v = VideoBatch(features=np.repeat(frame, 4, axis=1),
-                       timestamps=relative_timestamps(4))
-        out = compress(v, p, cfg)
+        out = compress(np.repeat(frame, 4, axis=1), p, cfg)
         assert np.array_equal(out[:, 0], out[:, 1])
         assert np.array_equal(out[:, 0], out[:, 3])
 
@@ -145,12 +136,11 @@ class TestCompress:
         rng = Rng(11)
         p = init_compression(rng, cfg)
         x = rng.normal((1, 4, 16, 3))
-        v = VideoBatch(features=x, timestamps=relative_timestamps(4))
-        base = compress(v, p, cfg)
+        base = compress(x, p, cfg)
         for j in range(4):
             xp = x.copy()
             xp[:, j] += rng.normal((1, 16, 3))
-            out = compress(VideoBatch(xp, v.timestamps), p, cfg)
+            out = compress(xp, p, cfg)
             for other in range(4):
                 if other == j:
                     assert np.max(np.abs(out[:, j] - base[:, j])) > 0

@@ -8,7 +8,6 @@ from pvc.conditioning import (
     affine_coeffs,
     init_adaln,
     init_temporal_embedding,
-    relative_timestamps,
     temporal_embedding,
 )
 from pvc.tensor import Rng, layer_norm, silu, silu_mlp
@@ -24,7 +23,6 @@ from pvc.verification import (
     randomize_gates,
 )
 from pvc.vit import (
-    VideoBatch,
     init_attention,
     init_layer,
     init_model,
@@ -121,16 +119,14 @@ def _cache_forwards():
     layer = init_layer(rng, cfg, temporal=True)
     layer.gate_alpha[...] = rng.normal(layer.gate_alpha.shape, 0.5)
     plain = init_layer(rng, cfg, temporal=False)
-    v = VideoBatch(features=rng.normal((2, 3, cfg.tokens_per_frame, 8)),
-                   timestamps=relative_timestamps(3))
+    tokens = rng.normal((2, 3, cfg.tokens_per_frame, 8))
     x = rng.normal((2, 3, 8))
     z = rng.normal((2, 3, 8))
     adaln, te = init_adaln(rng, 8), init_temporal_embedding(rng, 8)
     attn = init_attention(rng, 8, 2)
     comp_cfg = toy_config(channels=3, heads=1, ffn_dim=6, layers=1, temporal_layers=0)
     comp = init_compression(rng, comp_cfg, mlp_hidden=7, out_dim=5)
-    tokens = VideoBatch(features=rng.normal((1, 2, comp_cfg.tokens_per_frame, 3)),
-                        timestamps=relative_timestamps(2))
+    comp_tokens = rng.normal((1, 2, comp_cfg.tokens_per_frame, 3))
     t_tilde = rng.uniform((3, 256), -1.0, 1.0)
     return [
         ("layer_norm", lambda cache: layer_norm(x, gamma=layer.ln1_gamma + 0.5,
@@ -138,17 +134,17 @@ def _cache_forwards():
         ("silu_mlp", lambda cache: silu_mlp(x, layer.ffn_w_in, layer.ffn_w_out,
                                             layer.ffn_b_in, layer.ffn_b_out, cache)),
         ("temporal_embedding", lambda cache: temporal_embedding(t_tilde, te, cache)),
-        ("layer_te", lambda cache: layer_te(v.timestamps, layer, cache)),
+        ("layer_te", lambda cache: layer_te(3, layer, cache)),
         ("affine_coeffs", lambda cache: np.stack(affine_coeffs(z, adaln, cache))),
         ("ada_ln", lambda cache: ada_ln(x, z, adaln, cache=cache)),
         ("spatial_mha", lambda cache: spatial_mha(x, attn, cache)),
         ("temporal_mha_causal", lambda cache: temporal_mha_causal(x, attn, cache)),
         ("ffn", lambda cache: vit._ffn(x, layer, cache)),
         ("progressive_layer_forward", lambda cache: progressive_layer_forward(
-            v, layer, cache).features),
+            tokens, 3, layer, cache)),
         ("plain_layer_forward", lambda cache: progressive_layer_forward(
-            v, plain, cache).features),
-        ("compress", lambda cache: compress(tokens, comp, comp_cfg, cache)),
+            tokens, 3, plain, cache)),
+        ("compress", lambda cache: compress(comp_tokens, comp, comp_cfg, cache)),
     ]
 
 
@@ -171,29 +167,28 @@ class TestProgressiveLayerBackward:
         rng = Rng(seed)
         p = init_layer(rng, cfg, temporal=True)
         p.gate_alpha[...] = rng.normal(p.gate_alpha.shape, 0.5)
-        v = VideoBatch(features=rng.normal((1, 3, cfg.tokens_per_frame, 8)),
-                       timestamps=relative_timestamps(3))
-        return cfg, p, v
+        x = rng.normal((1, 3, cfg.tokens_per_frame, 8))
+        return cfg, p, x
 
     def test_zero_upstream_zero_grads(self):
-        cfg, p, v = self._setup(42)
-        grads = backward_progressive_layer(v, p, np.zeros_like(v.features))
+        cfg, p, x = self._setup(42)
+        grads = backward_progressive_layer(x, p, np.zeros_like(x))
         for g in grads.values():
             assert np.array_equal(g, np.zeros_like(g))
 
     def test_zero_gate_alpha_grad_vs_finite_difference(self):
         # with alpha = 0 the temporal branch contributes nothing forward,
         # yet d(loss)/d(alpha) is nonzero: sum of upstream * T-MHA output
-        cfg, p, v = self._setup(43)
+        cfg, p, x = self._setup(43)
         p.gate_alpha[...] = 0.0
-        g_up = Rng(44).normal(v.features.shape)
+        g_up = Rng(44).normal(x.shape)
         g_up *= 1e-4 / float(np.sum(np.abs(g_up)))
-        grads = backward_progressive_layer(v, p, g_up)
+        grads = backward_progressive_layer(x, p, g_up)
         assert np.max(np.abs(grads["gate_alpha"])) > 0.0
 
         def loss(alpha):
             p.gate_alpha[...] = alpha
-            out = progressive_layer_forward(v, p).features
+            out = progressive_layer_forward(x, 3, p)
             return float(np.sum(out * g_up))
 
         fd = finite_diff_grad(loss, np.zeros_like(p.gate_alpha))
@@ -202,12 +197,12 @@ class TestProgressiveLayerBackward:
         assert np.max(np.abs(grads["gate_alpha"] - fd) / denom) < 1e-6
 
     def test_gradient_causality_exact(self):
-        cfg, p, v = self._setup(45)
-        t = v.features.shape[1]
+        cfg, p, x = self._setup(45)
+        t = x.shape[1]
         for j in range(t - 1):
-            up = np.zeros_like(v.features)
+            up = np.zeros_like(x)
             up[:, j] = Rng(46 + j).normal(up[:, j].shape)
-            g = backward_progressive_layer(v, p, up)["x"]
+            g = backward_progressive_layer(x, p, up)["x"]
             assert np.max(np.abs(g[:, j + 1:])) == 0.0
             assert np.max(np.abs(g[:, j])) > 0.0
 
@@ -234,7 +229,7 @@ class TestStackChecks:
             return progressive_layer_forward(*args, **kwargs)
 
         monkeypatch.setattr(verification, "progressive_layer_forward", spy)
-        stack_input_gradient(VideoBatch(x, relative_timestamps(2)), model, np.ones_like(x))
+        stack_input_gradient(x, model, np.ones_like(x))
         assert len(calls) == cfg.layers
 
     def test_stack_gradient_matches_finite_difference_probe(self):
@@ -244,21 +239,18 @@ class TestStackChecks:
         rng = Rng(48)
         randomize_gates(model, rng)
         x = rng.normal((1, 2, cfg.tokens_per_frame, 8))
-        v = VideoBatch(features=x, timestamps=relative_timestamps(2))
         g_up = rng.normal(x.shape)
         g_up *= 1e-4 / float(np.sum(np.abs(g_up)))
-        g = stack_input_gradient(v, model, g_up)
+        g = stack_input_gradient(x, model, g_up)
 
         # probe a handful of coordinates against central differences
         h = 1e-5
         for idx in [(0, 0, 0, 0), (0, 1, 1, 3), (0, 0, 3, 7)]:
             orig = x[idx]
             x[idx] = orig + h
-            fp = float(np.sum(vit_forward(
-                VideoBatch(x, v.timestamps), cfg, model).features * g_up))
+            fp = float(np.sum(vit_forward(x, cfg, model) * g_up))
             x[idx] = orig - h
-            fm = float(np.sum(vit_forward(
-                VideoBatch(x, v.timestamps), cfg, model).features * g_up))
+            fm = float(np.sum(vit_forward(x, cfg, model) * g_up))
             x[idx] = orig
             fd = (fp - fm) / (2 * h)
             assert abs(g[idx] - fd) / max(abs(fd), 1e-8) < 1e-6

@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 from pvc import vit
-from pvc.conditioning import ada_ln, relative_timestamps
+from pvc.conditioning import ada_ln
 from pvc.tensor import Rng, layer_norm, silu
 from pvc.verification import randomize_gates, toy_config
 from pvc.vit import (
     AttentionParams,
     PatchEmbedParams,
     PvcConfig,
-    VideoBatch,
-    expected_added_params,
     init_attention,
     init_layer,
     init_model,
@@ -48,8 +46,7 @@ def reference_attention(x, p, causal):
 
 
 def make_batch(rng, cfg, b=1, t=4):
-    x = rng.normal((b, t, cfg.tokens_per_frame, cfg.channels))
-    return VideoBatch(features=x, timestamps=relative_timestamps(t))
+    return rng.normal((b, t, cfg.tokens_per_frame, cfg.channels))
 
 
 class TestConfig:
@@ -75,8 +72,8 @@ class TestPatchify:
         patch = PatchEmbedParams(weight=rng.normal((14 * 14 * 3, 4), 0.02),
                                  bias=np.zeros(4),
                                  pos=rng.normal((1024, 4), 0.02))
-        v = patchify(np.zeros((1, 1, 448, 448, 3)), cfg, patch)
-        assert v.features.shape == (1, 1, 1024, 4)
+        x = patchify(np.zeros((1, 1, 448, 448, 3)), cfg, patch)
+        assert x.shape == (1, 1, 1024, 4)
 
     def test_zero_image_gives_pos_only(self):
         cfg = PvcConfig(image_size=28, patch_size=14, channels=4, heads=1,
@@ -85,9 +82,9 @@ class TestPatchify:
         patch = PatchEmbedParams(weight=rng.normal((14 * 14 * 3, 4)),
                                  bias=np.zeros(4),
                                  pos=rng.normal((4, 4)))
-        v = patchify(np.zeros((1, 2, 28, 28, 3)), cfg, patch)
-        assert np.array_equal(v.features[0, 0], patch.pos)
-        assert np.array_equal(v.features[0, 1], patch.pos)
+        x = patchify(np.zeros((1, 2, 28, 28, 3)), cfg, patch)
+        assert np.array_equal(x[0, 0], patch.pos)
+        assert np.array_equal(x[0, 1], patch.pos)
 
     def test_pixel_identity_oracle(self):
         # 2x2 image, patch 1, projection picking the red channel
@@ -96,9 +93,9 @@ class TestPatchify:
         w = np.eye(3)
         patch = PatchEmbedParams(weight=w, bias=np.zeros(3), pos=np.zeros((4, 3)))
         img = np.arange(12.0).reshape(1, 1, 2, 2, 3)
-        v = patchify(img, cfg, patch)
+        x = patchify(img, cfg, patch)
         # row-major patch order: (0,0), (0,1), (1,0), (1,1)
-        assert np.array_equal(v.features[0, 0], img[0, 0].reshape(4, 3))
+        assert np.array_equal(x[0, 0], img[0, 0].reshape(4, 3))
 
 
 class TestSpatialMha:
@@ -180,12 +177,11 @@ class TestProgressiveLayer:
         cfg = toy_config()
         rng = Rng(10)
         p = self._temporal_layer(rng, cfg)
-        v = make_batch(rng, cfg)
-        out = progressive_layer_forward(v, p).features
+        x = make_batch(rng, cfg)
+        out = progressive_layer_forward(x, 4, p)
         plain = p.__class__(**{**p.__dict__, "tmha": None, "adaln": None,
                                "te": None, "gate_alpha": None})
-        ref = progressive_layer_forward(VideoBatch(v.features, v.timestamps),
-                                        plain).features
+        ref = progressive_layer_forward(x, 4, plain)
         assert np.max(np.abs(out - ref)) < 1e-15
 
     def test_static_zero_condition_identical_frames(self):
@@ -195,22 +191,20 @@ class TestProgressiveLayer:
         for w in (p.adaln.w3, p.adaln.w4, p.adaln.w5, p.adaln.w6):
             w[...] = 0.0
         frame = rng.normal((1, 1, cfg.tokens_per_frame, cfg.channels))
-        v = VideoBatch(features=np.repeat(frame, 4, axis=1),
-                       timestamps=relative_timestamps(4))
-        out = progressive_layer_forward(v, p).features
+        out = progressive_layer_forward(np.repeat(frame, 4, axis=1), 4, p)
         assert np.max(np.abs(out - out[:, :1])) == 0.0
 
     def test_composition_oracle(self):
         cfg = toy_config()
         rng = Rng(12)
         p = self._temporal_layer(rng, cfg, gate_std=0.5)
-        v = make_batch(rng, cfg, t=3)
-        b, t, n, c = v.features.shape
+        x0 = make_batch(rng, cfg, t=3)
+        b, t, n, c = x0.shape
 
-        x = v.features
+        x = x0
         h = layer_norm(x, gamma=p.ln1_gamma, beta=p.ln1_beta)
         x = x + spatial_mha(h.reshape(b * t, n, c), p.smha).reshape(b, t, n, c)
-        te = layer_te(v.timestamps, p)
+        te = layer_te(t, p)
         z = x + te[None, :, None, :]
         a = ada_ln(x, z, p.adaln).transpose(0, 2, 1, 3).reshape(b * n, t, c)
         tm = temporal_mha_causal(a, p.tmha).reshape(b, n, t, c).transpose(0, 2, 1, 3)
@@ -218,17 +212,8 @@ class TestProgressiveLayer:
         h = layer_norm(x, gamma=p.ln2_gamma, beta=p.ln2_beta)
         expect = x + silu(h @ p.ffn_w_in + p.ffn_b_in) @ p.ffn_w_out + p.ffn_b_out
 
-        out = progressive_layer_forward(v, p).features
+        out = progressive_layer_forward(x0, t, p)
         assert np.max(np.abs(out - expect)) < 1e-12
-
-    def test_added_param_count(self):
-        cfg = toy_config()
-        p = init_layer(Rng(13), cfg, temporal=True)
-        c = cfg.channels
-        assert p.added_param_count() == expected_added_params(c)
-        assert expected_added_params(c) == (4 * c * c + 4 * c) + 4 * c * c \
-            + (256 * c + c * c) + c
-        assert init_layer(Rng(13), cfg, temporal=False).added_param_count() == 0
 
     def test_gate_initialized_exactly_zero(self):
         p = init_layer(Rng(14), toy_config(), temporal=True)
@@ -239,9 +224,9 @@ class TestVitForward:
     def test_zero_gates_match_plain_stack(self):
         cfg = toy_config()
         model = init_model(21, cfg)
-        v = make_batch(Rng(22), cfg)
-        out = vit_forward(v, cfg, model).features
-        ref = plain_vit_forward(v, model).features
+        x = make_batch(Rng(22), cfg)
+        out = vit_forward(x, cfg, model)
+        ref = plain_vit_forward(x, model)
         assert np.max(np.abs(out - ref)) < 1e-15
 
     def test_no_temporal_layers_static_stays_static(self):
@@ -249,9 +234,7 @@ class TestVitForward:
         model = init_model(23, cfg)
         rng = Rng(24)
         frame = rng.normal((1, 1, cfg.tokens_per_frame, cfg.channels))
-        v = VideoBatch(features=np.repeat(frame, 3, axis=1),
-                       timestamps=relative_timestamps(3))
-        out = vit_forward(v, cfg, model).features
+        out = vit_forward(np.repeat(frame, 3, axis=1), cfg, model)
         assert np.array_equal(out[:, 0], out[:, 1])
         assert np.array_equal(out[:, 0], out[:, 2])
 
@@ -260,12 +243,12 @@ class TestVitForward:
         model = init_model(25, cfg)
         rng = Rng(26)
         randomize_gates(model, rng)
-        v = make_batch(rng, cfg, t=5)
-        base = vit_forward(v, cfg, model).features
+        x = make_batch(rng, cfg, t=5)
+        base = vit_forward(x, cfg, model)
         for j in range(1, 5):
-            xp = v.features.copy()
+            xp = x.copy()
             xp[:, j:] += rng.normal(xp[:, j:].shape)
-            out = vit_forward(VideoBatch(xp, v.timestamps), cfg, model).features
+            out = vit_forward(xp, cfg, model)
             assert np.max(np.abs(out[:, :j] - base[:, :j])) <= 1e-12
 
     def test_static_distinctness(self):
@@ -274,9 +257,7 @@ class TestVitForward:
         rng = Rng(28)
         randomize_gates(model, rng)
         frame = rng.normal((1, 1, cfg.tokens_per_frame, cfg.channels))
-        v = VideoBatch(features=np.repeat(frame, 4, axis=1),
-                       timestamps=relative_timestamps(4))
-        out = vit_forward(v, cfg, model).features
+        out = vit_forward(np.repeat(frame, 4, axis=1), cfg, model)
         dists = [np.linalg.norm(out[0, a] - out[0, b])
                  for a in range(4) for b in range(a + 1, 4)]
         assert min(dists) > 0.0
@@ -287,10 +268,9 @@ class TestVitForward:
         rng = Rng(30)
         randomize_gates(model, rng)
         x = rng.normal((1, 4, cfg.tokens_per_frame, cfg.channels))
-        full = vit_forward(VideoBatch(x, relative_timestamps(4)), cfg, model)
-        solo = vit_forward(VideoBatch(x[:, :1].copy(), relative_timestamps(1)),
-                           cfg, model)
-        assert np.max(np.abs(full.features[:, 0] - solo.features[:, 0])) <= 1e-12
+        full = vit_forward(x, cfg, model)
+        solo = vit_forward(x[:, :1].copy(), cfg, model)
+        assert np.max(np.abs(full[:, 0] - solo[:, 0])) <= 1e-12
 
     def test_layer_order_enforced(self):
         cfg = toy_config()
@@ -299,22 +279,28 @@ class TestVitForward:
         with pytest.raises(ValueError):
             vit_forward(make_batch(Rng(32), cfg), cfg, model)
 
+    def test_rejects_tokens_that_are_not_4d(self):
+        cfg = toy_config()
+        model = init_model(35, cfg)
+        x = make_batch(Rng(36), cfg)
+        with pytest.raises(ValueError, match=r"\[B,T,N,C\]"):
+            vit_forward(x[0], cfg, model)
+
     def test_deterministic_forward(self):
         cfg = toy_config()
         model_a = init_model(33, cfg)
         model_b = init_model(33, cfg)
-        v = make_batch(Rng(34), cfg)
-        out_a = vit_forward(v, cfg, model_a).features
-        out_b = vit_forward(VideoBatch(v.features.copy(), v.timestamps),
-                            cfg, model_b).features
+        x = make_batch(Rng(34), cfg)
+        out_a = vit_forward(x, cfg, model_a)
+        out_b = vit_forward(x.copy(), cfg, model_b)
         assert np.array_equal(out_a, out_b)
 
 
-def layerwise_reference(v, cfg, model):
+def layerwise_reference(x, cfg, model):
     """Every layer over all T frames: the forward without plain-layer reuse."""
     for p in model.layers:
-        v = progressive_layer_forward(v, p)
-    return v.features
+        x = progressive_layer_forward(x, x.shape[1], p)
+    return x
 
 
 def spy_layer_calls(monkeypatch):
@@ -322,9 +308,9 @@ def spy_layer_calls(monkeypatch):
     calls = []
     real = vit.progressive_layer_forward
 
-    def spy(v, p, **kwargs):
-        calls.append((p.is_temporal, v.features.shape[1]))
-        return real(v, p, **kwargs)
+    def spy(x, frames, p, **kwargs):
+        calls.append((p.is_temporal, x.shape[1]))
+        return real(x, frames, p, **kwargs)
 
     monkeypatch.setattr(vit, "progressive_layer_forward", spy)
     return calls
@@ -338,24 +324,23 @@ class TestPlainLayerReuse:
 
     def _static_batch(self, rng, cfg, b=1, t=4):
         frame = rng.normal((b, 1, cfg.tokens_per_frame, cfg.channels))
-        return VideoBatch(features=np.repeat(frame, t, axis=1),
-                          timestamps=relative_timestamps(t))
+        return np.repeat(frame, t, axis=1)
 
     def test_static_equals_layerwise_bitwise(self):
         cfg = toy_config()
         model = self._model(40, cfg)
-        v = self._static_batch(Rng(41), cfg)
-        out = vit_forward(v, cfg, model).features
-        assert np.array_equal(out, layerwise_reference(v, cfg, model))
+        x = self._static_batch(Rng(41), cfg)
+        out = vit_forward(x, cfg, model)
+        assert np.array_equal(out, layerwise_reference(x, cfg, model))
 
     @pytest.mark.parametrize("cfg, b", [(toy_config(temporal_layers=8), 1),
                                         (toy_config(), 2)],
                              ids=["all_temporal", "batch2"])
     def test_static_equals_layerwise_bitwise_more_stacks(self, cfg, b):
         model = self._model(50, cfg)
-        v = self._static_batch(Rng(51), cfg, b=b)
-        out = vit_forward(v, cfg, model).features
-        assert np.array_equal(out, layerwise_reference(v, cfg, model))
+        x = self._static_batch(Rng(51), cfg, b=b)
+        out = vit_forward(x, cfg, model)
+        assert np.array_equal(out, layerwise_reference(x, cfg, model))
 
     @pytest.mark.parametrize("b", [1, 2])
     def test_static_runs_spatial_mha_on_one_frame_through_first_temporal(self, b, monkeypatch):
@@ -376,33 +361,33 @@ class TestPlainLayerReuse:
         assert sequences == [b] * (plain + 1) + [4 * b] * (cfg.temporal_layers - 1)
         assert calls == ([(False, 1)] * plain + [(True, 1)]
                          + [(True, 4)] * (cfg.temporal_layers - 1))
-        assert out.features.shape[:2] == (b, 4) and len(out.timestamps) == 4
+        assert out.shape[:2] == (b, 4)
 
     def test_held_once_batch_with_cache_raises(self):
         cfg = toy_config()
         p = init_layer(Rng(52), cfg, temporal=True)
-        v = VideoBatch(features=Rng(53).normal((1, 1, cfg.tokens_per_frame,
-                                                 cfg.channels)),
-                       timestamps=relative_timestamps(4))
+        x = Rng(53).normal((1, 1, cfg.tokens_per_frame, cfg.channels))
         with pytest.raises(ValueError, match="held once"):
-            progressive_layer_forward(v, p, cache={})
+            progressive_layer_forward(x, 4, p, cache={})
 
-    def test_video_batch_frame_count_is_one_or_t(self):
-        x = np.zeros((1, 2, 3, 4))
-        with pytest.raises(ValueError):
-            VideoBatch(features=x, timestamps=relative_timestamps(4))
-        held = VideoBatch(features=x[:, :1], timestamps=relative_timestamps(4))
-        assert held.features.shape[1] == 1
-        assert VideoBatch(features=x, timestamps=relative_timestamps(2)).shape == x.shape
+    def test_layer_frame_count_is_one_or_frames(self):
+        cfg = toy_config()
+        p = init_layer(Rng(54), cfg, temporal=True)
+        x = Rng(55).normal((1, 2, cfg.tokens_per_frame, cfg.channels))
+        with pytest.raises(ValueError, match="frame count 2 must be 1 or 4"):
+            progressive_layer_forward(x, 4, p)
+        # a video held once comes out with all 4 frames
+        assert progressive_layer_forward(x[:, :1], 4, p).shape[1] == 4
+        assert progressive_layer_forward(x, 2, p).shape == x.shape
 
     def test_static_without_temporal_layers(self, monkeypatch):
         cfg = toy_config(temporal_layers=0)
         model = self._model(44, cfg)
-        v = self._static_batch(Rng(45), cfg, t=3)
+        x = self._static_batch(Rng(45), cfg, t=3)
         calls = spy_layer_calls(monkeypatch)
-        out = vit_forward(v, cfg, model).features
+        out = vit_forward(x, cfg, model)
         assert calls == [(False, 1)] * cfg.layers
-        assert np.array_equal(out, layerwise_reference(v, cfg, model))
+        assert np.array_equal(out, layerwise_reference(x, cfg, model))
 
     @pytest.mark.parametrize("case", ["one_frame", "moving", "one_static_of_two"])
     def test_no_reuse_unless_all_frames_identical(self, case, monkeypatch):
@@ -410,17 +395,17 @@ class TestPlainLayerReuse:
         model = self._model(46, cfg)
         rng = Rng(47)
         if case == "one_frame":
-            v = self._static_batch(rng, cfg, t=1)
+            x = self._static_batch(rng, cfg, t=1)
         elif case == "moving":
-            v = make_batch(rng, cfg)
+            x = make_batch(rng, cfg)
         else:
-            v = self._static_batch(rng, cfg, b=2)
-            v.features[1, 3, 0, 0] += 1.0
+            x = self._static_batch(rng, cfg, b=2)
+            x[1, 3, 0, 0] += 1.0
         calls = spy_layer_calls(monkeypatch)
-        out = vit_forward(v, cfg, model).features
-        t = v.features.shape[1]
+        out = vit_forward(x, cfg, model)
+        t = x.shape[1]
         assert [frames for _, frames in calls] == [t] * cfg.layers
-        assert np.array_equal(out, layerwise_reference(v, cfg, model))
+        assert np.array_equal(out, layerwise_reference(x, cfg, model))
 
     def test_patchified_static_video_reuses(self, monkeypatch):
         cfg = toy_config()
