@@ -101,9 +101,6 @@ class BudgetReport:
     def total(self) -> float:
         return float(sum(self.stages.values()))
 
-    def relative_delta(self, baseline: "BudgetReport") -> float:
-        return (self.total - baseline.total) / baseline.total
-
     def format_text(self) -> str:
         lines = [f"workload.kind = {self.workload.kind}",
                  f"visual_tokens = {self.visual_tokens}"]

@@ -2,13 +2,11 @@
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 I/O error,
 4 non-finite value (NaN or Inf) in a computation.
-The default seed comes from --seed, falling back to the PVC_SEED
-environment variable, then 0.
+Every seeded command takes --seed, which defaults to 0.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -26,11 +24,13 @@ from .budget import (
 from .compression import compress, init_compression
 from .conditioning import relative_timestamps
 from .input_pipeline import (
+    FRAME_BOUNDS,
     dynamic_tile,
     image_to_static_video,
     normalize,
     read_ppm,
     sample_frames,
+    video_to_pixel_tensor,
     RawImage,
     RawVideo,
 )
@@ -52,17 +52,11 @@ EXIT_IO = 3
 EXIT_NONFINITE = 4
 
 
-def _default_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("PVC_SEED", "0"))
-
-
 def _load_or_init_model(args):
     if args.manifest:
         return model_store.load_model(args.manifest)
     cfg = toy_config() if args.toy else PvcConfig()
-    return init_model(_default_seed(args), cfg)
+    return init_model(args.seed, cfg)
 
 
 def _cmd_forward(args) -> int:
@@ -82,7 +76,6 @@ def _cmd_forward(args) -> int:
 
 
 def _cmd_compress(args) -> int:
-    seed = _default_seed(args)
     x = io.read_tensor(args.input)
     if x.ndim != 4:
         raise io.PvctError(f"{args.input}: expected [B,T,N,C] tokens, got {x.shape}")
@@ -92,7 +85,7 @@ def _cmd_compress(args) -> int:
     if args.comp_manifest:
         params = model_store.load_compression(args.comp_manifest)
     else:
-        params = init_compression(Rng(seed), cfg)
+        params = init_compression(Rng(args.seed), cfg)
     out = compress(x, params, cfg)
     _write_tokens(args.output, out)
     print(f"compress: wrote {args.output} shape={out.shape}")
@@ -121,8 +114,8 @@ def _compress_config(n: int, c: int, k: int) -> PvcConfig:
 
 
 def _cmd_check_causality(args) -> int:
-    passed, details = check_causality(_default_seed(args))
-    print(f"check = causality\nseed = {_default_seed(args)}")
+    passed, details = check_causality(args.seed)
+    print(f"check = causality\nseed = {args.seed}")
     print(f"forward_leak = {details['forward_leak']:.3e}")
     print(f"grad_leak = {details['grad_leak']:.3e}")
     print(f"result = {'pass' if passed else 'FAIL'}")
@@ -130,15 +123,15 @@ def _cmd_check_causality(args) -> int:
 
 
 def _cmd_check_init_identity(args) -> int:
-    passed, diff = check_init_identity(_default_seed(args))
-    print(f"check = init-identity\nseed = {_default_seed(args)}")
+    passed, diff = check_init_identity(args.seed)
+    print(f"check = init-identity\nseed = {args.seed}")
     print(f"max_abs_diff = {diff:.3e}")
     print(f"result = {'pass' if passed else 'FAIL'}")
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def _cmd_grad_check(args) -> int:
-    report = run_grad_check(args.module, _default_seed(args), tol=args.tol)
+    report = run_grad_check(args.module, args.seed, tol=args.tol)
     text = report.format_text()
     print(text)
     if args.output:
@@ -184,11 +177,8 @@ def _cmd_pipeline(args) -> int:
         tiles, grid = dynamic_tile(img, cfg.image_size, args.max_tiles)
         t_img = cfg.t_img if args.t_img is None else args.t_img
         # tiles ride the batch axis; every tile of a frame shares its timestamp
-        pixels = np.stack([
-            normalize(image_to_static_video(tile, t_img).frames,
-                      cfg.pixel_mean, cfg.pixel_std)
-            for tile in tiles
-        ])  # [tiles, T, H, W, 3]
+        pixels = np.stack([normalize(image_to_static_video(tile, t_img).frames)
+                           for tile in tiles])  # [tiles, T, H, W, 3]
         print(f"pipeline: {len(tiles)} tile(s), grid {grid[0]}x{grid[1]}, "
               f"t_img={t_img}")
     else:
@@ -200,18 +190,18 @@ def _cmd_pipeline(args) -> int:
         raw = RawVideo(frames=[RawImage(np.clip(f, 0, 255).astype(np.uint8))
                                for f in frames_arr])
         t = raw.frame_count if args.frames is None else args.frames
-        lo, hi = cfg.frame_bounds
+        lo, hi = FRAME_BOUNDS
         if not args.no_frame_bounds and not lo <= t <= hi:
             print(f"pipeline: frame count {t} outside validated bounds "
                   f"[{lo}, {hi}] (use --no-frame-bounds to override)",
                   file=sys.stderr)
             return EXIT_USAGE
         sampled = sample_frames(raw, t)
-        pixels = normalize(sampled.frames, cfg.pixel_mean, cfg.pixel_std)[None]
+        pixels = video_to_pixel_tensor(sampled)
         print(f"pipeline: video, {t} sampled frame(s)")
 
     x = vit_forward(patchify(pixels, cfg, model.patch), cfg, model)
-    out = compress(x, init_compression(Rng(_default_seed(args) + 1), cfg), cfg)
+    out = compress(x, init_compression(Rng(args.seed + 1), cfg), cfg)
     _write_tokens(args.output, out)
     print(f"pipeline: wrote {args.output} shape={out.shape} "
           f"({out.shape[0] * out.shape[1] * out.shape[2]} visual tokens)")
@@ -226,8 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_seed(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (default: $PVC_SEED or 0)")
+        p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
 
     p = sub.add_parser("forward", help="run the ViT stack on PVCT tokens")
     p.add_argument("--input", required=True)

@@ -16,6 +16,9 @@ from .tensor import Array
 PIXEL_MEAN = (0.485, 0.456, 0.406)
 PIXEL_STD = (0.229, 0.224, 0.225)
 
+# Frame counts `pvc pipeline` accepts for a video unless told otherwise
+FRAME_BOUNDS = (16, 96)
+
 
 @dataclass
 class RawImage:

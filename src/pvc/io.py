@@ -12,6 +12,7 @@ The byte layout is normative; read(write(t)) round-trips bitwise.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -35,25 +36,25 @@ def write_tensor(path, x: np.ndarray) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
+    """Read a PVCT file; the payload is read once, straight into the array."""
     with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != MAGIC:
-        raise PvctError(f"{path}: bad magic {raw[:4]!r}")
-    if len(raw) < 12:
-        raise PvctError(f"{path}: truncated header")
-    version, ndim = struct.unpack_from("<II", raw, 4)
-    if version != VERSION:
-        raise PvctError(f"{path}: unsupported version {version}")
-    off = 12
-    if len(raw) < off + 8 * ndim:
-        raise PvctError(f"{path}: truncated header")
-    shape = struct.unpack_from(f"<{ndim}Q", raw, off)
-    off += 8 * ndim
-    n = math.prod(shape)  # Python ints: extents like 2**40 must not wrap
-    payload = raw[off:]
-    if len(payload) != 8 * n:
-        raise PvctError(f"{path}: payload is {len(payload)} bytes, expected {8 * n}")
-    data = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+        head = f.read(12)
+        if head[:4] != MAGIC:
+            raise PvctError(f"{path}: bad magic {head[:4]!r}")
+        if len(head) < 12:
+            raise PvctError(f"{path}: truncated header")
+        version, ndim = struct.unpack("<II", head[4:])
+        if version != VERSION:
+            raise PvctError(f"{path}: unsupported version {version}")
+        size = os.fstat(f.fileno()).st_size
+        off = 12 + 8 * ndim
+        if size < off:  # checked before reading: ndim may claim gigabytes
+            raise PvctError(f"{path}: truncated header")
+        shape = struct.unpack(f"<{ndim}Q", f.read(8 * ndim))
+        n = math.prod(shape)  # Python ints: extents like 2**40 must not wrap
+        if size - off != 8 * n:
+            raise PvctError(f"{path}: payload is {size - off} bytes, expected {8 * n}")
+        data = np.fromfile(f, dtype="<f8", count=n).astype(np.float64, copy=False)
     try:
         return data.reshape(shape)
     except ValueError as e:  # an empty payload with an extent too large to hold

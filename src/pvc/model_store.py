@@ -14,56 +14,49 @@ import numpy as np
 from . import io
 from .compression import CompressionParams
 from .conditioning import SINUSOID_DIM, TS_SCALE, AdaLnParams, TemporalEmbeddingParams
+from .input_pipeline import FRAME_BOUNDS, PIXEL_MEAN, PIXEL_STD
 from .tensor import EPS_NORM
 from .vit import ModelParams, PvcConfig, build_model, named_params
 
-# Config entries a manifest must carry; the others fall back to their
-# defaults, as in manifests written before they were saved.
-_CFG_KEYS = ("image_size", "patch_size", "channels", "heads", "ffn_dim",
-             "layers", "temporal_layers", "shuffle_kernel", "t_img")
-
-# Entries of older manifests for values that are now constants of the
-# model; any other value would load a model with different numerics.
-_FIXED_ENTRIES = {"cfg.eps": EPS_NORM, "cfg.ts_scale": TS_SCALE}
+# Entries of older manifests for values that were config fields and are now
+# constants; any other value would load a model with different numerics or
+# input handling.
+_FORMER_ENTRIES = {"cfg.eps": (EPS_NORM,), "cfg.ts_scale": (TS_SCALE,),
+                   "cfg.frame_bounds": FRAME_BOUNDS,
+                   "cfg.pixel_mean": PIXEL_MEAN, "cfg.pixel_std": PIXEL_STD}
 
 
-def _config_entries(cfg: PvcConfig) -> dict:
-    """One `cfg.<field>` entry per PvcConfig field; tuples space-separated."""
-    entries = {}
-    for f in dataclasses.fields(PvcConfig):
-        value = getattr(cfg, f.name)
-        entries[f"cfg.{f.name}"] = (" ".join(map(str, value))
-                                    if isinstance(value, tuple) else value)
-    return entries
+def _check_former_entry(key: str, value: str, manifest_path) -> None:
+    constant = _FORMER_ENTRIES[key]
+    try:
+        held = tuple(map(float, value.split())) == constant
+    except ValueError:
+        held = False
+    if not held:
+        raise io.PvctError(f"{manifest_path}: config entry {key} = {value!r} is not "
+                           f"supported; it must be {' '.join(map(str, constant))!r}")
 
 
 def _config_from_entries(entries: dict, manifest_path) -> PvcConfig:
-    for key, value in _FIXED_ENTRIES.items():
-        try:
-            held = key not in entries or float(entries[key]) == value
-        except ValueError:
-            held = False
-        if not held:
-            raise io.PvctError(f"{manifest_path}: config entry {key} = {entries[key]!r} "
-                               f"is not supported; it must be {value!r}")
+    """Every PvcConfig field is a required int entry; a former field must
+    hold its constant, and any other `cfg.*` entry is refused."""
+    names = {f"cfg.{f.name}": f.name for f in dataclasses.fields(PvcConfig)}
     kwargs = {}
-    for f in dataclasses.fields(PvcConfig):
-        key = f"cfg.{f.name}"
-        if key not in entries:
-            if f.name in _CFG_KEYS:
-                raise io.PvctError(f"{manifest_path}: missing config entry {key!r}")
-            continue
-        try:
-            if isinstance(f.default, tuple):
-                parts = entries[key].split()
-                if len(parts) != len(f.default):
-                    raise ValueError(f"expected {len(f.default)} values")
-                kwargs[f.name] = tuple(type(d)(s) for d, s in zip(f.default, parts))
-            else:
-                kwargs[f.name] = type(f.default)(entries[key])
-        except ValueError as e:
-            raise io.PvctError(f"{manifest_path}: bad config entry {key} = "
-                               f"{entries[key]!r}: {e}") from e
+    for key, value in entries.items():
+        if key in names:
+            try:
+                kwargs[names[key]] = int(value)
+            except ValueError as e:
+                raise io.PvctError(f"{manifest_path}: bad config entry {key} = "
+                                   f"{value!r}: {e}") from e
+        elif key in _FORMER_ENTRIES:
+            _check_former_entry(key, value, manifest_path)
+        elif key.startswith("cfg."):
+            raise io.PvctError(f"{manifest_path}: config entry {key} is not a "
+                               f"field of PvcConfig")
+    for key, name in names.items():
+        if name not in kwargs:
+            raise io.PvctError(f"{manifest_path}: missing config entry {key!r}")
     try:
         return PvcConfig(**kwargs)
     except ValueError as e:
@@ -140,8 +133,8 @@ def _save_tensors(directory, params, entries: dict, prefix: str = "") -> dict:
 def save_model(directory, model: ModelParams) -> Path:
     """Write all weights and the manifest; returns the manifest path."""
     manifest = Path(directory) / "model.manifest"
-    io.write_manifest(manifest, _save_tensors(directory, model,
-                                              _config_entries(model.cfg)))
+    entries = {f"cfg.{k}": v for k, v in dataclasses.asdict(model.cfg).items()}
+    io.write_manifest(manifest, _save_tensors(directory, model, entries))
     return manifest
 
 
@@ -167,9 +160,10 @@ def load_model(manifest_path) -> ModelParams:
     return model
 
 
-def save_compression(directory, p: CompressionParams, prefix: str = "comp") -> None:
-    io.write_manifest(Path(directory) / f"{prefix}.manifest",
-                      _save_tensors(directory, p, {}, f"{prefix}_"))
+def save_compression(directory, p: CompressionParams) -> None:
+    """Write the compressor's weights and `comp.manifest` into `directory`."""
+    io.write_manifest(Path(directory) / "comp.manifest",
+                      _save_tensors(directory, p, {}, "comp_"))
 
 
 def load_compression(manifest_path) -> CompressionParams:

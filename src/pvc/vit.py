@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -52,9 +53,9 @@ class PvcConfig:
     temporal_layers: int = 8
     shuffle_kernel: int = 4
     t_img: int = 4
-    frame_bounds: tuple[int, int] = (16, 96)
-    pixel_mean: tuple[float, float, float] = PIXEL_MEAN
-    pixel_std: tuple[float, float, float] = PIXEL_STD
+    # constants, not fields: the benchmark workloads read cfg.pixel_mean/pixel_std
+    pixel_mean: ClassVar[tuple] = PIXEL_MEAN
+    pixel_std: ClassVar[tuple] = PIXEL_STD
 
     def __post_init__(self):
         for name in ("image_size", "patch_size", "channels", "heads", "ffn_dim",

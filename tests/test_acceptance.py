@@ -8,7 +8,8 @@ import time
 import numpy as np
 
 from pvc import io
-from pvc.budget import WorkloadSpec, count_tokens, estimate_flops, preset
+from pvc.budget import (WorkloadSpec, compare_strategies, count_tokens, estimate_flops,
+                        preset)
 from pvc.compression import compress, init_compression, pixel_shuffle, pixel_unshuffle
 from pvc.tensor import Rng
 from pvc.verification import (
@@ -114,7 +115,7 @@ def test_06_flops_budget():
     p_arch, p_work, p_reuse = preset("table4-pvc")
     base = estimate_flops(b_work, b_arch, reuse=b_reuse)
     pvc = estimate_flops(p_work, p_arch, reuse=p_reuse)
-    delta = pvc.relative_delta(base)
+    delta = compare_strategies([base, pvc]).delta_vs_first[1]
     elapsed = time.monotonic() - start
     ok = (abs(base.total - 13.3e12) / 13.3e12 < 0.15
           and abs(pvc.total - 14.1e12) / 14.1e12 < 0.15

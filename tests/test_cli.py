@@ -44,11 +44,10 @@ class TestChecks:
                            "--seed", "3", "--tol", "1e-30")
         assert code == 1
 
-    def test_seed_from_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("PVC_SEED", "17")
+    def test_seed_defaults_to_zero(self, capsys):
         code, out, _ = run(capsys, "check-init-identity")
         assert code == 0
-        assert "seed = 17" in out
+        assert "seed = 0" in out
 
 
 class TestBudget:
@@ -216,7 +215,9 @@ class TestForwardCompress:
 
     @pytest.mark.parametrize("entry, value", [
         ("cfg.heads", "0"), ("cfg.patch_size", "0"), ("cfg.shuffle_kernel", "0"),
-        ("cfg.channels", "-32"), ("cfg.eps", "1e-05"), ("cfg.ts_scale", "500.0")])
+        ("cfg.channels", "-32"), ("cfg.eps", "1e-05"), ("cfg.ts_scale", "500.0"),
+        ("cfg.frame_bounds", "8 40"), ("cfg.pixel_std", "0 0 0"), ("cfg.bogus", "1"),
+        ("cfg.pixel_means", "0.1 0.2 0.3")])
     def test_forward_manifest_bad_config_entry_is_io_error(self, capsys, tmp_path,
                                                            entry, value):
         manifest = save_model(tmp_path / "model",

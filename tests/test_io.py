@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,20 @@ def test_header_layout(tmp_path):
     assert len(raw) == 28 + 8 * 6
 
 
+def test_read_holds_the_payload_once(tmp_path):
+    x = Rng(2).normal((1024, 1024))  # 8 MiB
+    path = tmp_path / "t.pvct"
+    io.write_tensor(path, x)
+    tracemalloc.start()
+    try:
+        back = io.read_tensor(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, x)
+    assert peak <= 1.2 * x.nbytes
+
+
 def test_bad_magic(tmp_path):
     path = tmp_path / "bad.pvct"
     path.write_bytes(b"NOPE" + b"\0" * 32)
@@ -67,9 +82,7 @@ def test_malformed_header(tmp_path, header):
 
 
 def test_model_round_trip_every_config_field(tmp_path):
-    cfg = toy_config(layers=2, temporal_layers=1, t_img=3,
-                     frame_bounds=(8, 40),
-                     pixel_mean=(0.5, 0.25, 0.125), pixel_std=(0.3, 0.2, 0.1))
+    cfg = toy_config(layers=2, temporal_layers=1, t_img=3)
     model = init_model(3, cfg)
     back = load_model(save_model(tmp_path, model))
     assert back.cfg == cfg
@@ -82,16 +95,44 @@ def test_model_round_trip_every_config_field(tmp_path):
     ("1e-06", "1000.0", True), ("0.000001", "1e3", True), ("1e-05", "1000.0", False),
     ("1e-06", "500.0", False), ("junk", "1000.0", False)])
 def test_load_model_checks_entries_of_former_config_fields(tmp_path, eps, ts_scale, loads):
-    # manifests saved while eps and ts_scale were PvcConfig fields carry them
+    # manifests saved while these were PvcConfig fields carry them, with
+    # the input entries at their defaults written as they were saved
     model = init_model(3, toy_config(layers=2, temporal_layers=1))
     manifest = save_model(tmp_path, model)
     io.write_manifest(manifest, {**io.read_manifest(manifest),
-                                 "cfg.eps": eps, "cfg.ts_scale": ts_scale})
+                                 "cfg.eps": eps, "cfg.ts_scale": ts_scale,
+                                 "cfg.frame_bounds": "16 96",
+                                 "cfg.pixel_mean": "0.485 0.456 0.406",
+                                 "cfg.pixel_std": "0.229 0.224 0.225"})
     if loads:
         assert load_model(manifest).cfg == model.cfg
     else:
         with pytest.raises(io.PvctError, match="is not supported"):
             load_model(manifest)
+
+
+@pytest.mark.parametrize("entry, value, message", [
+    ("cfg.frame_bounds", "8 40", "is not supported"),   # a former field off its constant
+    ("cfg.frame_bounds", "16", "is not supported"),
+    ("cfg.pixel_std", "0 0 0", "is not supported"),
+    ("cfg.pixel_mean", "0.485 0.456 junk", "is not supported"),
+    ("cfg.bogus", "1", "is not a field"),                 # never a field
+    ("cfg.pixel_means", "0.1 0.2 0.3", "is not a field")])
+def test_load_model_refuses_config_entries_that_are_not_fields(tmp_path, entry, value,
+                                                               message):
+    manifest = save_model(tmp_path, init_model(3, toy_config(layers=2, temporal_layers=1)))
+    io.write_manifest(manifest, {**io.read_manifest(manifest), entry: value})
+    with pytest.raises(io.PvctError, match=f"config entry {entry} .*{message}"):
+        load_model(manifest)
+
+
+def test_model_manifest_missing_config_entry(tmp_path):
+    manifest = save_model(tmp_path, init_model(3, toy_config(layers=2, temporal_layers=1)))
+    entries = io.read_manifest(manifest)
+    del entries["cfg.t_img"]
+    io.write_manifest(manifest, entries)
+    with pytest.raises(io.PvctError, match="missing config entry 'cfg.t_img'"):
+        load_model(manifest)
 
 
 def test_load_model_draws_no_random_weights(tmp_path, monkeypatch):
@@ -154,7 +195,8 @@ def test_named_params_names_are_manifest_entries():
 @pytest.mark.parametrize("entry, value", [
     ("image_size", "abc"),          # not a number
     ("image_size", "50"),           # not a multiple of patch_size
-    ("pixel_mean", "0.5 0.5"),      # too few values
+    ("pixel_mean", "0.5 0.5"),      # a former field, with too few values
+    ("t_img", "4.0"),               # not an int
 ])
 def test_model_manifest_bad_config(tmp_path, entry, value):
     manifest = save_model(tmp_path, init_model(3, toy_config(layers=2, temporal_layers=1)))

@@ -29,8 +29,8 @@ pvct_headers = st.builds(
     st.binary(max_size=64))
 
 # the integer config entries of a model manifest
-INT_CFG_KEYS = [f"cfg.{f.name}" for f in dataclasses.fields(PvcConfig)
-                if isinstance(f.default, int)]
+# every config field, plus an entry no manifest may carry
+CFG_KEYS = [f"cfg.{f.name}" for f in dataclasses.fields(PvcConfig)] + ["cfg.bogus"]
 
 
 def _read_or_reject(reader, path, data: bytes):
@@ -77,7 +77,7 @@ def saved_toy_model(tmp_path_factory):
 
 @FUZZ
 @given(changes=st.dictionaries(
-    st.sampled_from(INT_CFG_KEYS),
+    st.sampled_from(CFG_KEYS),
     st.one_of(st.integers(-2, 4).map(str),
               st.text(string.ascii_letters + " .-+_", max_size=8)),
     min_size=1))
