@@ -16,7 +16,7 @@ from .conditioning import (
     sinusoidal_embed,
     temporal_embedding,
 )
-from .tensor import Rng, layer_norm, linear, silu, softmax
+from .tensor import Rng, layer_norm, linear, silu
 from .verification import (
     check_causality,
     check_init_identity,

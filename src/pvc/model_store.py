@@ -103,20 +103,22 @@ def _check_no_other_weights(entries: dict, names, manifest_path: Path) -> None:
                                f"weight of this model")
 
 
-def _check_extents(cfg: PvcConfig, entries: dict, manifest_path: Path) -> None:
+def _check_extents(cfg: PvcConfig, entries: dict, manifest_path: Path) -> dict:
     """Check the config's layer count and extents against the manifest's
     layer entries and the weight files, before anything of the config's
-    size is allocated."""
+    size is allocated. Returns the weights it read, by name."""
     layers = {k.split(".")[1] for k in entries if k.startswith("weight.layer")}
     if len(layers) != cfg.layers:
         raise io.PvctError(f"{manifest_path}: cfg.layers = {cfg.layers}, but the "
                            f"manifest has weights for {len(layers)} layers")
     c = cfg.channels
+    read = {}
     for name, expected in (("patch.weight", (cfg.patch_size ** 2 * 3, c)),
                            ("patch.pos", (cfg.tokens_per_frame, c)),
                            ("layer00.ffn_w_in", (c, cfg.ffn_dim))):
-        _check_shape(manifest_path, name, _weight(entries, manifest_path, name).shape,
-                     expected)
+        read[name] = _weight(entries, manifest_path, name)
+        _check_shape(manifest_path, name, read[name].shape, expected)
+    return read
 
 
 def _save_tensors(directory, params, entries: dict, prefix: str = "") -> dict:
@@ -149,12 +151,12 @@ def load_model(manifest_path) -> ModelParams:
     manifest_path = Path(manifest_path)
     entries = io.read_manifest(manifest_path)
     cfg = _config_from_entries(entries, manifest_path)
-    _check_extents(cfg, entries, manifest_path)
+    read = _check_extents(cfg, entries, manifest_path)
     model = build_model(_NoDraws(), cfg)
     weights = dict(named_params(model))
     _check_no_other_weights(entries, weights, manifest_path)
     for name, arr in weights.items():
-        loaded = _weight(entries, manifest_path, name)
+        loaded = read.pop(name) if name in read else _weight(entries, manifest_path, name)
         _check_shape(manifest_path, name, loaded.shape, arr.shape)
         arr[...] = loaded
     return model

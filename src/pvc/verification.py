@@ -29,6 +29,9 @@ from .vit import (
     LayerParams,
     ModelParams,
     PvcConfig,
+    _attention_blocks,
+    _block_scores,
+    _heads,
     init_attention,
     init_layer,
     init_model,
@@ -107,28 +110,34 @@ def _mlp_bwd(dy: Array, w_in: Array, w_out: Array, cache: dict):
 
 
 def _attn_bwd(dy: Array, p: AttentionParams, cache: dict) -> dict:
-    x, q, k, v = cache["x"], cache["q"], cache["k"], cache["v"]
-    attn, ctx = cache["attn"], cache["ctx"]
+    """Grads of vit._attention, block by block as its forward ran.
+
+    Each block's probabilities are recomputed from q, k and the row
+    logsumexp, as FlashAttention's backward does. Masked scores are
+    MASK_VALUE, so their probability, and with it their grad, is exactly 0.
+    """
+    x, q, k, v, lse = cache["x"], cache["q"], cache["k"], cache["v"], cache["lse"]
     s, l, c = x.shape
-    h = p.heads
-    d = c // h
-
-    dctx_m, dwo, dbo = _linear_grads(ctx, dy, p.wo)
-    dctx = dctx_m.reshape(s, l, h, d).transpose(0, 2, 1, 3)
-    dattn = dctx @ v.transpose(0, 1, 3, 2)
-    dv = attn.transpose(0, 1, 3, 2) @ dctx
-    # softmax jacobian; masked positions have attn == 0 so their grad is 0
-    dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-    dscores = dscores / np.sqrt(d)
-    dq = dscores @ k
-    dk = dscores.transpose(0, 1, 3, 2) @ q
-
-    dq_m = dq.transpose(0, 2, 1, 3).reshape(s, l, c)
-    dk_m = dk.transpose(0, 2, 1, 3).reshape(s, l, c)
-    dv_m = dv.transpose(0, 2, 1, 3).reshape(s, l, c)
-    dxq, dwq, dbq = _linear_grads(x, dq_m, p.wq)
-    dxk, dwk, dbk = _linear_grads(x, dk_m, p.wk)
-    dxv, dwv, dbv = _linear_grads(x, dv_m, p.wv)
+    h, scale = p.heads, cache["scale"]
+    dctx, dwo, dbo = _linear_grads(cache["ctx"], dy, p.wo)
+    dq, dk, dv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
+    qh, kh, vh, dch, dqh, dkh, dvh = (_heads(a, h) for a in (q, k, v, dctx, dq, dk, dv))
+    for block in _attention_blocks(s, h, l):
+        ss, hs, _ = block
+        scores = _block_scores(qh, kh, block, cache["causal"], scale)
+        attn = np.exp(scores - lse[block][..., None])
+        dattn = dch[block] @ vh[ss, hs].swapaxes(-1, -2)
+        dvh[ss, hs] += attn.swapaxes(-1, -2) @ dch[block]
+        # softmax jacobian
+        dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+        dqh[block] = dscores @ kh[ss, hs]
+        dkh[ss, hs] += dscores.swapaxes(-1, -2) @ qh[block]
+    # the scores are (1/sqrt(d)) q_raw kᵀ = scale * q kᵀ for the cached q
+    dq *= 1.0 / np.sqrt(c // h)
+    dk *= scale
+    dxq, dwq, dbq = _linear_grads(x, dq, p.wq)
+    dxk, dwk, dbk = _linear_grads(x, dk, p.wk)
+    dxv, dwv, dbv = _linear_grads(x, dv, p.wv)
     return {"x": dxq + dxk + dxv, "wq": dwq, "wk": dwk, "wv": dwv, "wo": dwo,
             "bq": dbq, "bk": dbk, "bv": dbv, "bo": dbo}
 

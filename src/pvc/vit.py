@@ -17,6 +17,7 @@ where the temporal embedding reads it.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -33,12 +34,16 @@ from .conditioning import (
     temporal_embedding,
 )
 from .input_pipeline import PIXEL_MEAN, PIXEL_STD
-from .tensor import (NEW_WEIGHT_STD, Array, Rng, _sub_cache, layer_norm, linear,
-                     silu_mlp, softmax)
+from .tensor import (NEW_WEIGHT_STD, Array, Rng, _check_finite, _sub_cache, layer_norm,
+                     linear, silu_mlp)
 
 # Finite stand-in for -inf in masked attention scores; exp underflows to
 # exactly 0, which keeps causality bitwise rather than approximately.
 MASK_VALUE = -1e30
+
+# Most elements of any temporary inside the attention loop: the score block
+# of a (sequences, heads, queries) tile; 2**18 float64 values are 2 MB.
+ATTN_BLOCK = 2 ** 18
 
 
 @dataclass
@@ -221,25 +226,101 @@ def patchify(frames: Array, cfg: PvcConfig, patch: PatchEmbedParams) -> Array:
     return tokens
 
 
+def _heads(a: Array, heads: int) -> Array:
+    """The [S, H, L, d] head view of a [S, L, C] array; no copy."""
+    s, l, c = a.shape
+    return a.reshape(s, l, heads, c // heads).transpose(0, 2, 1, 3)
+
+
+def _block_shape(s: int, heads: int, l: int) -> tuple[int, int, int]:
+    """(sequences, heads, queries) of an attention block: whole query
+    ranges, then whole heads, then whole sequences, as far as the block's
+    [.., .., .., L] scores stay within ATTN_BLOCK elements. Short
+    sequences (T-MHA) thus run as a few blocks over the batch rather than
+    one per sequence and head."""
+    rows = max(1, ATTN_BLOCK // l)
+    return (min(s, max(1, rows // (heads * l))), min(heads, max(1, rows // l)),
+            min(l, rows))
+
+
+def _attention_blocks(s: int, heads: int, l: int):
+    """Slices (sequences, heads, queries) tiling the [S, H, L] query grid."""
+    bs, bh, bq = _block_shape(s, heads, l)
+    for s0 in range(0, s, bs):
+        for h0 in range(0, heads, bh):
+            for q0 in range(0, l, bq):
+                yield (slice(s0, min(s, s0 + bs)), slice(h0, min(heads, h0 + bh)),
+                       slice(q0, min(l, q0 + bq)))
+
+
+def _block_scores(q: Array, k: Array, block, causal: bool, scale: float,
+                  out: Array | None = None) -> Array:
+    """Scores scale * q @ kᵀ of one block from head views [S, H, L, d], with
+    keys after the query set to MASK_VALUE when causal: [bs, bh, bq, L]."""
+    ss, hs, qs = block
+    scores = np.matmul(q[ss, hs, qs], k[ss, hs].swapaxes(-1, -2), out=out)
+    if scale != 1.0:
+        scores *= scale
+    if causal:
+        later = np.arange(k.shape[2]) > np.arange(qs.start, qs.stop)[:, None]
+        np.copyto(scores, MASK_VALUE, where=later)
+    return scores
+
+
 def _attention(x: Array, p: AttentionParams, causal: bool,
                cache: dict | None = None) -> Array:
-    """Multi-head attention over axis 1 of x: [S, L, C] -> [S, L, C]."""
+    """Multi-head attention over axis 1 of x: [S, L, C] -> [S, L, C].
+
+    The queries go through in blocks (`_attention_blocks`), so the score
+    buffer never exceeds ATTN_BLOCK elements. The 1/sqrt(d) scale and the
+    softmax division go to the smaller operand. When L >= d (S-MHA) the
+    scale is folded into q and each block's exponentials multiply v
+    unnormalised, the [bq, d] context being divided by the row sums
+    afterwards (FlashAttention's deferred normalisation). Shorter
+    sequences (T-MHA) scale and normalise their [bq, L] scores instead.
+    With a `cache` dict, x, the projections q, k and v, the score `scale`
+    still to apply to q @ kᵀ, the context `ctx`, each row's logsumexp `lse`
+    [S, H, L] and `causal` are recorded in it; the backward recomputes the
+    probabilities from them.
+    """
     s, l, c = x.shape
     if c % p.heads != 0:
         raise ValueError(f"channels {c} not divisible by heads {p.heads}")
     d = c // p.heads
-    q = linear(x, p.wq, p.bq).reshape(s, l, p.heads, d).transpose(0, 2, 1, 3)
-    k = linear(x, p.wk, p.bk).reshape(s, l, p.heads, d).transpose(0, 2, 1, 3)
-    v = linear(x, p.wv, p.bv).reshape(s, l, p.heads, d).transpose(0, 2, 1, 3)
-    # softmax in place: the [S, H, L, L] scores are the only buffer of that size
-    attn = q @ k.transpose(0, 1, 3, 2)
-    attn /= np.sqrt(d)
-    if causal:
-        np.copyto(attn, MASK_VALUE, where=~np.tril(np.ones((l, l), dtype=bool)))
-    softmax(attn, out=attn)
-    ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(s, l, c)
+    q = linear(x, p.wq, p.bq)
+    scale = 1.0 / np.sqrt(d)  # a power of 2, so exact, when d is a power of 4
+    deferred = l >= d
+    if deferred:
+        q *= scale
+        scale = 1.0
+    k = linear(x, p.wk, p.bk)
+    v = linear(x, p.wv, p.bv)
+    ctx = np.empty_like(q)
+    qh, kh, vh, ch = (_heads(a, p.heads) for a in (q, k, v, ctx))
+    lse = None if cache is None else np.empty((s, p.heads, l))
+    buf = np.empty(math.prod(_block_shape(s, p.heads, l)) * l)
+    with np.errstate(invalid="ignore"):  # inf - inf from inf inputs; reported below
+        for block in _attention_blocks(s, p.heads, l):
+            ss, hs, _ = block
+            rows = qh[block].shape[:3]
+            scores = _block_scores(qh, kh, block, causal, scale,
+                                   out=buf[:math.prod(rows) * l].reshape(*rows, l))
+            top = scores.max(axis=-1, keepdims=True)
+            scores -= top
+            np.exp(scores, out=scores)
+            total = scores.sum(axis=-1, keepdims=True)
+            # the terms are >= 0, so a NaN or Inf anywhere shows in its sum
+            _check_finite(total, "attention")
+            if not deferred:
+                scores /= total
+            out = ch[block]
+            np.matmul(scores, vh[ss, hs], out=out)
+            if deferred:
+                out /= total
+            if lse is not None:
+                lse[block] = (top + np.log(total))[..., 0]
     if cache is not None:
-        cache.update(x=x, q=q, k=k, v=v, attn=attn, ctx=ctx)
+        cache.update(x=x, q=q, k=k, v=v, scale=scale, ctx=ctx, lse=lse, causal=causal)
     return linear(ctx, p.wo, p.bo)
 
 
@@ -284,9 +365,11 @@ def progressive_layer_forward(x: Array, frames: int, p: LayerParams,
         raise ValueError("a static video held once cannot be cached; "
                          "the backward passes expect every frame")
 
+    # each temporary is dropped once dead, unless the cache holds it
     h = layer_norm(x.reshape(b * t, n, c), gamma=p.ln1_gamma, beta=p.ln1_beta,
                    cache=_sub_cache(cache, "ln1"))
     x = x + spatial_mha(h, p.smha, _sub_cache(cache, "smha")).reshape(b, t, n, c)
+    del h
 
     if p.is_temporal:
         te = layer_te(frames, p, _sub_cache(cache, "te"))  # [T, C]
@@ -294,16 +377,21 @@ def progressive_layer_forward(x: Array, frames: int, p: LayerParams,
         t = frames
         a = ada_ln(np.broadcast_to(x, z.shape), z, p.adaln,
                    cache=_sub_cache(cache, "adaln"))
+        del z
         a = a.transpose(0, 2, 1, 3).reshape(b * n, t, c)
         tm = temporal_mha_causal(a, p.tmha, _sub_cache(cache, "tmha"))
+        del a
         tm = tm.reshape(b, n, t, c).transpose(0, 2, 1, 3)
         if cache is not None:
             cache["tm"] = tm
         x = x + p.gate_alpha * tm
+        del tm
 
     h = layer_norm(x, gamma=p.ln2_gamma, beta=p.ln2_beta,
                    cache=_sub_cache(cache, "ln2"))
-    return x + _ffn(h, p, _sub_cache(cache, "ffn"))
+    out = _ffn(h, p, _sub_cache(cache, "ffn"))
+    out += x
+    return out
 
 
 def vit_forward(x: Array, cfg: PvcConfig, model: ModelParams) -> Array:

@@ -148,6 +148,23 @@ def test_load_model_draws_no_random_weights(tmp_path, monkeypatch):
                in zip(named_params(model), named_params(back)))
 
 
+def test_load_model_reads_each_weight_file_once(tmp_path, monkeypatch):
+    model = init_model(3, toy_config(layers=2, temporal_layers=1))
+    manifest = save_model(tmp_path, model)
+    reads = []
+    real = io.read_tensor
+
+    def spy(path):
+        reads.append(path.name)
+        return real(path)
+
+    monkeypatch.setattr(io, "read_tensor", spy)
+    load_model(manifest)
+    files = [v for k, v in io.read_manifest(manifest).items() if k.startswith("weight.")]
+    assert sorted(reads) == sorted(files)
+    assert len(reads) == len(list(named_params(model)))
+
+
 def test_compression_round_trip(tmp_path):
     comp = init_compression(Rng(4), toy_config(), mlp_hidden=48, out_dim=24)
     save_compression(tmp_path, comp)

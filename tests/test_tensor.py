@@ -1,9 +1,11 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pvc import tensor
 from pvc.tensor import (
     NonFiniteError,
     Rng,
@@ -11,7 +13,7 @@ from pvc.tensor import (
     linear,
     sigmoid,
     silu,
-    softmax,
+    silu_mlp,
 )
 
 
@@ -78,43 +80,6 @@ class TestLinear:
         assert b is None or np.array_equal(b, b0)
 
 
-class TestSoftmax:
-    def test_uniform(self):
-        assert np.allclose(softmax(np.zeros(3)), [1 / 3] * 3, atol=0, rtol=0)
-
-    def test_two_element_shift(self):
-        x = np.array([5.0, 5.0 + 0.7])
-        sig = 1.0 / (1.0 + np.exp(0.7)), 1.0 / (1.0 + np.exp(-0.7))
-        assert np.allclose(softmax(x), sig, atol=1e-15)
-
-    def test_direct_evaluation(self):
-        x = np.array([1.0, 2.0, 3.0])
-        e = np.exp(x - 3.0)
-        assert np.allclose(softmax(x), e / e.sum(), atol=1e-15)
-
-    @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8),
-           st.floats(-30, 30))
-    def test_rows_sum_to_one_and_shift_invariant(self, vals, c):
-        x = np.array(vals)
-        s = softmax(x)
-        assert abs(s.sum() - 1.0) < 1e-12
-        assert np.allclose(s, softmax(x + c), atol=1e-12)
-
-    def test_out_buffer_matches_pure_call(self):
-        x = Rng(13).normal((3, 4, 5)) * 10
-        x0 = x.copy()
-        expect = softmax(x)
-        assert np.array_equal(x, x0)
-        got = softmax(x, out=x)
-        assert got is x
-        assert np.array_equal(got, expect)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_input_raises(self, bad):
-        with pytest.raises(NonFiniteError):
-            softmax(np.array([[0.5, 1.0], [bad, bad]]))
-
-
 class TestLayerNorm:
     def test_constant_input_zero(self):
         x = np.full((4,), 3.7)
@@ -177,12 +142,62 @@ class TestSilu:
             silu(np.array([0.5, bad]))
 
 
+class TestSiluMlp:
+    """silu_mlp holds the hidden activation MLP_ROW_BLOCK rows at a time."""
+
+    @staticmethod
+    def _mlp(rows, c=8, hidden=16, out=8):
+        rng = Rng(14)
+        return (rng.normal((1, rows, c)), rng.normal((c, hidden), 0.3),
+                rng.normal((hidden, out), 0.3), rng.normal((hidden,)), rng.normal((out,)))
+
+    @pytest.mark.parametrize("block", [3, 5, 23, 256])
+    def test_blocks_equal_the_unblocked_formula_bitwise(self, block, monkeypatch):
+        # 23 rows: blocks of 3 and 5 leave an uneven last block of 2 and 3
+        monkeypatch.setattr(tensor, "MLP_ROW_BLOCK", block)
+        x, w_in, w_out, b_in, b_out = self._mlp(23)
+        pre = linear(x, w_in, b_in)
+        expect = linear(silu(pre), w_out, b_out)
+        cache = {}
+        got = silu_mlp(x, w_in, w_out, b_in, b_out, cache)
+        # bitwise: a GEMM output row depends only on its own input row
+        assert np.array_equal(got, expect)
+        assert np.array_equal(silu_mlp(x, w_in, w_out, b_in, b_out), got)
+        assert cache["x"] is x
+        assert np.array_equal(cache["pre"], pre)
+        assert np.array_equal(cache["act"], silu(pre))
+
+    def test_one_row_blocks_match_the_unblocked_formula(self, monkeypatch):
+        # a 1-row product takes NumPy's vector-matrix path, which may round
+        # the last bit differently from the matrix product
+        monkeypatch.setattr(tensor, "MLP_ROW_BLOCK", 1)
+        x, w_in, w_out, b_in, b_out = self._mlp(23)
+        expect = linear(silu(linear(x, w_in, b_in)), w_out, b_out)
+        got = silu_mlp(x, w_in, w_out, b_in, b_out)
+        assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+    def test_uncached_peak_is_output_plus_two_blocks(self):
+        # 1000 rows: three full blocks of 256 and an uneven one
+        x, w_in, w_out, b_in, b_out = self._mlp(1000, c=32, hidden=512, out=16)
+        silu_mlp(x, w_in, w_out, b_in, b_out)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            out = silu_mlp(x, w_in, w_out, b_in, b_out)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        block = tensor.MLP_ROW_BLOCK * 512 * 8
+        # slack: NumPy's ufunc buffer (the broadcast bias add) and small objects
+        slack = np.getbufsize() * 8 + 4096
+        assert peak <= out.nbytes + 2 * block + slack
+
+
 class TestDeterminismAndRng:
     def test_ops_bitwise_repeatable(self):
         x = Rng(7).normal((5, 6))
         assert np.array_equal(layer_norm(x), layer_norm(x.copy()))
         assert np.array_equal(silu(x), silu(x.copy()))
-        assert np.array_equal(softmax(x), softmax(x.copy()))
 
     def test_same_seed_same_stream(self):
         a = Rng(123)
@@ -196,3 +211,11 @@ class TestDeterminismAndRng:
     def test_non_finite_raises(self):
         with pytest.raises(NonFiniteError):
             layer_norm(np.array([1.0, np.nan]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_finite_check_reports_every_kind(self, bad):
+        x = np.zeros((3, 4))
+        tensor._check_finite(x, "op")
+        x[2, 1] = bad
+        with pytest.raises(NonFiniteError, match="op: result contains NaN or Inf"):
+            tensor._check_finite(x, "op")

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pvc import vit
 from pvc.conditioning import ada_ln
-from pvc.tensor import Rng, layer_norm, silu
-from pvc.verification import randomize_gates, toy_config
+from pvc import tensor
+from pvc.tensor import NonFiniteError, Rng, layer_norm, silu
+from pvc.verification import randomize_gates, run_grad_check, toy_config
 from pvc.vit import (
     AttentionParams,
     PatchEmbedParams,
@@ -43,6 +46,18 @@ def reference_attention(x, p, causal):
             ctx[:, cols] = softmax(scores) @ v[:, cols]
         out[i] = ctx @ p.wo + p.bo
     return out
+
+
+def peak_bytes(fn):
+    """Tracemalloc peak of a second call of fn above what was held before it."""
+    fn()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
 
 
 def make_batch(rng, cfg, b=1, t=4):
@@ -166,6 +181,62 @@ def test_attention_matches_reference_and_keeps_input(mha, causal):
     assert np.max(np.abs(out - reference_attention(x, p, causal))) <= 1e-12
 
 
+# ATTN_BLOCK values that cut [S=3, H=2, L=7] into blocks of: one query row;
+# 3 queries (7 = 3 + 3 + 1); one whole head; both heads of 2 sequences (3 = 2 + 1)
+SMALL_ATTN_BLOCKS = [1, 3 * 7, 7 * 7, 2 * 2 * 7 * 7]
+
+
+@pytest.mark.parametrize("block", SMALL_ATTN_BLOCKS)
+def test_attention_blocks_tile_the_query_grid(block, monkeypatch):
+    monkeypatch.setattr(vit, "ATTN_BLOCK", block)
+    hits = np.zeros((3, 2, 7), dtype=int)
+    blocks = list(vit._attention_blocks(3, 2, 7))
+    for b in blocks:
+        hits[b] += 1
+        assert hits[b].size * 7 <= max(block, 7)
+    assert (hits == 1).all() and len(blocks) > 1
+
+
+@pytest.mark.parametrize("c", [8, 32], ids=["deferred", "short"])  # d = 4 or 16 vs L = 7
+@pytest.mark.parametrize("causal", [False, True])
+@pytest.mark.parametrize("block", SMALL_ATTN_BLOCKS)
+def test_blocked_attention_matches_reference(block, causal, c, monkeypatch):
+    monkeypatch.setattr(vit, "ATTN_BLOCK", block)
+    rng = Rng(60)
+    p = init_attention(rng, c=c, heads=2, std=0.5)
+    x = rng.normal((3, 7, c)) * 2.0
+    mha = temporal_mha_causal if causal else spatial_mha
+    assert np.max(np.abs(mha(x, p) - reference_attention(x, p, causal))) <= 1e-12
+
+
+@pytest.mark.parametrize("module", ["tmha_causal", "progressive_layer"])
+def test_grad_check_with_small_blocks(module, monkeypatch):
+    # several attention blocks per sequence with an uneven last one, and
+    # MLPs of several row blocks, the last one uneven
+    monkeypatch.setattr(vit, "ATTN_BLOCK", 12)
+    monkeypatch.setattr(tensor, "MLP_ROW_BLOCK", 2)
+    report = run_grad_check(module, seed=0)
+    assert report.passed
+    assert max(e.max_rel_err for e in report.entries) < 1e-6
+
+
+@pytest.mark.parametrize("mha", [spatial_mha, temporal_mha_causal])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_attention_non_finite_input_raises(mha, bad):
+    p = init_attention(Rng(61), c=8, heads=2, std=0.5)
+    x = Rng(62).normal((2, 5, 8))
+    x[1, 3, 2] = bad
+    with pytest.raises(NonFiniteError):
+        mha(x, p)
+
+
+def test_spatial_mha_peak_memory_is_bounded():
+    # the whole [1, 4, 1024, 1024] score tensor alone would be 33.6 MB
+    p = init_attention(Rng(63), c=32, heads=4)
+    x = Rng(64).normal((1, 1024, 32))
+    assert peak_bytes(lambda: spatial_mha(x, p)) < 8e6
+
+
 class TestProgressiveLayer:
     def _temporal_layer(self, rng, cfg, gate_std=0.0):
         p = init_layer(rng, cfg, temporal=True)
@@ -214,6 +285,17 @@ class TestProgressiveLayer:
 
         out = progressive_layer_forward(x0, t, p)
         assert np.max(np.abs(out - expect)) < 1e-12
+
+    def test_temporal_layer_drops_dead_temporaries(self, monkeypatch):
+        # with small blocks the layer's own [B,T,N,C] arrays set the peak:
+        # about 7.2 copies of x; keeping LN1's output or z alive adds one each
+        monkeypatch.setattr(vit, "ATTN_BLOCK", 4096)
+        monkeypatch.setattr(tensor, "MLP_ROW_BLOCK", 64)
+        cfg = toy_config(image_size=224, channels=64, heads=4, ffn_dim=256,
+                         layers=1, temporal_layers=1)
+        p = self._temporal_layer(Rng(15), cfg, gate_std=0.5)
+        x = make_batch(Rng(16), cfg)
+        assert peak_bytes(lambda: progressive_layer_forward(x, 4, p)) <= 7.5 * x.nbytes
 
     def test_gate_initialized_exactly_zero(self):
         p = init_layer(Rng(14), toy_config(), temporal=True)
