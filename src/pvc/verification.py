@@ -23,14 +23,12 @@ from .conditioning import (
     init_temporal_embedding,
     temporal_embedding,
 )
-from .tensor import NEW_WEIGHT_STD, Array, Rng, silu_grad
+from .tensor import Array, Rng, silu_grad
 from .vit import (
     AttentionParams,
     LayerParams,
     ModelParams,
     PvcConfig,
-    _attention_blocks,
-    _block_scores,
     _heads,
     init_attention,
     init_layer,
@@ -110,31 +108,23 @@ def _mlp_bwd(dy: Array, w_in: Array, w_out: Array, cache: dict):
 
 
 def _attn_bwd(dy: Array, p: AttentionParams, cache: dict) -> dict:
-    """Grads of vit._attention, block by block as its forward ran.
+    """Grads of vit._attention from the probabilities its forward cached.
 
-    Each block's probabilities are recomputed from q, k and the row
-    logsumexp, as FlashAttention's backward does. Masked scores are
-    MASK_VALUE, so their probability, and with it their grad, is exactly 0.
+    The textbook softmax backward over the whole [S, H, L, L] `attn`.
+    Masked probabilities are exactly 0, and so are their score grads.
     """
-    x, q, k, v, lse = cache["x"], cache["q"], cache["k"], cache["v"], cache["lse"]
+    x, q, k, v, attn = cache["x"], cache["q"], cache["k"], cache["v"], cache["attn"]
     s, l, c = x.shape
-    h, scale = p.heads, cache["scale"]
+    h = p.heads
     dctx, dwo, dbo = _linear_grads(cache["ctx"], dy, p.wo)
-    dq, dk, dv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
-    qh, kh, vh, dch, dqh, dkh, dvh = (_heads(a, h) for a in (q, k, v, dctx, dq, dk, dv))
-    for block in _attention_blocks(s, h, l):
-        ss, hs, _ = block
-        scores = _block_scores(qh, kh, block, cache["causal"], scale)
-        attn = np.exp(scores - lse[block][..., None])
-        dattn = dch[block] @ vh[ss, hs].swapaxes(-1, -2)
-        dvh[ss, hs] += attn.swapaxes(-1, -2) @ dch[block]
-        # softmax jacobian
-        dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-        dqh[block] = dscores @ kh[ss, hs]
-        dkh[ss, hs] += dscores.swapaxes(-1, -2) @ qh[block]
-    # the scores are (1/sqrt(d)) q_raw kᵀ = scale * q kᵀ for the cached q
-    dq *= 1.0 / np.sqrt(c // h)
-    dk *= scale
+    qh, kh, vh, dch = (_heads(a, h) for a in (q, k, v, dctx))
+    merge = lambda a: a.transpose(0, 2, 1, 3).reshape(s, l, c)  # inverse of _heads
+    dattn = dch @ vh.swapaxes(-1, -2)
+    dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+    # the scores are q kᵀ for the cached q, which is x wq + bq scaled by 1/sqrt(d)
+    dq = merge(dscores @ kh) / np.sqrt(c // h)
+    dk = merge(dscores.swapaxes(-1, -2) @ qh)
+    dv = merge(attn.swapaxes(-1, -2) @ dch)
     dxq, dwq, dbq = _linear_grads(x, dq, p.wq)
     dxk, dwk, dbk = _linear_grads(x, dk, p.wk)
     dxv, dwv, dbv = _linear_grads(x, dv, p.wv)
@@ -211,15 +201,6 @@ def _compression_bwd(dy: Array, p: CompressionParams, k: int, cache: dict) -> di
     grads = dict(zip(("w_in", "b_in", "w_out", "b_out"), mlp))
     grads["x"] = pixel_unshuffle(_conditioned_adaln_bwd(da, p, cache, grads), k)
     return grads
-
-
-def backward_progressive_layer(x: Array, p: LayerParams, upstream: Array) -> dict:
-    """Full reverse pass of one layer: input grad plus every parameter grad."""
-    if upstream.shape != x.shape:
-        raise ValueError("upstream shape mismatch")
-    cache: dict = {}
-    progressive_layer_forward(x, x.shape[1], p, cache)
-    return _layer_bwd(upstream, p, cache)
 
 
 def stack_input_gradient(x: Array, model: ModelParams, upstream: Array) -> Array:
@@ -316,9 +297,7 @@ def _probe(module_id: str, seed: int):
 
     if module_id == "compression":
         cfg = toy_config(channels=3, heads=1, ffn_dim=6, layers=1, temporal_layers=0)
-        p = init_compression(rng, cfg, mlp_hidden=7, out_dim=5)
-        for _, w in named_params(p):
-            w *= std / NEW_WEIGHT_STD  # the biases are zero and stay zero
+        p = _randomized(init_compression(Rng(0), cfg, mlp_hidden=7, out_dim=5), rng, std)
         x = rng.normal((1, 2, cfg.tokens_per_frame, cfg.channels))
         return ({"x": x}, p, lambda cache: compress(x, p, cfg, cache),
                 lambda g, cache: _compression_bwd(g, p, cfg.shuffle_kernel, cache))

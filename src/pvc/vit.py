@@ -253,74 +253,53 @@ def _attention_blocks(s: int, heads: int, l: int):
                        slice(q0, min(l, q0 + bq)))
 
 
-def _block_scores(q: Array, k: Array, block, causal: bool, scale: float,
-                  out: Array | None = None) -> Array:
-    """Scores scale * q @ kᵀ of one block from head views [S, H, L, d], with
-    keys after the query set to MASK_VALUE when causal: [bs, bh, bq, L]."""
-    ss, hs, qs = block
-    scores = np.matmul(q[ss, hs, qs], k[ss, hs].swapaxes(-1, -2), out=out)
-    if scale != 1.0:
-        scores *= scale
-    if causal:
-        later = np.arange(k.shape[2]) > np.arange(qs.start, qs.stop)[:, None]
-        np.copyto(scores, MASK_VALUE, where=later)
-    return scores
-
-
 def _attention(x: Array, p: AttentionParams, causal: bool,
                cache: dict | None = None) -> Array:
     """Multi-head attention over axis 1 of x: [S, L, C] -> [S, L, C].
 
     The queries go through in blocks (`_attention_blocks`), so the score
-    buffer never exceeds ATTN_BLOCK elements. The 1/sqrt(d) scale and the
-    softmax division go to the smaller operand. When L >= d (S-MHA) the
-    scale is folded into q and each block's exponentials multiply v
-    unnormalised, the [bq, d] context being divided by the row sums
-    afterwards (FlashAttention's deferred normalisation). Shorter
-    sequences (T-MHA) scale and normalise their [bq, L] scores instead.
-    With a `cache` dict, x, the projections q, k and v, the score `scale`
-    still to apply to q @ kᵀ, the context `ctx`, each row's logsumexp `lse`
-    [S, H, L] and `causal` are recorded in it; the backward recomputes the
-    probabilities from them.
+    buffer never exceeds ATTN_BLOCK elements. 1/sqrt(d) is folded into q,
+    each block's exponentials multiply v unnormalised, and the [bq, d]
+    context is divided by the row sums afterwards (FlashAttention's
+    deferred normalisation). Masked scores are MASK_VALUE, whose
+    exponential is exactly 0.
+    With a `cache` dict, x, the projections q (scaled), k and v, the
+    context `ctx` and the probabilities `attn` [S, H, L, L] are recorded
+    in it for the backward. `attn` is the whole score tensor the blocks
+    avoid, so a cached forward is for toy-scale checks.
     """
     s, l, c = x.shape
     if c % p.heads != 0:
         raise ValueError(f"channels {c} not divisible by heads {p.heads}")
-    d = c // p.heads
     q = linear(x, p.wq, p.bq)
-    scale = 1.0 / np.sqrt(d)  # a power of 2, so exact, when d is a power of 4
-    deferred = l >= d
-    if deferred:
-        q *= scale
-        scale = 1.0
+    q *= 1.0 / np.sqrt(c // p.heads)
     k = linear(x, p.wk, p.bk)
     v = linear(x, p.wv, p.bv)
     ctx = np.empty_like(q)
     qh, kh, vh, ch = (_heads(a, p.heads) for a in (q, k, v, ctx))
-    lse = None if cache is None else np.empty((s, p.heads, l))
+    attn = None if cache is None else np.empty((s, p.heads, l, l))
     buf = np.empty(math.prod(_block_shape(s, p.heads, l)) * l)
     with np.errstate(invalid="ignore"):  # inf - inf from inf inputs; reported below
         for block in _attention_blocks(s, p.heads, l):
-            ss, hs, _ = block
+            ss, hs, qs = block
             rows = qh[block].shape[:3]
-            scores = _block_scores(qh, kh, block, causal, scale,
-                                   out=buf[:math.prod(rows) * l].reshape(*rows, l))
-            top = scores.max(axis=-1, keepdims=True)
-            scores -= top
+            scores = np.matmul(qh[block], kh[ss, hs].swapaxes(-1, -2),
+                               out=buf[:math.prod(rows) * l].reshape(*rows, l))
+            if causal:
+                later = np.arange(l) > np.arange(qs.start, qs.stop)[:, None]
+                np.copyto(scores, MASK_VALUE, where=later)
+            scores -= scores.max(axis=-1, keepdims=True)
             np.exp(scores, out=scores)
             total = scores.sum(axis=-1, keepdims=True)
             # the terms are >= 0, so a NaN or Inf anywhere shows in its sum
             _check_finite(total, "attention")
-            if not deferred:
-                scores /= total
             out = ch[block]
             np.matmul(scores, vh[ss, hs], out=out)
-            if deferred:
-                out /= total
-            if lse is not None:
-                lse[block] = (top + np.log(total))[..., 0]
+            out /= total
+            if attn is not None:
+                np.divide(scores, total, out=attn[block])
     if cache is not None:
-        cache.update(x=x, q=q, k=k, v=v, scale=scale, ctx=ctx, lse=lse, causal=causal)
+        cache.update(x=x, q=q, k=k, v=v, ctx=ctx, attn=attn)
     return linear(ctx, p.wo, p.bo)
 
 

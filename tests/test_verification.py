@@ -13,7 +13,6 @@ from pvc.conditioning import (
 from pvc.tensor import Rng, layer_norm, silu, silu_mlp
 from pvc.verification import (
     CHECKED_MODULES,
-    backward_progressive_layer,
     check_causality,
     check_init_identity,
     finite_diff_grad,
@@ -172,7 +171,9 @@ class TestProgressiveLayerBackward:
 
     def test_zero_upstream_zero_grads(self):
         cfg, p, x = self._setup(42)
-        grads = backward_progressive_layer(x, p, np.zeros_like(x))
+        cache = {}
+        progressive_layer_forward(x, 3, p, cache)
+        grads = verification._layer_bwd(np.zeros_like(x), p, cache)
         for g in grads.values():
             assert np.array_equal(g, np.zeros_like(g))
 
@@ -183,7 +184,9 @@ class TestProgressiveLayerBackward:
         p.gate_alpha[...] = 0.0
         g_up = Rng(44).normal(x.shape)
         g_up *= 1e-4 / float(np.sum(np.abs(g_up)))
-        grads = backward_progressive_layer(x, p, g_up)
+        cache = {}
+        progressive_layer_forward(x, 3, p, cache)
+        grads = verification._layer_bwd(g_up, p, cache)
         assert np.max(np.abs(grads["gate_alpha"])) > 0.0
 
         def loss(alpha):
@@ -199,10 +202,12 @@ class TestProgressiveLayerBackward:
     def test_gradient_causality_exact(self):
         cfg, p, x = self._setup(45)
         t = x.shape[1]
+        cache = {}
+        progressive_layer_forward(x, t, p, cache)
         for j in range(t - 1):
             up = np.zeros_like(x)
             up[:, j] = Rng(46 + j).normal(up[:, j].shape)
-            g = backward_progressive_layer(x, p, up)["x"]
+            g = verification._layer_bwd(up, p, cache)["x"]
             assert np.max(np.abs(g[:, j + 1:])) == 0.0
             assert np.max(np.abs(g[:, j])) > 0.0
 

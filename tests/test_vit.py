@@ -30,8 +30,9 @@ def softmax(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def reference_attention(x, p, causal):
-    """Multi-head attention one sequence and one head at a time."""
+def reference_attention(x, p, causal, probs=None):
+    """Multi-head attention one sequence and one head at a time; the
+    softmax probabilities go into `probs` [S, H, L, L] when given."""
     s, l, c = x.shape
     d = c // p.heads
     out = np.zeros_like(x)
@@ -43,7 +44,10 @@ def reference_attention(x, p, causal):
             scores = q[:, cols] @ k[:, cols].T / np.sqrt(d)
             if causal:
                 scores[np.triu_indices(l, 1)] = -np.inf
-            ctx[:, cols] = softmax(scores) @ v[:, cols]
+            attn = softmax(scores)
+            if probs is not None:
+                probs[i, h] = attn
+            ctx[:, cols] = attn @ v[:, cols]
         out[i] = ctx @ p.wo + p.bo
     return out
 
@@ -197,7 +201,9 @@ def test_attention_blocks_tile_the_query_grid(block, monkeypatch):
     assert (hits == 1).all() and len(blocks) > 1
 
 
-@pytest.mark.parametrize("c", [8, 32], ids=["deferred", "short"])  # d = 4 or 16 vs L = 7
+# d = 4 < L = 7, or a sequence shorter than the head width, d = 16 > L = 7;
+# both go through the one deferred-normalisation path
+@pytest.mark.parametrize("c", [8, 32], ids=["deferred", "short"])
 @pytest.mark.parametrize("causal", [False, True])
 @pytest.mark.parametrize("block", SMALL_ATTN_BLOCKS)
 def test_blocked_attention_matches_reference(block, causal, c, monkeypatch):
@@ -206,7 +212,16 @@ def test_blocked_attention_matches_reference(block, causal, c, monkeypatch):
     p = init_attention(rng, c=c, heads=2, std=0.5)
     x = rng.normal((3, 7, c)) * 2.0
     mha = temporal_mha_causal if causal else spatial_mha
-    assert np.max(np.abs(mha(x, p) - reference_attention(x, p, causal))) <= 1e-12
+    probs = np.empty((3, 2, 7, 7))
+    assert np.max(np.abs(mha(x, p) - reference_attention(x, p, causal, probs))) <= 1e-12
+    # the probabilities a cached forward records for the backward
+    cache = {}
+    mha(x, p, cache)
+    attn = cache["attn"]
+    assert np.max(np.abs(attn - probs)) <= 1e-12
+    assert np.max(np.abs(attn.sum(axis=-1) - 1.0)) <= 1e-15
+    if causal:
+        assert (attn[..., np.triu(np.ones((7, 7), dtype=bool), 1)] == 0.0).all()
 
 
 @pytest.mark.parametrize("module", ["tmha_causal", "progressive_layer"])
