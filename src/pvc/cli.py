@@ -201,6 +201,7 @@ def _cmd_pipeline(args) -> int:
         print(f"pipeline: video, {t} sampled frame(s)")
 
     x = vit_forward(patchify(pixels, cfg, model.patch), cfg, model)
+    del model, pixels  # the ViT weights go before the compressor's are built
     out = compress(x, init_compression(Rng(args.seed + 1), cfg), cfg)
     _write_tokens(args.output, out)
     print(f"pipeline: wrote {args.output} shape={out.shape} "

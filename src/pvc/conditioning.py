@@ -115,16 +115,21 @@ def ada_ln(x: Array, z: Array, p: AdaLnParams,
     """gamma(z) * LayerNorm(x) + beta(z) over the last axis.
 
     The inner LayerNorm carries no learned affine of its own; the scale
-    and bias come entirely from the condition. With a `cache` dict, the
-    intermediates of affine_coeffs and layer_norm, and gamma, are recorded
-    in it.
+    and bias come entirely from the condition. x may have extent 1 where z
+    has more (a static video held once), and is then normalised once. The
+    scale is multiplied by the LN output in place, which is freed before
+    the bias is computed. With a `cache` dict, the intermediates of
+    affine_coeffs' two MLPs and of layer_norm, and gamma, are recorded.
     """
     x = np.asarray(x, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
-    if x.shape != z.shape:
-        raise ValueError(f"x shape {x.shape} != z shape {z.shape}")
-    gamma, beta = affine_coeffs(z, p, cache)
-    out = gamma * layer_norm(x, cache=cache) + beta
+    if z.shape[-1] != p.dim:
+        raise ValueError(f"condition width {z.shape[-1]} != {p.dim}")
+    if x.ndim != z.ndim or np.broadcast_shapes(x.shape, z.shape) != z.shape:
+        raise ValueError(f"x shape {x.shape} does not broadcast to z shape {z.shape}")
+    out = silu_mlp(z, p.w3, p.w4, cache=_sub_cache(cache, "scale"))
     if cache is not None:
-        cache["gamma"] = gamma
+        cache["gamma"], out = out, out.copy()
+    out *= layer_norm(x, cache=cache)
+    out += silu_mlp(z, p.w5, p.w6, cache=_sub_cache(cache, "shift"))
     return out

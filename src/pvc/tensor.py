@@ -13,8 +13,10 @@ Array = np.ndarray
 
 EPS_NORM = 1e-6
 NEW_WEIGHT_STD = 0.02  # std of every freshly drawn weight matrix
-# Rows of a SiLU MLP's hidden activation held at once; 256 rows of the
-# benchmark's 1024-wide FFN are 2 MB.
+# Most elements of a chunk-sized temporary: a SiLU MLP's hidden block, and
+# each [.., C] array a ViT layer holds per chunk; 2**18 float64 values are 2 MB.
+CHUNK_ELEMENTS = 2 ** 18
+# Fewest rows of a SiLU MLP block, so a wide MLP keeps tall GEMMs.
 MLP_ROW_BLOCK = 256
 
 
@@ -73,9 +75,10 @@ def silu_mlp(x: Array, w_in: Array, w_out: Array, b_in: Array | None = None,
              b_out: Array | None = None, cache: dict | None = None) -> Array:
     """Two projections with SiLU between: linear(silu(linear(x, w_in, b_in)), w_out, b_out).
 
-    The rows of x (all leading axes flattened) go through MLP_ROW_BLOCK at a
-    time, each block's output written into the one result array, so the
-    hidden activation is never held for every row. With a `cache` dict,
+    The rows of x (all leading axes flattened) go through in blocks of
+    CHUNK_ELEMENTS hidden values, but at least MLP_ROW_BLOCK rows, each
+    block's output written into the one result array, so the hidden
+    activation is never held for every row. With a `cache` dict,
     the input, the pre-activation and the activation are recorded in it
     as `x`, `pre` and `act`, each for every row.
     """
@@ -85,8 +88,9 @@ def silu_mlp(x: Array, w_in: Array, w_out: Array, b_in: Array | None = None,
     if cache is not None:
         pre, act = np.empty((len(rows), hidden)), np.empty((len(rows), hidden))
         cache.update(x=x, pre=pre.reshape(*lead, hidden), act=act.reshape(*lead, hidden))
-    for r in range(0, len(rows), MLP_ROW_BLOCK):
-        block = slice(r, r + MLP_ROW_BLOCK)
+    step = max(MLP_ROW_BLOCK, CHUNK_ELEMENTS // hidden)
+    for r in range(0, len(rows), step):
+        block = slice(r, r + step)
         h = linear(rows[block], w_in, b_in)
         if cache is not None:
             pre[block] = h
@@ -110,27 +114,26 @@ def layer_norm(x: Array, gamma: Array | None = None, beta: Array | None = None,
     """Normalize to zero mean / unit variance along the last axis, then affine.
 
     gamma/beta, when given, are 1-D with the extent of the last axis.
-    With a `cache` dict, the normalized x (before the affine) and the
-    standard deviation are recorded in it as `xhat` and `std`.
+    The result is built in one buffer. With a `cache` dict, the normalized
+    x (before the affine) and the standard deviation are recorded in it as
+    `xhat` and `std`, and the affine goes to a copy.
     """
     x = np.asarray(x, dtype=np.float64)
+    d = x.shape[-1]
+    for name, v in (("gamma", gamma), ("beta", beta)):
+        if v is not None and np.shape(v) != (d,):
+            raise ValueError(f"{name} shape {np.shape(v)} != ({d},)")
     mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    std = np.sqrt(var + EPS_NORM)
-    out = (x - mu) / std
+    std = np.sqrt(x.var(axis=-1, keepdims=True) + EPS_NORM)
+    out = np.subtract(x, mu)
+    out /= std
     if cache is not None:
         cache.update(xhat=out, std=std)
-    d = x.shape[-1]
+        out = out.copy()
     if gamma is not None:
-        g = np.asarray(gamma, dtype=np.float64)
-        if g.shape != (d,):
-            raise ValueError(f"gamma shape {g.shape} != ({d},)")
-        out = out * g
+        out *= gamma
     if beta is not None:
-        b = np.asarray(beta, dtype=np.float64)
-        if b.shape != (d,):
-            raise ValueError(f"beta shape {b.shape} != ({d},)")
-        out = out + b
+        out += beta
     _check_finite(out, "layer_norm")
     return out
 

@@ -168,12 +168,12 @@ def _layer_bwd(dy: Array, p: LayerParams, cache: dict) -> dict:
     b, t, n, c = dy.shape
     grads: dict = {}
 
-    # FFN branch
-    dn2, *ffn = _mlp_bwd(dy, p.ffn_w_in, p.ffn_w_out, cache["ffn"])
+    # FFN branch, which ran on the [B*T*N, C] rows
+    dn2, *ffn = _mlp_bwd(dy.reshape(-1, c), p.ffn_w_in, p.ffn_w_out, cache["ffn"])
     grads.update(zip(("ffn_w_in", "ffn_b_in", "ffn_w_out", "ffn_b_out"), ffn))
     dx2, grads["ln2_gamma"], grads["ln2_beta"] = _ln_affine_bwd(dn2, p.ln2_gamma,
                                                                cache["ln2"])
-    dx2 += dy
+    dx2 = dy + dx2.reshape(b, t, n, c)
 
     # temporal branch
     if p.is_temporal:

@@ -33,6 +33,7 @@ from .conditioning import (
     sinusoidal_embed,
     temporal_embedding,
 )
+from . import tensor
 from .input_pipeline import PIXEL_MEAN, PIXEL_STD
 from .tensor import (NEW_WEIGHT_STD, Array, Rng, _check_finite, _sub_cache, layer_norm,
                      linear, silu_mlp)
@@ -324,6 +325,14 @@ def layer_te(t: int, p: LayerParams, cache: dict | None = None) -> Array:
     return temporal_embedding(sinusoidal_embed(relative_timestamps(t)), p.te, cache)
 
 
+def _chunks(extent: int, item: int, whole: bool) -> list[slice]:
+    """Slices tiling range(extent), each covering as many items of `item`
+    elements as fit in CHUNK_ELEMENTS (at least one), or one slice when
+    `whole`."""
+    step = extent if whole else max(1, tensor.CHUNK_ELEMENTS // item)
+    return [slice(i, min(extent, i + step)) for i in range(0, extent, step)]
+
+
 def progressive_layer_forward(x: Array, frames: int, p: LayerParams,
                               cache: dict | None = None) -> Array:
     """One ViT layer on tokens [B, T, N, C] of a `frames`-frame video.
@@ -333,9 +342,15 @@ def progressive_layer_forward(x: Array, frames: int, p: LayerParams,
     `frames` distinct frames. Applies the gated temporal block only when
     present.
 
-    With a `cache` dict, each sublayer records its intermediates in a dict
-    under its own key (`ln1`, `smha`, ...), and the ungated T-MHA output is
-    kept as `tm`; the backward pass reads them.
+    The layer writes one output array and never its input. Each sublayer
+    is added into the output a chunk at a time, so its temporaries hold
+    about CHUNK_ELEMENTS values each: LN1 + S-MHA over whole frames, the
+    temporal block over spatial positions (T-MHA mixes only the frames of
+    one position), LN2 + FFN over rows.
+
+    With a `cache` dict, every sublayer runs as one chunk and records its
+    intermediates in a dict under its own key (`ln1`, `smha`, ...), and
+    the ungated T-MHA output is kept as `tm`; the backward pass reads them.
     """
     b, t, n, c = x.shape
     if t not in (1, frames):
@@ -343,33 +358,39 @@ def progressive_layer_forward(x: Array, frames: int, p: LayerParams,
     if cache is not None and t != frames:
         raise ValueError("a static video held once cannot be cached; "
                          "the backward passes expect every frame")
+    whole = cache is not None
 
-    # each temporary is dropped once dead, unless the cache holds it
-    h = layer_norm(x.reshape(b * t, n, c), gamma=p.ln1_gamma, beta=p.ln1_beta,
-                   cache=_sub_cache(cache, "ln1"))
-    x = x + spatial_mha(h, p.smha, _sub_cache(cache, "smha")).reshape(b, t, n, c)
-    del h
+    x = x.reshape(b * t, n, c)
+    out = np.empty((b * t, n, c))
+    for f in _chunks(b * t, n * c, whole):
+        h = layer_norm(x[f], gamma=p.ln1_gamma, beta=p.ln1_beta,
+                       cache=_sub_cache(cache, "ln1"))
+        np.add(x[f], spatial_mha(h, p.smha, _sub_cache(cache, "smha")), out=out[f])
+    out = out.reshape(b, t, n, c)
 
     if p.is_temporal:
+        if t != frames:
+            out = np.repeat(out, frames, axis=1)
         te = layer_te(frames, p, _sub_cache(cache, "te"))  # [T, C]
-        z = x + te[None, :, None, :]
-        t = frames
-        a = ada_ln(np.broadcast_to(x, z.shape), z, p.adaln,
-                   cache=_sub_cache(cache, "adaln"))
-        del z
-        a = a.transpose(0, 2, 1, 3).reshape(b * n, t, c)
-        tm = temporal_mha_causal(a, p.tmha, _sub_cache(cache, "tmha"))
-        del a
-        tm = tm.reshape(b, n, t, c).transpose(0, 2, 1, 3)
-        if cache is not None:
-            cache["tm"] = tm
-        x = x + p.gate_alpha * tm
-        del tm
+        for s in _chunks(n, b * frames * c, whole):
+            y = out[:, :, s]  # [B, T, n_c, C], written only after T-MHA
+            z = y + te[None, :, None, :]
+            # held once, LN runs on the one frame and broadcasts over T
+            a = ada_ln(y[:, :t], z, p.adaln, cache=_sub_cache(cache, "adaln"))
+            del z
+            a = a.transpose(0, 2, 1, 3).reshape(-1, frames, c)
+            tm = temporal_mha_causal(a, p.tmha, _sub_cache(cache, "tmha"))
+            del a
+            tm = tm.reshape(b, -1, frames, c).transpose(0, 2, 1, 3)
+            if cache is not None:
+                cache["tm"] = tm
+            y += p.gate_alpha * tm
 
-    h = layer_norm(x, gamma=p.ln2_gamma, beta=p.ln2_beta,
-                   cache=_sub_cache(cache, "ln2"))
-    out = _ffn(h, p, _sub_cache(cache, "ffn"))
-    out += x
+    rows = out.reshape(-1, c)
+    for r in _chunks(len(rows), c, whole):
+        h = layer_norm(rows[r], gamma=p.ln2_gamma, beta=p.ln2_beta,
+                       cache=_sub_cache(cache, "ln2"))
+        rows[r] += _ffn(h, p, _sub_cache(cache, "ffn"))
     return out
 
 

@@ -1,9 +1,10 @@
 import struct
+import weakref
 
 import numpy as np
 import pytest
 
-from pvc import io
+from pvc import cli, io
 from pvc.cli import main
 from pvc.input_pipeline import RawImage, write_ppm
 from pvc.compression import init_compression
@@ -277,6 +278,34 @@ class TestPipeline:
         m = cfg.tokens_per_frame // cfg.shuffle_kernel ** 2
         assert y.shape == (1, cfg.t_img, m, cfg.channels)
         assert f"{y.shape[0] * y.shape[1] * y.shape[2]} visual tokens" in out
+
+    def test_vit_released_before_compressor_is_built(self, capsys, tmp_path, monkeypatch):
+        refs = {}
+        real_patchify, real_forward, real_init = (cli.patchify, cli.vit_forward,
+                                                  cli.init_compression)
+
+        def patchify(pixels, cfg, patch):
+            refs["pixels"] = weakref.ref(pixels)
+            return real_patchify(pixels, cfg, patch)
+
+        def vit_forward(x, cfg, model):
+            refs["tokens"], refs["model"] = weakref.ref(x), weakref.ref(model)
+            return real_forward(x, cfg, model)
+
+        def init_compression(rng, cfg):
+            refs["alive"] = sorted(k for k, r in refs.items() if r() is not None)
+            return real_init(rng, cfg)
+
+        for name, fn in [("patchify", patchify), ("vit_forward", vit_forward),
+                         ("init_compression", init_compression)]:
+            monkeypatch.setattr(cli, name, fn)
+        cfg = toy_config()
+        ppm = tmp_path / "img.ppm"
+        write_ppm(ppm, RawImage(np.full((cfg.image_size, cfg.image_size, 3), 7, np.uint8)))
+        code, _, _ = run(capsys, "pipeline", "--toy", "--image", str(ppm),
+                         "--output", str(tmp_path / "tokens.pvct"))
+        assert code == 0
+        assert refs["alive"] == []
 
     def test_video_frame_bounds_enforced(self, capsys, tmp_path):
         src = tmp_path / "vid.pvct"

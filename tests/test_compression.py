@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from pvc.compression import (
     pixel_unshuffle,
 )
 from pvc.conditioning import ada_ln, relative_timestamps, sinusoidal_embed, temporal_embedding
+from pvc import tensor
 from pvc.tensor import Rng, silu
 from pvc.vit import PvcConfig
 
@@ -146,6 +149,27 @@ class TestCompress:
                     assert np.max(np.abs(out[:, j] - base[:, j])) > 0
                 else:
                     assert np.array_equal(out[:, other], base[:, other])
+
+    def test_peak_is_four_copies_of_the_input(self, monkeypatch):
+        # with small MLP blocks (x / 16 each), compress holds the shuffled
+        # tokens, z, the AdaLN scale and the LN output (later the shift):
+        # about 4.2 copies of x; the LN's and AdaLN's full-size temporaries
+        # made it 6.1
+        monkeypatch.setattr(tensor, "MLP_ROW_BLOCK", 16)
+        monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", 1)
+        cfg = PvcConfig(image_size=224, patch_size=14, channels=64, heads=4,
+                        ffn_dim=256, layers=1, temporal_layers=0, shuffle_kernel=4)
+        p = init_compression(Rng(12), cfg)
+        x = Rng(13).normal((1, 16, cfg.tokens_per_frame, cfg.channels))
+        compress(x, p, cfg)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            compress(x, p, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.3 * x.nbytes
 
     def test_compression_ratio(self):
         cfg = PvcConfig()

@@ -148,3 +148,26 @@ class TestAdaLn:
         p = init_adaln(Rng(12), dim=4)
         with pytest.raises(ValueError):
             ada_ln(np.zeros((2, 4)), np.zeros((3, 4)), p)
+        with pytest.raises(ValueError, match="does not broadcast"):
+            ada_ln(np.zeros((2, 3, 4)), np.zeros((2, 1, 4)), p)
+
+    def test_held_once_x_broadcasts_bitwise(self):
+        # LayerNorm works row by row, so normalising the one frame and
+        # broadcasting it equals normalising its T-frame broadcast
+        rng = Rng(13)
+        p = init_adaln(rng, dim=8, std=0.3)
+        x, z = rng.normal((2, 1, 5, 8)), rng.normal((2, 3, 5, 8))
+        out = ada_ln(x, z, p)
+        assert np.array_equal(out, ada_ln(np.broadcast_to(x, z.shape), z, p))
+        g, b = affine_coeffs(z, p)
+        assert np.array_equal(out, g * layer_norm(x) + b)
+
+    def test_cache_keeps_gamma_and_xhat_unscaled(self):
+        rng = Rng(14)
+        p = init_adaln(rng, dim=8, std=0.3)
+        x, z = rng.normal((2, 5, 8)), rng.normal((2, 5, 8))
+        cache = {}
+        out = ada_ln(x, z, p, cache)
+        assert np.array_equal(out, ada_ln(x, z, p))
+        assert np.array_equal(cache["gamma"], affine_coeffs(z, p)[0])
+        assert np.array_equal(cache["xhat"], layer_norm(x))

@@ -104,6 +104,35 @@ class TestLayerNorm:
         assert np.max(np.abs(out.mean(axis=-1))) < 1e-10
         assert np.max(np.abs(out.var(axis=-1) - 1.0)) < 1e-6  # eps-limited
 
+    def test_one_buffer_equals_the_textbook_formula_bitwise(self):
+        rng = Rng(4)
+        x = rng.normal((3, 5, 16)) * 3 + 1
+        gamma, beta = rng.normal((16,)), rng.normal((16,))
+        mu = x.mean(axis=-1, keepdims=True)
+        xhat = (x - mu) / np.sqrt(x.var(axis=-1, keepdims=True) + tensor.EPS_NORM)
+        assert np.array_equal(layer_norm(x), xhat)
+        assert np.array_equal(layer_norm(x, gamma, beta), xhat * gamma + beta)
+        # the affine goes to a copy: the cached xhat stays as recorded
+        cache = {}
+        assert np.array_equal(layer_norm(x, gamma, beta, cache), xhat * gamma + beta)
+        assert np.array_equal(cache["xhat"], xhat)
+
+    def test_holds_one_array_of_its_input_size(self):
+        x = Rng(5).normal((64, 1024))
+        gamma, beta = np.ones(1024), np.zeros(1024)
+        layer_norm(x, gamma, beta)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            layer_norm(x, gamma, beta)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        # the result (or x.var's centred copy before it), the per-row mean
+        # and std, NumPy's ufunc buffer and small objects; the textbook
+        # formula holds two arrays of x's size
+        assert peak <= x.nbytes + 2 * 64 * 8 + np.getbufsize() * 8 + 4096
+
 
 class TestSilu:
     def test_zero(self):
@@ -143,7 +172,8 @@ class TestSilu:
 
 
 class TestSiluMlp:
-    """silu_mlp holds the hidden activation MLP_ROW_BLOCK rows at a time."""
+    """silu_mlp holds the hidden activation a block of rows at a time: at
+    most CHUNK_ELEMENTS hidden values, but at least MLP_ROW_BLOCK rows."""
 
     @staticmethod
     def _mlp(rows, c=8, hidden=16, out=8):
@@ -153,7 +183,9 @@ class TestSiluMlp:
 
     @pytest.mark.parametrize("block", [3, 5, 23, 256])
     def test_blocks_equal_the_unblocked_formula_bitwise(self, block, monkeypatch):
-        # 23 rows: blocks of 3 and 5 leave an uneven last block of 2 and 3
+        # 23 rows: blocks of 3 and 5 leave an uneven last block of 2 and 3;
+        # a 1-element chunk leaves the row floor to set the block
+        monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", 1)
         monkeypatch.setattr(tensor, "MLP_ROW_BLOCK", block)
         x, w_in, w_out, b_in, b_out = self._mlp(23)
         pre = linear(x, w_in, b_in)
@@ -170,14 +202,31 @@ class TestSiluMlp:
     def test_one_row_blocks_match_the_unblocked_formula(self, monkeypatch):
         # a 1-row product takes NumPy's vector-matrix path, which may round
         # the last bit differently from the matrix product
+        monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", 1)
         monkeypatch.setattr(tensor, "MLP_ROW_BLOCK", 1)
         x, w_in, w_out, b_in, b_out = self._mlp(23)
         expect = linear(silu(linear(x, w_in, b_in)), w_out, b_out)
         got = silu_mlp(x, w_in, w_out, b_in, b_out)
         assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
 
+    @pytest.mark.parametrize("hidden, blocks", [(4, [16, 16, 10]), (16, [4] * 10 + [2]),
+                                                (32, [3] * 14)])
+    def test_block_rows_follow_the_hidden_width(self, hidden, blocks, monkeypatch):
+        # 64 hidden values per block, at least 3 rows: a narrow MLP gets
+        # taller blocks, a wide one keeps the row floor
+        monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", 64)
+        monkeypatch.setattr(tensor, "MLP_ROW_BLOCK", 3)
+        rows = []
+        real = tensor.silu
+        monkeypatch.setattr(tensor, "silu", lambda h: rows.append(len(h)) or real(h))
+        x, w_in, w_out, b_in, b_out = self._mlp(42, hidden=hidden)
+        got = silu_mlp(x, w_in, w_out, b_in, b_out)
+        assert rows == blocks
+        assert np.array_equal(got, linear(real(linear(x, w_in, b_in)), w_out, b_out))
+
     def test_uncached_peak_is_output_plus_two_blocks(self):
-        # 1000 rows: three full blocks of 256 and an uneven one
+        # 1000 rows at hidden 512: blocks of CHUNK_ELEMENTS hidden values
+        # (512 rows), the last one uneven
         x, w_in, w_out, b_in, b_out = self._mlp(1000, c=32, hidden=512, out=16)
         silu_mlp(x, w_in, w_out, b_in, b_out)
         tracemalloc.start()
@@ -187,7 +236,7 @@ class TestSiluMlp:
             peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        block = tensor.MLP_ROW_BLOCK * 512 * 8
+        block = tensor.CHUNK_ELEMENTS * 8
         # slack: NumPy's ufunc buffer (the broadcast bias add) and small objects
         slack = np.getbufsize() * 8 + 4096
         assert peak <= out.nbytes + 2 * block + slack

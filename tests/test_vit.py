@@ -3,9 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pvc import vit
+from pvc import conditioning, tensor, vit
 from pvc.conditioning import ada_ln
-from pvc import tensor
 from pvc.tensor import NonFiniteError, Rng, layer_norm, silu
 from pvc.verification import randomize_gates, run_grad_check, toy_config
 from pvc.vit import (
@@ -226,10 +225,12 @@ def test_blocked_attention_matches_reference(block, causal, c, monkeypatch):
 
 @pytest.mark.parametrize("module", ["tmha_causal", "progressive_layer"])
 def test_grad_check_with_small_blocks(module, monkeypatch):
-    # several attention blocks per sequence with an uneven last one, and
-    # MLPs of several row blocks, the last one uneven
+    # several attention blocks per sequence with an uneven last one, MLPs
+    # of several row blocks, the last one uneven, and uncached forwards (the
+    # finite differences) of several layer chunks
     monkeypatch.setattr(vit, "ATTN_BLOCK", 12)
     monkeypatch.setattr(tensor, "MLP_ROW_BLOCK", 2)
+    monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", 64)
     report = run_grad_check(module, seed=0)
     assert report.passed
     assert max(e.max_rel_err for e in report.entries) < 1e-6
@@ -301,16 +302,72 @@ class TestProgressiveLayer:
         out = progressive_layer_forward(x0, t, p)
         assert np.max(np.abs(out - expect)) < 1e-12
 
-    def test_temporal_layer_drops_dead_temporaries(self, monkeypatch):
-        # with small blocks the layer's own [B,T,N,C] arrays set the peak:
-        # about 7.2 copies of x; keeping LN1's output or z alive adds one each
+    def _peak_copies_of_x(self, temporal, monkeypatch):
+        # with small chunks and blocks, the layer holds its one output plus
+        # one frame's S-MHA temporaries (x / 16 each): about 1.42 copies of
+        # x; a full-size temporary anywhere would add one more
         monkeypatch.setattr(vit, "ATTN_BLOCK", 4096)
         monkeypatch.setattr(tensor, "MLP_ROW_BLOCK", 64)
+        monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", 4096)
         cfg = toy_config(image_size=224, channels=64, heads=4, ffn_dim=256,
                          layers=1, temporal_layers=1)
-        p = self._temporal_layer(Rng(15), cfg, gate_std=0.5)
-        x = make_batch(Rng(16), cfg)
-        assert peak_bytes(lambda: progressive_layer_forward(x, 4, p)) <= 7.5 * x.nbytes
+        p = self._temporal_layer(Rng(15), cfg, gate_std=0.5) if temporal else \
+            init_layer(Rng(15), cfg, temporal=False)
+        x = make_batch(Rng(16), cfg, t=16)
+        return peak_bytes(lambda: progressive_layer_forward(x, 16, p)) / x.nbytes
+
+    def test_temporal_layer_drops_dead_temporaries(self, monkeypatch):
+        assert self._peak_copies_of_x(True, monkeypatch) <= 1.5
+
+    def test_plain_layer_drops_dead_temporaries(self, monkeypatch):
+        assert self._peak_copies_of_x(False, monkeypatch) <= 1.5
+
+    # chunk sizes at toy_config(), B=2, T=3 (6 frames of N*C = 512, 16
+    # positions of B*T*C = 192, 96 rows of C = 32): one frame, position
+    # and row per chunk; 1 frame, 3 positions (16 = 5*3 + 1) and 21 rows
+    # (96 = 4*21 + 12); 4 frames (6 = 4 + 2), 10 positions (16 = 10 + 6)
+    # and 64 rows (96 = 64 + 32)
+    @pytest.mark.parametrize("chunk", [32, 700, 2048])
+    @pytest.mark.parametrize("static", [False, True], ids=["moving", "held_once"])
+    @pytest.mark.parametrize("temporal", [True, False], ids=["temporal", "plain"])
+    def test_chunked_layer_matches_one_chunk(self, chunk, static, temporal, monkeypatch):
+        cfg = toy_config()
+        p = self._temporal_layer(Rng(17), cfg, gate_std=0.5) if temporal else \
+            init_layer(Rng(17), cfg, temporal=False)
+        x = make_batch(Rng(18), cfg, b=2, t=3)
+        if static:
+            x = x[:, :1]
+        monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", 2 ** 40)
+        x0 = x.copy()
+        ref = progressive_layer_forward(x, 3, p)
+        monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", chunk)
+        out = progressive_layer_forward(x, 3, p)
+        assert np.array_equal(x, x0)
+        frames = 1 if static and not temporal else 3
+        assert out.shape == ref.shape == (2, frames) + x.shape[2:]
+        # 1-row chunks take NumPy's vector-matrix path, which may round the
+        # last bit differently
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_cache_holds_no_view_of_the_input_or_output(self):
+        # the layer adds into its output in place, so a cached view of it
+        # would change under the backward pass
+        cfg = toy_config()
+        p = self._temporal_layer(Rng(19), cfg, gate_std=0.5)
+        x = make_batch(Rng(20), cfg)
+        cache = {}
+        out = progressive_layer_forward(x, 4, p, cache)
+
+        def arrays(d):
+            for v in d.values():
+                if isinstance(v, dict):
+                    yield from arrays(v)
+                elif isinstance(v, np.ndarray):
+                    yield v
+
+        cached = list(arrays(cache))
+        assert len(cached) > 20
+        assert not any(np.shares_memory(a, out) or np.shares_memory(a, x) for a in cached)
 
     def test_gate_initialized_exactly_zero(self):
         p = init_layer(Rng(14), toy_config(), temporal=True)
@@ -476,6 +533,23 @@ class TestPlainLayerReuse:
         # a video held once comes out with all 4 frames
         assert progressive_layer_forward(x[:, :1], 4, p).shape[1] == 4
         assert progressive_layer_forward(x, 2, p).shape == x.shape
+
+    def test_held_once_adaln_normalises_one_frame(self, monkeypatch):
+        # LN works row by row, so the one frame's LN broadcast over the T
+        # frames is bitwise the LN of its broadcast
+        cfg = toy_config()
+        p = init_layer(Rng(56), cfg, temporal=True)
+        x = Rng(57).normal((2, 1, cfg.tokens_per_frame, cfg.channels))
+        frames = []
+        real = conditioning.layer_norm
+
+        def spy(x, *args, **kwargs):
+            frames.append(x.shape[1])
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(conditioning, "layer_norm", spy)
+        assert progressive_layer_forward(x, 4, p).shape[1] == 4
+        assert frames == [1]
 
     def test_static_without_temporal_layers(self, monkeypatch):
         cfg = toy_config(temporal_layers=0)
