@@ -11,7 +11,6 @@ from .conditioning import (
     AdaLnParams,
     TemporalEmbeddingParams,
     ada_ln,
-    affine_coeffs,
     relative_timestamps,
     sinusoidal_embed,
     temporal_embedding,

@@ -198,6 +198,7 @@ def _cmd_pipeline(args) -> int:
             return EXIT_USAGE
         sampled = sample_frames(raw, t)
         pixels = video_to_pixel_tensor(sampled)
+        del frames_arr, raw, sampled  # the source video, no longer needed
         print(f"pipeline: video, {t} sampled frame(s)")
 
     x = vit_forward(patchify(pixels, cfg, model.patch), cfg, model)

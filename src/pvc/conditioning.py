@@ -93,33 +93,19 @@ def temporal_embedding(t_tilde: Array, p: TemporalEmbeddingParams,
     return silu_mlp(t_tilde, p.w1, p.w2, cache=cache)
 
 
-def affine_coeffs(z: Array, p: AdaLnParams,
-                  cache: dict | None = None) -> tuple[Array, Array]:
-    """Per-token scale gamma(z) and bias beta(z).
-
-    gamma(z) = SiLU(z @ W3) @ W4 and beta(z) = SiLU(z @ W5) @ W6; each
-    position in the leading extents of z gets its own coefficients. With a
-    `cache` dict, the two MLPs' intermediates are recorded in it under
-    `scale` and `shift`.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape[-1] != p.dim:
-        raise ValueError(f"condition width {z.shape[-1]} != {p.dim}")
-    gamma = silu_mlp(z, p.w3, p.w4, cache=_sub_cache(cache, "scale"))
-    beta = silu_mlp(z, p.w5, p.w6, cache=_sub_cache(cache, "shift"))
-    return gamma, beta
-
-
 def ada_ln(x: Array, z: Array, p: AdaLnParams,
            cache: dict | None = None) -> Array:
-    """gamma(z) * LayerNorm(x) + beta(z) over the last axis.
+    """gamma(z) * LayerNorm(x) + beta(z) over the last axis, with the
+    per-position scale gamma(z) = SiLU(z @ W3) @ W4 and bias
+    beta(z) = SiLU(z @ W5) @ W6.
 
     The inner LayerNorm carries no learned affine of its own; the scale
     and bias come entirely from the condition. x may have extent 1 where z
     has more (a static video held once), and is then normalised once. The
     scale is multiplied by the LN output in place, which is freed before
-    the bias is computed. With a `cache` dict, the intermediates of
-    affine_coeffs' two MLPs and of layer_norm, and gamma, are recorded.
+    the bias is computed. With a `cache` dict, the intermediates of the two
+    MLPs (under `scale` and `shift`) and of layer_norm, and gamma, are
+    recorded.
     """
     x = np.asarray(x, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)

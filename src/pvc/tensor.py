@@ -7,14 +7,18 @@ of propagating silently.
 """
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
 Array = np.ndarray
 
 EPS_NORM = 1e-6
 NEW_WEIGHT_STD = 0.02  # std of every freshly drawn weight matrix
-# Most elements of a chunk-sized temporary: a SiLU MLP's hidden block, and
-# each [.., C] array a ViT layer holds per chunk; 2**18 float64 values are 2 MB.
+# Most elements of a tile-sized temporary: a SiLU MLP's hidden block, an
+# attention score block, and each [.., C] array a ViT layer holds per chunk;
+# 2**18 float64 values are 2 MB.
 CHUNK_ELEMENTS = 2 ** 18
 # Fewest rows of a SiLU MLP block, so a wide MLP keeps tall GEMMs.
 MLP_ROW_BLOCK = 256
@@ -71,35 +75,52 @@ def silu(x: Array) -> Array:
     return out
 
 
+def tiles(extents: tuple[int, ...], item: int, floor: int = 1,
+          whole: bool = False) -> list[tuple[slice, ...]]:
+    """Index tuples tiling the grid `extents`, each point of which stands
+    for `item` elements, in blocks of at most CHUNK_ELEMENTS elements.
+
+    A block spans the later axes whole before it takes two points of an
+    earlier one, holds at least one point and at least `floor` points of
+    the last axis, and the last block along an axis may be shorter. A zero
+    extent gives no tiles, and points of no elements all fit in one.
+    With `whole` (a cached forward), one tile covers the grid.
+    """
+    if whole:
+        return [tuple(slice(0, e) for e in extents)]
+    fit = CHUNK_ELEMENTS // item if item else math.prod(extents)
+    axes = []
+    for e in reversed(extents):
+        step = max(floor, min(e, fit))
+        axes.insert(0, [slice(i, min(e, i + step)) for i in range(0, e, step)])
+        fit, floor = fit // max(1, e), 1
+    return list(itertools.product(*axes))
+
+
 def silu_mlp(x: Array, w_in: Array, w_out: Array, b_in: Array | None = None,
              b_out: Array | None = None, cache: dict | None = None) -> Array:
     """Two projections with SiLU between: linear(silu(linear(x, w_in, b_in)), w_out, b_out).
 
-    The rows of x (all leading axes flattened) go through in blocks of
+    The rows of x (all leading axes flattened) go through in `tiles` of
     CHUNK_ELEMENTS hidden values, but at least MLP_ROW_BLOCK rows, each
     block's output written into the one result array, so the hidden
-    activation is never held for every row. With a `cache` dict,
-    the input, the pre-activation and the activation are recorded in it
-    as `x`, `pre` and `act`, each for every row.
+    activation is never held for every row. With a `cache` dict, the rows
+    run as one block, and the input, the pre-activation and the activation
+    are recorded in it as `x`, `pre` and `act`.
     """
     rows = x.reshape(-1, x.shape[-1])
     lead, hidden = x.shape[:-1], w_in.shape[1]
     out = np.empty((len(rows), w_out.shape[1]))
-    if cache is not None:
-        pre, act = np.empty((len(rows), hidden)), np.empty((len(rows), hidden))
-        cache.update(x=x, pre=pre.reshape(*lead, hidden), act=act.reshape(*lead, hidden))
-    step = max(MLP_ROW_BLOCK, CHUNK_ELEMENTS // hidden)
-    for r in range(0, len(rows), step):
-        block = slice(r, r + step)
-        h = linear(rows[block], w_in, b_in)
+    for r, in tiles((len(rows),), hidden, MLP_ROW_BLOCK, whole=cache is not None):
+        h = linear(rows[r], w_in, b_in)
         if cache is not None:
-            pre[block] = h
+            cache.update(x=x, pre=h.reshape(*lead, hidden))
         h = silu(h)  # frees the pre-activation block
         if cache is not None:
-            act[block] = h
-        np.matmul(h, w_out, out=out[block])
+            cache["act"] = h.reshape(*lead, hidden)
+        np.matmul(h, w_out, out=out[r])
         if b_out is not None:
-            out[block] += b_out
+            out[r] += b_out
     return out.reshape(*lead, w_out.shape[1])
 
 

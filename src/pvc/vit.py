@@ -17,7 +17,6 @@ where the temporal embedding reads it.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -41,10 +40,6 @@ from .tensor import (NEW_WEIGHT_STD, Array, Rng, _check_finite, _sub_cache, laye
 # Finite stand-in for -inf in masked attention scores; exp underflows to
 # exactly 0, which keeps causality bitwise rather than approximately.
 MASK_VALUE = -1e30
-
-# Most elements of any temporary inside the attention loop: the score block
-# of a (sequences, heads, queries) tile; 2**18 float64 values are 2 MB.
-ATTN_BLOCK = 2 ** 18
 
 
 @dataclass
@@ -233,41 +228,21 @@ def _heads(a: Array, heads: int) -> Array:
     return a.reshape(s, l, heads, c // heads).transpose(0, 2, 1, 3)
 
 
-def _block_shape(s: int, heads: int, l: int) -> tuple[int, int, int]:
-    """(sequences, heads, queries) of an attention block: whole query
-    ranges, then whole heads, then whole sequences, as far as the block's
-    [.., .., .., L] scores stay within ATTN_BLOCK elements. Short
-    sequences (T-MHA) thus run as a few blocks over the batch rather than
-    one per sequence and head."""
-    rows = max(1, ATTN_BLOCK // l)
-    return (min(s, max(1, rows // (heads * l))), min(heads, max(1, rows // l)),
-            min(l, rows))
-
-
-def _attention_blocks(s: int, heads: int, l: int):
-    """Slices (sequences, heads, queries) tiling the [S, H, L] query grid."""
-    bs, bh, bq = _block_shape(s, heads, l)
-    for s0 in range(0, s, bs):
-        for h0 in range(0, heads, bh):
-            for q0 in range(0, l, bq):
-                yield (slice(s0, min(s, s0 + bs)), slice(h0, min(heads, h0 + bh)),
-                       slice(q0, min(l, q0 + bq)))
-
-
 def _attention(x: Array, p: AttentionParams, causal: bool,
                cache: dict | None = None) -> Array:
     """Multi-head attention over axis 1 of x: [S, L, C] -> [S, L, C].
 
-    The queries go through in blocks (`_attention_blocks`), so the score
-    buffer never exceeds ATTN_BLOCK elements. 1/sqrt(d) is folded into q,
-    each block's exponentials multiply v unnormalised, and the [bq, d]
-    context is divided by the row sums afterwards (FlashAttention's
-    deferred normalisation). Masked scores are MASK_VALUE, whose
-    exponential is exactly 0.
-    With a `cache` dict, x, the projections q (scaled), k and v, the
-    context `ctx` and the probabilities `attn` [S, H, L, L] are recorded
-    in it for the backward. `attn` is the whole score tensor the blocks
-    avoid, so a cached forward is for toy-scale checks.
+    The (sequences, heads, queries) grid goes through in `tensor.tiles`,
+    so a score block never exceeds CHUNK_ELEMENTS elements. 1/sqrt(d) is
+    folded into q, each block's exponentials multiply v unnormalised, and
+    the [bq, d] context is divided by the row sums afterwards
+    (FlashAttention's deferred normalisation). Masked scores are
+    MASK_VALUE, whose exponential is exactly 0.
+    With a `cache` dict, the grid runs as one block, and x, the
+    projections q (scaled), k and v, the context `ctx` and the
+    probabilities `attn` [S, H, L, L] (that block's scores over their row
+    sums) are recorded in it for the backward; `attn` is the whole score
+    tensor the blocks avoid, so a cached forward is for toy-scale checks.
     """
     s, l, c = x.shape
     if c % p.heads != 0:
@@ -278,14 +253,10 @@ def _attention(x: Array, p: AttentionParams, causal: bool,
     v = linear(x, p.wv, p.bv)
     ctx = np.empty_like(q)
     qh, kh, vh, ch = (_heads(a, p.heads) for a in (q, k, v, ctx))
-    attn = None if cache is None else np.empty((s, p.heads, l, l))
-    buf = np.empty(math.prod(_block_shape(s, p.heads, l)) * l)
     with np.errstate(invalid="ignore"):  # inf - inf from inf inputs; reported below
-        for block in _attention_blocks(s, p.heads, l):
+        for block in tensor.tiles((s, p.heads, l), l, whole=cache is not None):
             ss, hs, qs = block
-            rows = qh[block].shape[:3]
-            scores = np.matmul(qh[block], kh[ss, hs].swapaxes(-1, -2),
-                               out=buf[:math.prod(rows) * l].reshape(*rows, l))
+            scores = qh[block] @ kh[ss, hs].swapaxes(-1, -2)
             if causal:
                 later = np.arange(l) > np.arange(qs.start, qs.stop)[:, None]
                 np.copyto(scores, MASK_VALUE, where=later)
@@ -297,10 +268,9 @@ def _attention(x: Array, p: AttentionParams, causal: bool,
             out = ch[block]
             np.matmul(scores, vh[ss, hs], out=out)
             out /= total
-            if attn is not None:
-                np.divide(scores, total, out=attn[block])
-    if cache is not None:
-        cache.update(x=x, q=q, k=k, v=v, ctx=ctx, attn=attn)
+            if cache is not None:
+                scores /= total
+                cache.update(x=x, q=q, k=k, v=v, ctx=ctx, attn=scores)
     return linear(ctx, p.wo, p.bo)
 
 
@@ -323,14 +293,6 @@ def layer_te(t: int, p: LayerParams, cache: dict | None = None) -> Array:
     """Per-frame conditioning vector [T, C] for one progressive layer of a
     T-frame video."""
     return temporal_embedding(sinusoidal_embed(relative_timestamps(t)), p.te, cache)
-
-
-def _chunks(extent: int, item: int, whole: bool) -> list[slice]:
-    """Slices tiling range(extent), each covering as many items of `item`
-    elements as fit in CHUNK_ELEMENTS (at least one), or one slice when
-    `whole`."""
-    step = extent if whole else max(1, tensor.CHUNK_ELEMENTS // item)
-    return [slice(i, min(extent, i + step)) for i in range(0, extent, step)]
 
 
 def progressive_layer_forward(x: Array, frames: int, p: LayerParams,
@@ -362,7 +324,7 @@ def progressive_layer_forward(x: Array, frames: int, p: LayerParams,
 
     x = x.reshape(b * t, n, c)
     out = np.empty((b * t, n, c))
-    for f in _chunks(b * t, n * c, whole):
+    for f, in tensor.tiles((b * t,), n * c, whole=whole):
         h = layer_norm(x[f], gamma=p.ln1_gamma, beta=p.ln1_beta,
                        cache=_sub_cache(cache, "ln1"))
         np.add(x[f], spatial_mha(h, p.smha, _sub_cache(cache, "smha")), out=out[f])
@@ -372,7 +334,7 @@ def progressive_layer_forward(x: Array, frames: int, p: LayerParams,
         if t != frames:
             out = np.repeat(out, frames, axis=1)
         te = layer_te(frames, p, _sub_cache(cache, "te"))  # [T, C]
-        for s in _chunks(n, b * frames * c, whole):
+        for s, in tensor.tiles((n,), b * frames * c, whole=whole):
             y = out[:, :, s]  # [B, T, n_c, C], written only after T-MHA
             z = y + te[None, :, None, :]
             # held once, LN runs on the one frame and broadcasts over T
@@ -381,13 +343,13 @@ def progressive_layer_forward(x: Array, frames: int, p: LayerParams,
             a = a.transpose(0, 2, 1, 3).reshape(-1, frames, c)
             tm = temporal_mha_causal(a, p.tmha, _sub_cache(cache, "tmha"))
             del a
-            tm = tm.reshape(b, -1, frames, c).transpose(0, 2, 1, 3)
+            tm = tm.reshape(b, y.shape[2], frames, c).transpose(0, 2, 1, 3)
             if cache is not None:
                 cache["tm"] = tm
             y += p.gate_alpha * tm
 
     rows = out.reshape(-1, c)
-    for r in _chunks(len(rows), c, whole):
+    for r, in tensor.tiles((len(rows),), c, whole=whole):
         h = layer_norm(rows[r], gamma=p.ln2_gamma, beta=p.ln2_beta,
                        cache=_sub_cache(cache, "ln2"))
         rows[r] += _ffn(h, p, _sub_cache(cache, "ffn"))

@@ -113,6 +113,15 @@ class TestForwardCompress:
         assert y.shape == x.shape
         assert not np.array_equal(y, x)
 
+    def test_forward_empty_batch(self, capsys, tmp_path):
+        # B = 0: every tile loop of the layer is empty or runs on empty arrays
+        src, dst = tmp_path / "in.pvct", tmp_path / "out.pvct"
+        io.write_tensor(src, np.zeros((0, 4, 16, 32)))
+        code, _, err = run(capsys, "forward", "--toy",
+                           "--input", str(src), "--output", str(dst))
+        assert code == 0, err
+        assert io.read_tensor(dst).shape == (0, 4, 16, 32)
+
     def test_forward_shape_mismatch_is_io_error(self, capsys, tmp_path):
         src = tmp_path / "in.pvct"
         dst = tmp_path / "out.pvct"
@@ -296,14 +305,29 @@ class TestPipeline:
             refs["alive"] = sorted(k for k, r in refs.items() if r() is not None)
             return real_init(rng, cfg)
 
+        def read_tensor(path):
+            x = real_read(path)
+            refs["video"] = weakref.ref(x)
+            return x
+
+        real_read = io.read_tensor
         for name, fn in [("patchify", patchify), ("vit_forward", vit_forward),
                          ("init_compression", init_compression)]:
             monkeypatch.setattr(cli, name, fn)
+        monkeypatch.setattr(io, "read_tensor", read_tensor)
         cfg = toy_config()
         ppm = tmp_path / "img.ppm"
         write_ppm(ppm, RawImage(np.full((cfg.image_size, cfg.image_size, 3), 7, np.uint8)))
         code, _, _ = run(capsys, "pipeline", "--toy", "--image", str(ppm),
                          "--output", str(tmp_path / "tokens.pvct"))
+        assert code == 0
+        assert refs["alive"] == []
+        # the float64 source video goes too, along with its uint8 copies
+        refs.clear()
+        video = tmp_path / "vid.pvct"
+        io.write_tensor(video, np.full((4, 56, 56, 3), 7.0))
+        code, _, _ = run(capsys, "pipeline", "--toy", "--video", str(video),
+                         "--no-frame-bounds", "--output", str(tmp_path / "tokens.pvct"))
         assert code == 0
         assert refs["alive"] == []
 

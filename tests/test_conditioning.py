@@ -6,14 +6,13 @@ from pvc.conditioning import (
     AdaLnParams,
     TemporalEmbeddingParams,
     ada_ln,
-    affine_coeffs,
     init_adaln,
     init_temporal_embedding,
     relative_timestamps,
     sinusoidal_embed,
     temporal_embedding,
 )
-from pvc.tensor import Rng, layer_norm, silu
+from pvc.tensor import Rng, layer_norm, linear, silu
 
 
 class TestRelativeTimestamps:
@@ -87,37 +86,10 @@ class TestTemporalEmbedding:
             temporal_embedding(np.zeros((2, 100)), p)
 
 
-class TestAffineCoeffs:
-    def test_zero_weights(self):
-        d = 5
-        p = AdaLnParams(*(np.zeros((d, d)) for _ in range(4)))
-        g, b = affine_coeffs(Rng(5).normal((2, d)), p)
-        assert np.array_equal(g, np.zeros((2, d)))
-        assert np.array_equal(b, np.zeros((2, d)))
-
-    def test_zero_condition(self):
-        p = init_adaln(Rng(6), dim=5)
-        g, b = affine_coeffs(np.zeros((3, 5)), p)
-        assert np.array_equal(g, np.zeros((3, 5)))
-        assert np.array_equal(b, np.zeros((3, 5)))
-
-    def test_composition_oracle(self):
-        rng = Rng(7)
-        p = init_adaln(rng, dim=6, std=0.3)
-        z = rng.normal((4, 6))
-        g, b = affine_coeffs(z, p)
-        assert np.max(np.abs(g - silu(z @ p.w3) @ p.w4)) < 1e-14
-        assert np.max(np.abs(b - silu(z @ p.w5) @ p.w6)) < 1e-14
-
-    def test_per_token_equivariance(self):
-        rng = Rng(8)
-        p = init_adaln(rng, dim=4, std=0.3)
-        z = rng.normal((6, 4))
-        perm = np.array([3, 1, 5, 0, 4, 2])
-        g, b = affine_coeffs(z, p)
-        gp, bp = affine_coeffs(z[perm], p)
-        assert np.array_equal(gp, g[perm])
-        assert np.array_equal(bp, b[perm])
+def coeffs(z, p):
+    """The AdaLN scale SiLU(z @ W3) @ W4 and bias SiLU(z @ W5) @ W6, each
+    product one 2-D GEMM as in silu_mlp."""
+    return (linear(silu(linear(z, p.w3)), p.w4), linear(silu(linear(z, p.w5)), p.w6))
 
 
 class TestAdaLn:
@@ -133,14 +105,27 @@ class TestAdaLn:
         p = init_adaln(rng, dim=4, std=0.3)
         z = rng.normal((3, 4))
         x = np.full((3, 4), 2.5)
-        _, beta = affine_coeffs(z, p)
+        _, beta = coeffs(z, p)
         assert np.max(np.abs(ada_ln(x, z, p) - beta)) < 1e-13
+
+    def test_zero_condition(self):
+        # SiLU(0) = 0, so a zero condition gives zero scale and bias
+        p = init_adaln(Rng(6), dim=5)
+        x = Rng(5).normal((3, 5))
+        assert np.array_equal(ada_ln(x, np.zeros((3, 5)), p), np.zeros((3, 5)))
+
+    def test_per_token_equivariance(self):
+        rng = Rng(8)
+        p = init_adaln(rng, dim=4, std=0.3)
+        x, z = rng.normal((6, 4)), rng.normal((6, 4))
+        perm = np.array([3, 1, 5, 0, 4, 2])
+        assert np.array_equal(ada_ln(x[perm], z[perm], p), ada_ln(x, z, p)[perm])
 
     def test_composition_oracle(self):
         rng = Rng(11)
         p = init_adaln(rng, dim=8, std=0.3)
         x, z = rng.normal((2, 5, 8)), rng.normal((2, 5, 8))
-        g, b = affine_coeffs(z, p)
+        g, b = coeffs(z, p)
         expect = g * layer_norm(x) + b
         assert np.max(np.abs(ada_ln(x, z, p) - expect)) < 1e-13
 
@@ -159,7 +144,7 @@ class TestAdaLn:
         x, z = rng.normal((2, 1, 5, 8)), rng.normal((2, 3, 5, 8))
         out = ada_ln(x, z, p)
         assert np.array_equal(out, ada_ln(np.broadcast_to(x, z.shape), z, p))
-        g, b = affine_coeffs(z, p)
+        g, b = coeffs(z, p)
         assert np.array_equal(out, g * layer_norm(x) + b)
 
     def test_cache_keeps_gamma_and_xhat_unscaled(self):
@@ -169,5 +154,5 @@ class TestAdaLn:
         cache = {}
         out = ada_ln(x, z, p, cache)
         assert np.array_equal(out, ada_ln(x, z, p))
-        assert np.array_equal(cache["gamma"], affine_coeffs(z, p)[0])
+        assert np.array_equal(cache["gamma"], coeffs(z, p)[0])
         assert np.array_equal(cache["xhat"], layer_norm(x))

@@ -5,7 +5,6 @@ from pvc import verification, vit
 from pvc.compression import compress, init_compression
 from pvc.conditioning import (
     ada_ln,
-    affine_coeffs,
     init_adaln,
     init_temporal_embedding,
     temporal_embedding,
@@ -134,7 +133,6 @@ def _cache_forwards():
                                             layer.ffn_b_in, layer.ffn_b_out, cache)),
         ("temporal_embedding", lambda cache: temporal_embedding(t_tilde, te, cache)),
         ("layer_te", lambda cache: layer_te(3, layer, cache)),
-        ("affine_coeffs", lambda cache: np.stack(affine_coeffs(z, adaln, cache))),
         ("ada_ln", lambda cache: ada_ln(x, z, adaln, cache=cache)),
         ("spatial_mha", lambda cache: spatial_mha(x, attn, cache)),
         ("temporal_mha_causal", lambda cache: temporal_mha_causal(x, attn, cache)),

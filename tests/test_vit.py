@@ -184,16 +184,16 @@ def test_attention_matches_reference_and_keeps_input(mha, causal):
     assert np.max(np.abs(out - reference_attention(x, p, causal))) <= 1e-12
 
 
-# ATTN_BLOCK values that cut [S=3, H=2, L=7] into blocks of: one query row;
+# CHUNK_ELEMENTS values that cut [S=3, H=2, L=7] into blocks of: one query row;
 # 3 queries (7 = 3 + 3 + 1); one whole head; both heads of 2 sequences (3 = 2 + 1)
 SMALL_ATTN_BLOCKS = [1, 3 * 7, 7 * 7, 2 * 2 * 7 * 7]
 
 
 @pytest.mark.parametrize("block", SMALL_ATTN_BLOCKS)
 def test_attention_blocks_tile_the_query_grid(block, monkeypatch):
-    monkeypatch.setattr(vit, "ATTN_BLOCK", block)
+    monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", block)
     hits = np.zeros((3, 2, 7), dtype=int)
-    blocks = list(vit._attention_blocks(3, 2, 7))
+    blocks = tensor.tiles((3, 2, 7), 7)
     for b in blocks:
         hits[b] += 1
         assert hits[b].size * 7 <= max(block, 7)
@@ -206,7 +206,7 @@ def test_attention_blocks_tile_the_query_grid(block, monkeypatch):
 @pytest.mark.parametrize("causal", [False, True])
 @pytest.mark.parametrize("block", SMALL_ATTN_BLOCKS)
 def test_blocked_attention_matches_reference(block, causal, c, monkeypatch):
-    monkeypatch.setattr(vit, "ATTN_BLOCK", block)
+    monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", block)
     rng = Rng(60)
     p = init_attention(rng, c=c, heads=2, std=0.5)
     x = rng.normal((3, 7, c)) * 2.0
@@ -223,14 +223,50 @@ def test_blocked_attention_matches_reference(block, causal, c, monkeypatch):
         assert (attn[..., np.triu(np.ones((7, 7), dtype=bool), 1)] == 0.0).all()
 
 
+@pytest.mark.parametrize("name", ["silu_mlp", "attention"])
+def test_cached_forward_runs_as_one_tile(name, monkeypatch):
+    # with 7-element chunks the uncached forward takes several tiles; the
+    # cached one takes one, so its whole-size cache needs no copying
+    monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", 7)
+    monkeypatch.setattr(tensor, "MLP_ROW_BLOCK", 2)
+    counts, real = [], tensor.tiles
+
+    def tiles(*args, **kwargs):
+        made = real(*args, **kwargs)
+        counts.append(len(made))
+        return made
+
+    monkeypatch.setattr(tensor, "tiles", tiles)
+    rng = Rng(65)
+    x = rng.normal((3, 7, 8))
+    if name == "silu_mlp":
+        w_in, w_out = rng.normal((8, 16), 0.3), rng.normal((16, 8), 0.3)
+        forward = lambda cache: tensor.silu_mlp(x, w_in, w_out, cache=cache)
+    else:
+        p = init_attention(rng, c=8, heads=2, std=0.5)
+        forward = lambda cache: temporal_mha_causal(x, p, cache)
+    ref = forward(None)
+    assert counts[-1] > 1
+    cache = {}
+    got = forward(cache)
+    assert counts[-1] == 1
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    if name == "silu_mlp":
+        pre = tensor.linear(x, w_in)
+        assert np.array_equal(cache["pre"], pre)
+        assert np.array_equal(cache["act"], silu(pre))
+    else:
+        assert cache["attn"].shape == (3, 2, 7, 7)
+        assert np.max(np.abs(cache["attn"].sum(axis=-1) - 1.0)) <= 1e-15
+
+
 @pytest.mark.parametrize("module", ["tmha_causal", "progressive_layer"])
 def test_grad_check_with_small_blocks(module, monkeypatch):
     # several attention blocks per sequence with an uneven last one, MLPs
     # of several row blocks, the last one uneven, and uncached forwards (the
     # finite differences) of several layer chunks
-    monkeypatch.setattr(vit, "ATTN_BLOCK", 12)
     monkeypatch.setattr(tensor, "MLP_ROW_BLOCK", 2)
-    monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", 64)
+    monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", 12)
     report = run_grad_check(module, seed=0)
     assert report.passed
     assert max(e.max_rel_err for e in report.entries) < 1e-6
@@ -306,7 +342,6 @@ class TestProgressiveLayer:
         # with small chunks and blocks, the layer holds its one output plus
         # one frame's S-MHA temporaries (x / 16 each): about 1.42 copies of
         # x; a full-size temporary anywhere would add one more
-        monkeypatch.setattr(vit, "ATTN_BLOCK", 4096)
         monkeypatch.setattr(tensor, "MLP_ROW_BLOCK", 64)
         monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", 4096)
         cfg = toy_config(image_size=224, channels=64, heads=4, ffn_dim=256,
