@@ -92,6 +92,31 @@ def coeffs(z, p):
     return (linear(silu(linear(z, p.w3)), p.w4), linear(silu(linear(z, p.w5)), p.w6))
 
 
+def ada_ln_coeffs(z, p):
+    """gamma(z) and beta(z) as ada_ln computes them: gamma from its cache,
+    beta as its output for a constant x, whose LayerNorm is exactly zero."""
+    cache = {}
+    beta = ada_ln(np.full(z.shape, 2.5), z, p, cache)
+    return cache["gamma"], beta
+
+
+class TestAffineCoeffs:
+    def test_zero_weights(self):
+        d = 5
+        p = AdaLnParams(*(np.zeros((d, d)) for _ in range(4)))
+        g, b = ada_ln_coeffs(Rng(5).normal((2, d)), p)
+        assert np.array_equal(g, np.zeros((2, d)))
+        assert np.array_equal(b, np.zeros((2, d)))
+
+    def test_composition_oracle(self):
+        rng = Rng(7)
+        p = init_adaln(rng, dim=6, std=0.3)
+        z = rng.normal((4, 6))
+        g, b = ada_ln_coeffs(z, p)
+        assert np.max(np.abs(g - silu(z @ p.w3) @ p.w4)) < 1e-14
+        assert np.max(np.abs(b - silu(z @ p.w5) @ p.w6)) < 1e-14
+
+
 class TestAdaLn:
     def test_zero_weights_zero_output(self):
         d = 5
