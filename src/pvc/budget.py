@@ -11,6 +11,10 @@ multiplied by `flops_per_mac` (2 by default: one multiply plus one add).
 The table4 presets use a factor of 1, matching the convention of the
 profiler-style numbers they reproduce; see the preset docstrings.
 
+Patch embedding is not counted: `vit.patchify`'s projection, tokens x
+3p^2 x d MACs (4096 x 588 x 1024 = 2.47 GMAC for one full-scale 4-frame
+tile), is in no stage and no total.
+
 With `reuse` enabled on a static (repeated-image) workload, the repeats
 stay identical until the first temporal layer adds its timestamp
 embedding: the plain ViT layers and that layer's LN1/S-MHA are computed
@@ -282,6 +286,8 @@ def specs_from_entries(entries: dict) -> tuple[ArchSpec, WorkloadSpec]:
             setattr(work, fld, type(cur)(value) if not isinstance(cur, str) else value)
         elif section == "arch" and fld == "flops_per_mac":
             arch.flops_per_mac = float(value)
+            if not (np.isfinite(arch.flops_per_mac) and arch.flops_per_mac > 0):
+                raise ValueError(f"{key} = {value}: must be finite and positive")
         elif section in _SPEC_FIELDS:
             target = getattr(arch, section)
             if fld not in target.__dataclass_fields__:
@@ -292,6 +298,9 @@ def specs_from_entries(entries: dict) -> tuple[ArchSpec, WorkloadSpec]:
             setattr(target, fld, n)
         else:
             raise ValueError(f"unknown config key {key!r}")
+    if arch.vit.temporal_layers > arch.vit.layers:
+        raise ValueError(f"vit.temporal_layers = {arch.vit.temporal_layers} exceeds "
+                         f"vit.layers = {arch.vit.layers}")
     if arch.vit.tokens_per_frame < 1:
         raise ValueError("vit.image_size is smaller than vit.patch: no tokens")
     return arch, work

@@ -45,23 +45,16 @@ def init_temporal_embedding(rng: Rng, d_out: int,
     )
 
 
-def init_adaln(rng: Rng, dim: int, hidden: int | None = None,
-               std: float = NEW_WEIGHT_STD) -> AdaLnParams:
+def init_adaln(rng: Rng, dim: int, hidden: int | None = None) -> AdaLnParams:
     h = dim if hidden is None else hidden
-    return AdaLnParams(
-        w3=rng.normal((dim, h), std),
-        w4=rng.normal((h, dim), std),
-        w5=rng.normal((dim, h), std),
-        w6=rng.normal((h, dim), std),
-    )
+    w = lambda *shape: rng.normal(shape, NEW_WEIGHT_STD)
+    return AdaLnParams(w3=w(dim, h), w4=w(h, dim), w5=w(dim, h), w6=w(h, dim))
 
 
 def relative_timestamps(t: int) -> Array:
     """Uniform timestamps [0, 1/(T-1), ..., 1]; a single frame gets [0]."""
     if t < 1:
         raise ValueError(f"frame count must be >= 1, got {t}")
-    if t == 1:
-        return np.zeros(1)
     return np.linspace(0.0, 1.0, t)
 
 

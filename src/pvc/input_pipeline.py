@@ -173,21 +173,12 @@ def dynamic_tile(img: RawImage, tile_px: int,
     return tiles, (rows, cols)
 
 
-def normalize(images, mean=PIXEL_MEAN, std=PIXEL_STD) -> Array:
-    """8-bit RGB -> float64, scaled to [0,1] then channel-standardized.
-
-    Accepts a RawImage, a list of RawImage, or a uint8 array whose last
-    axis is RGB; output shape is [len, H, W, 3] for lists. Each of the 256
-    levels of each channel is computed once and the pixels look it up.
+def normalize(frames: list[RawImage], mean=PIXEL_MEAN, std=PIXEL_STD) -> Array:
+    """8-bit RGB frames -> float64 [len, H, W, 3], scaled to [0,1] then
+    channel-standardized. Each of the 256 levels of each channel is
+    computed once and the pixels look it up.
     """
-    if isinstance(images, RawImage):
-        arr = images.pixels[None]
-    elif isinstance(images, (list, tuple)):
-        arr = np.stack([im.pixels for im in images])
-    else:
-        arr = np.asarray(images)
-    if arr.dtype != np.uint8:
-        raise ValueError(f"pixels must be uint8, got {arr.dtype}")
+    arr = np.stack([im.pixels for im in frames])
     mean = np.asarray(mean, dtype=np.float64)
     std = np.asarray(std, dtype=np.float64)
     table = (np.arange(256.0)[:, None] / 255.0 - mean) / std  # [256, 3]

@@ -68,7 +68,7 @@ def write_manifest(path, entries: dict) -> None:
 
 
 def read_manifest(path) -> dict:
-    """Parse `key = value` lines; '#' starts a comment, blanks skipped."""
+    """Parse `key = value` lines, each key once; '#' starts a comment."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:  # a ValueError, which would read as a usage error
@@ -80,6 +80,8 @@ def read_manifest(path) -> dict:
             continue
         if "=" not in line:
             raise PvctError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        k, v = line.split("=", 1)
-        entries[k.strip()] = v.strip()
+        k, v = (part.strip() for part in line.split("=", 1))
+        if k in entries:
+            raise PvctError(f"{path}:{lineno}: repeated key {k!r}")
+        entries[k] = v
     return entries

@@ -13,33 +13,13 @@ import numpy as np
 
 from . import io
 from .compression import CompressionParams
-from .conditioning import SINUSOID_DIM, TS_SCALE, AdaLnParams, TemporalEmbeddingParams
-from .input_pipeline import FRAME_BOUNDS, PIXEL_MEAN, PIXEL_STD
-from .tensor import EPS_NORM
+from .conditioning import SINUSOID_DIM, AdaLnParams, TemporalEmbeddingParams
 from .vit import ModelParams, PvcConfig, build_model, named_params
-
-# Entries of older manifests for values that were config fields and are now
-# constants; any other value would load a model with different numerics or
-# input handling.
-_FORMER_ENTRIES = {"cfg.eps": (EPS_NORM,), "cfg.ts_scale": (TS_SCALE,),
-                   "cfg.frame_bounds": FRAME_BOUNDS,
-                   "cfg.pixel_mean": PIXEL_MEAN, "cfg.pixel_std": PIXEL_STD}
-
-
-def _check_former_entry(key: str, value: str, manifest_path) -> None:
-    constant = _FORMER_ENTRIES[key]
-    try:
-        held = tuple(map(float, value.split())) == constant
-    except ValueError:
-        held = False
-    if not held:
-        raise io.PvctError(f"{manifest_path}: config entry {key} = {value!r} is not "
-                           f"supported; it must be {' '.join(map(str, constant))!r}")
 
 
 def _config_from_entries(entries: dict, manifest_path) -> PvcConfig:
-    """Every PvcConfig field is a required int entry; a former field must
-    hold its constant, and any other `cfg.*` entry is refused."""
+    """Every PvcConfig field is a required int entry, and any other `cfg.*`
+    entry is refused."""
     names = {f"cfg.{f.name}": f.name for f in dataclasses.fields(PvcConfig)}
     kwargs = {}
     for key, value in entries.items():
@@ -49,8 +29,6 @@ def _config_from_entries(entries: dict, manifest_path) -> PvcConfig:
             except ValueError as e:
                 raise io.PvctError(f"{manifest_path}: bad config entry {key} = "
                                    f"{value!r}: {e}") from e
-        elif key in _FORMER_ENTRIES:
-            _check_former_entry(key, value, manifest_path)
         elif key.startswith("cfg."):
             raise io.PvctError(f"{manifest_path}: config entry {key} is not a "
                                f"field of PvcConfig")

@@ -175,6 +175,3 @@ class Rng:
 
     def uniform(self, shape, low: float = 0.0, high: float = 1.0) -> Array:
         return self._gen.uniform(low, high, size=tuple(shape))
-
-    def integers(self, low: int, high: int) -> int:
-        return int(self._gen.integers(low, high))

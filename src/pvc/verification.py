@@ -43,8 +43,6 @@ from .vit import (
 GRAD_TOL = 1e-6
 FD_STEP = 1e-5
 REL_ERR_FLOOR = 1e-8
-IDENTITY_TOL = 1e-15
-LEAK_TOL = 1e-12
 
 CHECKED_MODULES = ("adaln", "temporal_embedding", "tmha_causal",
                    "progressive_layer", "compression")
@@ -356,7 +354,7 @@ def randomize_gates(model: ModelParams, rng: Rng, std: float = 0.5) -> None:
 
 def check_init_identity(seed: int):
     """Freshly initialized toy stack (gates zero) vs the plain per-frame
-    stack on 4 frames; passes when they differ by at most IDENTITY_TOL."""
+    stack on 4 frames; passes only when they are bitwise equal."""
     cfg, t = toy_config(), 4
     model = init_model(seed, cfg)
     rng = Rng(seed + 1000)
@@ -364,15 +362,15 @@ def check_init_identity(seed: int):
     out = vit_forward(x, cfg, model)
     ref = plain_vit_forward(x, model)
     diff = float(np.max(np.abs(out - ref)))
-    return diff <= IDENTITY_TOL, diff
+    return diff == 0.0, diff
 
 
 def check_causality(seed: int):
     """Perturbation causality plus exact gradient causality on a 6-frame toy stack.
 
     Returns (passed, details) where details carries the worst forward
-    leak at frames before the perturbation (at most LEAK_TOL) and the
-    largest gradient that reached a later frame (must be exactly 0).
+    leak at frames before the perturbation and the largest gradient that
+    reached a later frame; both must be exactly 0.
     """
     cfg, t = toy_config(), 6
     model = init_model(seed, cfg)
@@ -399,5 +397,5 @@ def check_causality(seed: int):
         worst_grad_leak = max(worst_grad_leak,
                               float(np.max(np.abs(g[:, j + 1:]))))
 
-    passed = worst_leak <= LEAK_TOL and worst_grad_leak == 0.0
+    passed = worst_leak == 0.0 and worst_grad_leak == 0.0
     return passed, {"forward_leak": worst_leak, "grad_leak": worst_grad_leak}

@@ -153,12 +153,10 @@ def named_params(params, prefix: str = ""):
             yield from named_params(value, f"{prefix}{f.name}.")
 
 
-def init_attention(rng: Rng, c: int, heads: int,
-                   std: float = NEW_WEIGHT_STD) -> AttentionParams:
+def init_attention(rng: Rng, c: int, heads: int) -> AttentionParams:
+    w = lambda: rng.normal((c, c), NEW_WEIGHT_STD)
     return AttentionParams(
-        heads=heads,
-        wq=rng.normal((c, c), std), wk=rng.normal((c, c), std),
-        wv=rng.normal((c, c), std), wo=rng.normal((c, c), std),
+        heads=heads, wq=w(), wk=w(), wv=w(), wo=w(),
         bq=np.zeros(c), bk=np.zeros(c), bv=np.zeros(c), bo=np.zeros(c),
     )
 
@@ -285,10 +283,6 @@ def temporal_mha_causal(x: Array, p: AttentionParams,
     return _attention(x, p, causal=True, cache=cache)
 
 
-def _ffn(h: Array, p: LayerParams, cache: dict | None = None) -> Array:
-    return silu_mlp(h, p.ffn_w_in, p.ffn_w_out, p.ffn_b_in, p.ffn_b_out, cache=cache)
-
-
 def layer_te(t: int, p: LayerParams, cache: dict | None = None) -> Array:
     """Per-frame conditioning vector [T, C] for one progressive layer of a
     T-frame video."""
@@ -352,7 +346,8 @@ def progressive_layer_forward(x: Array, frames: int, p: LayerParams,
     for r, in tensor.tiles((len(rows),), c, whole=whole):
         h = layer_norm(rows[r], gamma=p.ln2_gamma, beta=p.ln2_beta,
                        cache=_sub_cache(cache, "ln2"))
-        rows[r] += _ffn(h, p, _sub_cache(cache, "ffn"))
+        rows[r] += silu_mlp(h, p.ffn_w_in, p.ffn_w_out, p.ffn_b_in, p.ffn_b_out,
+                            cache=_sub_cache(cache, "ffn"))
     return out
 
 

@@ -90,7 +90,10 @@ class TestBudget:
         ("vit.patch", 0, 2), ("compression.kernel", 0, 2), ("vit.image_size", 0, 2),
         ("vit.image_size", 10, 2), ("llm.heads", -1, 2), ("vit.temporal_layers", -1, 2),
         ("vit.temporal_layers", 0, 0), ("vit.adaln_hidden", 0, 0),
-        ("compression.te_hidden", 0, 0)])
+        ("compression.te_hidden", 0, 0), ("vit.temporal_layers", 6, 2),
+        ("arch.flops_per_mac", "nan", 2), ("arch.flops_per_mac", "inf", 2),
+        ("arch.flops_per_mac", -2, 2), ("arch.flops_per_mac", 0, 2),
+        ("arch.flops_per_mac", 1, 0)])
     def test_config_extents(self, capsys, tmp_path, key, value, code):
         cfg = tmp_path / "arch.cfg"
         io.write_manifest(cfg, {"vit.layers": 4, "vit.temporal_layers": 2, key: value})

@@ -63,13 +63,13 @@ class TestPixelShuffle:
             pixel_shuffle(np.zeros((1, 1, 9, 2)), 2)    # 3 not divisible by 2
 
     def test_random_bitwise_vs_oracle(self):
-        rng = Rng(3)
+        gen = np.random.Generator(np.random.Philox(3))
         for trial in range(100):
-            k = rng.integers(1, 5)
-            m = rng.integers(1, 16 // k + 1)
+            k = gen.integers(1, 5)
+            m = gen.integers(1, 16 // k + 1)
             side = m * k
-            c = rng.integers(1, 4)
-            x = rng.normal((1, 2, side * side, c))
+            c = gen.integers(1, 4)
+            x = gen.standard_normal((1, 2, side * side, c))
             out = pixel_shuffle(x, k)
             assert np.array_equal(out, shuffle_oracle(x, k))
             assert np.array_equal(pixel_unshuffle(out, k), x)

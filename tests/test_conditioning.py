@@ -12,7 +12,14 @@ from pvc.conditioning import (
     sinusoidal_embed,
     temporal_embedding,
 )
-from pvc.tensor import Rng, layer_norm, linear, silu
+from pvc.tensor import NEW_WEIGHT_STD, Rng, layer_norm, linear, silu
+
+
+def wide(p: AdaLnParams, std: float) -> AdaLnParams:
+    """p with its drawn weights rescaled to std."""
+    for w in (p.w3, p.w4, p.w5, p.w6):
+        w *= std / NEW_WEIGHT_STD
+    return p
 
 
 class TestRelativeTimestamps:
@@ -110,7 +117,7 @@ class TestAffineCoeffs:
 
     def test_composition_oracle(self):
         rng = Rng(7)
-        p = init_adaln(rng, dim=6, std=0.3)
+        p = wide(init_adaln(rng, dim=6), 0.3)
         z = rng.normal((4, 6))
         g, b = ada_ln_coeffs(z, p)
         assert np.max(np.abs(g - silu(z @ p.w3) @ p.w4)) < 1e-14
@@ -127,7 +134,7 @@ class TestAdaLn:
 
     def test_constant_x_gives_beta(self):
         rng = Rng(10)
-        p = init_adaln(rng, dim=4, std=0.3)
+        p = wide(init_adaln(rng, dim=4), 0.3)
         z = rng.normal((3, 4))
         x = np.full((3, 4), 2.5)
         _, beta = coeffs(z, p)
@@ -141,14 +148,14 @@ class TestAdaLn:
 
     def test_per_token_equivariance(self):
         rng = Rng(8)
-        p = init_adaln(rng, dim=4, std=0.3)
+        p = wide(init_adaln(rng, dim=4), 0.3)
         x, z = rng.normal((6, 4)), rng.normal((6, 4))
         perm = np.array([3, 1, 5, 0, 4, 2])
         assert np.array_equal(ada_ln(x[perm], z[perm], p), ada_ln(x, z, p)[perm])
 
     def test_composition_oracle(self):
         rng = Rng(11)
-        p = init_adaln(rng, dim=8, std=0.3)
+        p = wide(init_adaln(rng, dim=8), 0.3)
         x, z = rng.normal((2, 5, 8)), rng.normal((2, 5, 8))
         g, b = coeffs(z, p)
         expect = g * layer_norm(x) + b
@@ -165,7 +172,7 @@ class TestAdaLn:
         # LayerNorm works row by row, so normalising the one frame and
         # broadcasting it equals normalising its T-frame broadcast
         rng = Rng(13)
-        p = init_adaln(rng, dim=8, std=0.3)
+        p = wide(init_adaln(rng, dim=8), 0.3)
         x, z = rng.normal((2, 1, 5, 8)), rng.normal((2, 3, 5, 8))
         out = ada_ln(x, z, p)
         assert np.array_equal(out, ada_ln(np.broadcast_to(x, z.shape), z, p))
@@ -174,7 +181,7 @@ class TestAdaLn:
 
     def test_cache_keeps_gamma_and_xhat_unscaled(self):
         rng = Rng(14)
-        p = init_adaln(rng, dim=8, std=0.3)
+        p = wide(init_adaln(rng, dim=8), 0.3)
         x, z = rng.normal((2, 5, 8)), rng.normal((2, 5, 8))
         cache = {}
         out = ada_ln(x, z, p, cache)

@@ -144,25 +144,25 @@ class TestNormalize:
         gen = np.random.Generator(np.random.Philox(sum(shape)))
         pixels = gen.integers(0, 256, size=shape, dtype=np.uint8)
         pixels.flat[:2] = (0, 255)
+        images = [RawImage(p) for p in pixels]
         for mean, std in (((0.485, 0.456, 0.406), (0.229, 0.224, 0.225)),
                           ((0.5, 0.5, 0.5), (0.5, 0.5, 0.5))):
-            out = normalize(pixels, mean=mean, std=std)
+            out = normalize(images, mean=mean, std=std)
             assert np.array_equal(out, reference_normalize(pixels, mean, std))
-        images = [RawImage(p) for p in pixels]
-        assert np.array_equal(normalize(images), normalize(pixels))
 
     def test_rejects_non_uint8(self):
+        # normalize reads RawImage frames, which hold only uint8 pixels
         with pytest.raises(ValueError, match="uint8"):
-            normalize(np.zeros((1, 2, 2, 3)))
+            RawImage(np.zeros((2, 2, 3)))
 
     def test_zero_pixel(self):
         img = RawImage(np.zeros((1, 1, 3), dtype=np.uint8))
-        out = normalize(img, mean=(0.5, 0.5, 0.5), std=(0.5, 0.5, 0.5))
+        out = normalize([img], mean=(0.5, 0.5, 0.5), std=(0.5, 0.5, 0.5))
         assert np.allclose(out, -1.0)
 
     def test_full_pixel(self):
         img = RawImage(np.full((1, 1, 3), 255, dtype=np.uint8))
-        out = normalize(img, mean=(0.5, 0.5, 0.5), std=(0.5, 0.5, 0.5))
+        out = normalize([img], mean=(0.5, 0.5, 0.5), std=(0.5, 0.5, 0.5))
         assert np.allclose(out, 1.0)
 
 

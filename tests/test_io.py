@@ -91,31 +91,18 @@ def test_model_round_trip_every_config_field(tmp_path):
     assert all(np.array_equal(loaded[k], v) for k, v in saved.items())
 
 
-@pytest.mark.parametrize("eps, ts_scale, loads", [
-    ("1e-06", "1000.0", True), ("0.000001", "1e3", True), ("1e-05", "1000.0", False),
-    ("1e-06", "500.0", False), ("junk", "1000.0", False)])
-def test_load_model_checks_entries_of_former_config_fields(tmp_path, eps, ts_scale, loads):
-    # manifests saved while these were PvcConfig fields carry them, with
-    # the input entries at their defaults written as they were saved
-    model = init_model(3, toy_config(layers=2, temporal_layers=1))
-    manifest = save_model(tmp_path, model)
-    io.write_manifest(manifest, {**io.read_manifest(manifest),
-                                 "cfg.eps": eps, "cfg.ts_scale": ts_scale,
-                                 "cfg.frame_bounds": "16 96",
-                                 "cfg.pixel_mean": "0.485 0.456 0.406",
-                                 "cfg.pixel_std": "0.229 0.224 0.225"})
-    if loads:
-        assert load_model(manifest).cfg == model.cfg
-    else:
-        with pytest.raises(io.PvctError, match="is not supported"):
-            load_model(manifest)
-
-
+# eps, ts_scale, frame_bounds, pixel_mean and pixel_std were config fields
+# before they became constants; their entries are refused like any other,
+# at the old constant or not
 @pytest.mark.parametrize("entry, value, message", [
-    ("cfg.frame_bounds", "8 40", "is not supported"),   # a former field off its constant
-    ("cfg.frame_bounds", "16", "is not supported"),
-    ("cfg.pixel_std", "0 0 0", "is not supported"),
-    ("cfg.pixel_mean", "0.485 0.456 junk", "is not supported"),
+    ("cfg.eps", "1e-06", "is not a field"),
+    ("cfg.ts_scale", "1000.0", "is not a field"),
+    ("cfg.frame_bounds", "16 96", "is not a field"),
+    ("cfg.frame_bounds", "8 40", "is not a field"),
+    ("cfg.pixel_mean", "0.485 0.456 0.406", "is not a field"),
+    ("cfg.pixel_mean", "0.485 0.456 junk", "is not a field"),
+    ("cfg.pixel_std", "0.229 0.224 0.225", "is not a field"),
+    ("cfg.pixel_std", "0 0 0", "is not a field"),
     ("cfg.bogus", "1", "is not a field"),                 # never a field
     ("cfg.pixel_means", "0.1 0.2 0.3", "is not a field")])
 def test_load_model_refuses_config_entries_that_are_not_fields(tmp_path, entry, value,
@@ -212,7 +199,7 @@ def test_named_params_names_are_manifest_entries():
 @pytest.mark.parametrize("entry, value", [
     ("image_size", "abc"),          # not a number
     ("image_size", "50"),           # not a multiple of patch_size
-    ("pixel_mean", "0.5 0.5"),      # a former field, with too few values
+    ("pixel_mean", "0.5 0.5"),      # a former field, now a constant
     ("t_img", "4.0"),               # not an int
 ])
 def test_model_manifest_bad_config(tmp_path, entry, value):
@@ -248,6 +235,16 @@ def test_manifest_malformed(tmp_path):
     path.write_text("not a pair\n")
     with pytest.raises(io.PvctError):
         io.read_manifest(path)
+
+
+def test_manifest_repeated_key(tmp_path):
+    # the last of two values must not win unnoticed
+    manifest = save_model(tmp_path, init_model(3, toy_config(layers=2, temporal_layers=1)))
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("\n".join([*lines, "cfg.t_img = 7"]) + "\n")
+    with pytest.raises(io.PvctError,
+                       match=f"{manifest}:{len(lines) + 1}: repeated key 'cfg.t_img'"):
+        load_model(manifest)
 
 
 @pytest.mark.parametrize("entry, value", [

@@ -5,7 +5,7 @@ import pytest
 
 from pvc import conditioning, tensor, vit
 from pvc.conditioning import ada_ln
-from pvc.tensor import NonFiniteError, Rng, layer_norm, silu
+from pvc.tensor import NEW_WEIGHT_STD, NonFiniteError, Rng, layer_norm, silu
 from pvc.verification import randomize_gates, run_grad_check, toy_config
 from pvc.vit import (
     AttentionParams,
@@ -22,6 +22,13 @@ from pvc.vit import (
     temporal_mha_causal,
     vit_forward,
 )
+
+
+def wide(p: AttentionParams, std: float) -> AttentionParams:
+    """p with its drawn weights rescaled to std."""
+    for w in (p.wq, p.wk, p.wv, p.wo):
+        w *= std / NEW_WEIGHT_STD
+    return p
 
 
 def softmax(x):
@@ -119,14 +126,14 @@ class TestPatchify:
 class TestSpatialMha:
     def test_single_token(self):
         rng = Rng(4)
-        p = init_attention(rng, c=6, heads=2, std=0.3)
+        p = wide(init_attention(rng, c=6, heads=2), 0.3)
         x = rng.normal((2, 1, 6))
         expect = (x @ p.wv + p.bv) @ p.wo + p.bo
         assert np.max(np.abs(spatial_mha(x, p) - expect)) < 1e-12
 
     def test_identical_tokens_identical_outputs(self):
         rng = Rng(5)
-        p = init_attention(rng, c=6, heads=2, std=0.3)
+        p = wide(init_attention(rng, c=6, heads=2), 0.3)
         x = np.repeat(rng.normal((1, 1, 6)), 5, axis=1)
         out = spatial_mha(x, p)
         assert np.max(np.abs(out - out[:, :1])) == 0.0
@@ -134,7 +141,7 @@ class TestSpatialMha:
     def test_explicit_attention_oracle(self):
         rng = Rng(6)
         c = 4
-        p = init_attention(rng, c=c, heads=1, std=0.3)
+        p = wide(init_attention(rng, c=c, heads=1), 0.3)
         x = rng.normal((1, 3, c))
         q, k, v = x[0] @ p.wq + p.bq, x[0] @ p.wk + p.bk, x[0] @ p.wv + p.bv
         attn = softmax(q @ k.T / np.sqrt(c))
@@ -145,7 +152,7 @@ class TestSpatialMha:
 class TestTemporalMhaCausal:
     def test_first_frame_sees_only_itself(self):
         rng = Rng(7)
-        p = init_attention(rng, c=6, heads=2, std=0.3)
+        p = wide(init_attention(rng, c=6, heads=2), 0.3)
         x = rng.normal((3, 5, 6))
         out = temporal_mha_causal(x, p)
         single = temporal_mha_causal(x[:, :1], p)
@@ -154,14 +161,14 @@ class TestTemporalMhaCausal:
 
     def test_t_equals_one(self):
         rng = Rng(8)
-        p = init_attention(rng, c=6, heads=2, std=0.3)
+        p = wide(init_attention(rng, c=6, heads=2), 0.3)
         x = rng.normal((4, 1, 6))
         expect = (x @ p.wv + p.bv) @ p.wo + p.bo
         assert np.max(np.abs(temporal_mha_causal(x, p) - expect)) < 1e-12
 
     def test_perturbation_causality(self):
         rng = Rng(9)
-        p = init_attention(rng, c=8, heads=2, std=0.3)
+        p = wide(init_attention(rng, c=8, heads=2), 0.3)
         x = rng.normal((2, 6, 8))
         base = temporal_mha_causal(x, p)
         for j in range(1, 6):
@@ -176,7 +183,7 @@ class TestTemporalMhaCausal:
                                           (temporal_mha_causal, True)])
 def test_attention_matches_reference_and_keeps_input(mha, causal):
     rng = Rng(10)
-    p = init_attention(rng, c=8, heads=2, std=0.5)
+    p = wide(init_attention(rng, c=8, heads=2), 0.5)
     x = rng.normal((3, 5, 8)) * 2.0
     x0 = x.copy()
     out = mha(x, p)
@@ -208,7 +215,7 @@ def test_attention_blocks_tile_the_query_grid(block, monkeypatch):
 def test_blocked_attention_matches_reference(block, causal, c, monkeypatch):
     monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", block)
     rng = Rng(60)
-    p = init_attention(rng, c=c, heads=2, std=0.5)
+    p = wide(init_attention(rng, c=c, heads=2), 0.5)
     x = rng.normal((3, 7, c)) * 2.0
     mha = temporal_mha_causal if causal else spatial_mha
     probs = np.empty((3, 2, 7, 7))
@@ -243,7 +250,7 @@ def test_cached_forward_runs_as_one_tile(name, monkeypatch):
         w_in, w_out = rng.normal((8, 16), 0.3), rng.normal((16, 8), 0.3)
         forward = lambda cache: tensor.silu_mlp(x, w_in, w_out, cache=cache)
     else:
-        p = init_attention(rng, c=8, heads=2, std=0.5)
+        p = wide(init_attention(rng, c=8, heads=2), 0.5)
         forward = lambda cache: temporal_mha_causal(x, p, cache)
     ref = forward(None)
     assert counts[-1] > 1
@@ -275,7 +282,7 @@ def test_grad_check_with_small_blocks(module, monkeypatch):
 @pytest.mark.parametrize("mha", [spatial_mha, temporal_mha_causal])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_attention_non_finite_input_raises(mha, bad):
-    p = init_attention(Rng(61), c=8, heads=2, std=0.5)
+    p = wide(init_attention(Rng(61), c=8, heads=2), 0.5)
     x = Rng(62).normal((2, 5, 8))
     x[1, 3, 2] = bad
     with pytest.raises(NonFiniteError):
