@@ -264,35 +264,44 @@ PRESET_NAMES = ("table4-baseline", "table4-pvc")
 # ---------------------------------------------------------------------------
 # flat config-file loading (key = value, dotted section prefixes)
 
-_SPEC_FIELDS = {
-    "vit": VitSpec, "compression": CompressionSpec, "llm": LlmSpec,
-}
-
 # Spec fields that may be 0 (no AdaLN, no TE, no temporal layers); every
-# other spec field is an extent and must be at least 1.
+# other spec field and every workload count is an extent and must be at
+# least 1.
 _MAY_BE_ZERO = ("adaln_hidden", "te_hidden", "temporal_layers")
 
 
+def _parse(key: str, value: str, kind: type):
+    """kind(value), or a ValueError that starts with the key and the value."""
+    try:
+        return kind(value)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{key} = {value}: not {what}") from None
+
+
 def specs_from_entries(entries: dict) -> tuple[ArchSpec, WorkloadSpec]:
-    """Build specs from manifest-style entries like `vit.layers = 24`."""
+    """Build specs from manifest-style entries like `vit.layers = 24`.
+
+    A count or number that does not parse or is out of range is refused
+    with a ValueError whose message starts with its key and value.
+    """
     arch = ArchSpec()
     work = WorkloadSpec()
+    sections = {"workload": work, "vit": arch.vit, "compression": arch.compression,
+                "llm": arch.llm}
     for key, value in entries.items():
         section, _, fld = key.partition(".")
-        if section == "workload":
-            if not hasattr(work, fld):
-                raise ValueError(f"unknown workload field {fld!r}")
-            cur = getattr(work, fld)
-            setattr(work, fld, type(cur)(value) if not isinstance(cur, str) else value)
-        elif section == "arch" and fld == "flops_per_mac":
-            arch.flops_per_mac = float(value)
+        if key == "workload.kind":
+            work.kind = value
+        elif key == "arch.flops_per_mac":
+            arch.flops_per_mac = _parse(key, value, float)
             if not (np.isfinite(arch.flops_per_mac) and arch.flops_per_mac > 0):
                 raise ValueError(f"{key} = {value}: must be finite and positive")
-        elif section in _SPEC_FIELDS:
-            target = getattr(arch, section)
+        elif section in sections:
+            target = sections[section]
             if fld not in target.__dataclass_fields__:
                 raise ValueError(f"unknown {section} field {fld!r}")
-            n, least = int(value), 0 if fld in _MAY_BE_ZERO else 1
+            n, least = _parse(key, value, int), 0 if fld in _MAY_BE_ZERO else 1
             if n < least:
                 raise ValueError(f"{key} = {n}: must be at least {least}")
             setattr(target, fld, n)
@@ -302,5 +311,6 @@ def specs_from_entries(entries: dict) -> tuple[ArchSpec, WorkloadSpec]:
         raise ValueError(f"vit.temporal_layers = {arch.vit.temporal_layers} exceeds "
                          f"vit.layers = {arch.vit.layers}")
     if arch.vit.tokens_per_frame < 1:
-        raise ValueError("vit.image_size is smaller than vit.patch: no tokens")
+        raise ValueError(f"vit.image_size = {arch.vit.image_size} is smaller than "
+                         f"vit.patch = {arch.vit.patch}: no tokens")
     return arch, work

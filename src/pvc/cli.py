@@ -26,7 +26,6 @@ from .conditioning import relative_timestamps
 from .input_pipeline import (
     FRAME_BOUNDS,
     dynamic_tile,
-    image_to_static_video,
     normalize,
     read_ppm,
     sample_frames,
@@ -176,9 +175,13 @@ def _cmd_pipeline(args) -> int:
         img = read_ppm(args.image)
         tiles, grid = dynamic_tile(img, cfg.image_size, args.max_tiles)
         t_img = cfg.t_img if args.t_img is None else args.t_img
-        # tiles ride the batch axis; every tile of a frame shares its timestamp
-        pixels = np.stack([normalize(image_to_static_video(tile, t_img).frames)
-                           for tile in tiles])  # [tiles, T, H, W, 3]
+        if t_img < 1:
+            raise ValueError(f"t_img must be >= 1, got {t_img}")
+        # tiles ride the batch axis; every tile of a frame shares its timestamp.
+        # Each tile is normalised once and held once across its t_img frames.
+        pixels = np.broadcast_to(
+            np.stack([normalize([tile]) for tile in tiles]),  # [tiles, 1, H, W, 3]
+            (len(tiles), t_img, cfg.image_size, cfg.image_size, 3))
         print(f"pipeline: {len(tiles)} tile(s), grid {grid[0]}x{grid[1]}, "
               f"t_img={t_img}")
     else:

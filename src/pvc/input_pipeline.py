@@ -3,6 +3,11 @@
 Images are repeated into static videos; native videos are uniformly
 subsampled; high-resolution images are split into fixed-size tiles by
 aspect ratio. Pixels travel as 8-bit RGB until `normalize`.
+
+A static video (every frame equal, as an image repeated) is held once
+from `normalize` on: its one converted frame is broadcast to all T frames
+as a read-only view whose frame axis has stride 0. `vit.patchify` and
+`vit.vit_forward` read that stride and work on the one frame.
 """
 from __future__ import annotations
 
@@ -177,14 +182,21 @@ def normalize(frames: list[RawImage], mean=PIXEL_MEAN, std=PIXEL_STD) -> Array:
     """8-bit RGB frames -> float64 [len, H, W, 3], scaled to [0,1] then
     channel-standardized. Each of the 256 levels of each channel is
     computed once and the pixels look it up.
+
+    When every frame's pixels equal frame 0's, frame 0 is converted once
+    and returned broadcast to [len, H, W, 3]: a read-only view whose frame
+    axis has stride 0. The comparison stops at the first frame that differs.
     """
-    arr = np.stack([im.pixels for im in frames])
     mean = np.asarray(mean, dtype=np.float64)
     std = np.asarray(std, dtype=np.float64)
     table = (np.arange(256.0)[:, None] / 255.0 - mean) / std  # [256, 3]
-    return table[arr, np.arange(3)]
+    first = frames[0].pixels
+    if all(np.array_equal(im.pixels, first) for im in frames[1:]):
+        return np.broadcast_to(table[first, np.arange(3)], (len(frames), *first.shape))
+    return table[np.stack([im.pixels for im in frames]), np.arange(3)]
 
 
 def video_to_pixel_tensor(v: RawVideo, mean=PIXEL_MEAN, std=PIXEL_STD) -> Array:
-    """[1, T, H, W, 3] normalized pixel tensor for patchify."""
+    """[1, T, H, W, 3] normalized pixel tensor for patchify; a static video
+    keeps its stride-0 frame axis."""
     return normalize(v.frames, mean, std)[None]

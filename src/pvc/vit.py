@@ -205,6 +205,10 @@ def patchify(frames: Array, cfg: PvcConfig, patch: PatchEmbedParams) -> Array:
     Each patch_size^2 pixel block is flattened row-major (row, col,
     channel) and linearly projected; a learned per-position embedding is
     added, shared across frames.
+
+    A frame axis with stride 0 (a static video held once, see
+    `input_pipeline.normalize`) is projected for its one frame, and the
+    tokens come back broadcast to [B,T,N,C] with the same stride 0.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 5 or frames.shape[-1] != 3:
@@ -212,6 +216,9 @@ def patchify(frames: Array, cfg: PvcConfig, patch: PatchEmbedParams) -> Array:
     b, t, h, w, _ = frames.shape
     if h != cfg.image_size or w != cfg.image_size:
         raise ValueError(f"frame size {h}x{w} != configured {cfg.image_size}")
+    if t > 1 and frames.strides[1] == 0:
+        tokens = patchify(frames[:, :1], cfg, patch)
+        return np.broadcast_to(tokens, (b, t, *tokens.shape[2:]))
     g, ps = cfg.grid, cfg.patch_size
     x = frames.reshape(b, t, g, ps, g, ps, 3)
     x = x.transpose(0, 1, 2, 4, 3, 5, 6).reshape(b, t, g * g, ps * ps * 3)
@@ -360,6 +367,11 @@ def vit_forward(x: Array, cfg: PvcConfig, model: ModelParams) -> Array:
     frame 0 alone, and the first temporal layer's LN1 + S-MHA output is
     broadcast to the T frames. A stack without temporal layers repeats its
     output at the end. The result equals running every layer on every frame.
+
+    A frame axis with stride 0 (the view `patchify` returns for a static
+    video held once) is identical by construction and is not compared.
+    Any other input is compared frame by frame against frame 0, stopping
+    at the first frame that differs.
     """
     if x.ndim != 4:
         raise ValueError(f"tokens must be [B,T,N,C], got {x.shape}")
@@ -367,7 +379,8 @@ def vit_forward(x: Array, cfg: PvcConfig, model: ModelParams) -> Array:
         raise ValueError(f"expected {cfg.layers} layers, got {len(model.layers)}")
     plain = cfg.layers - cfg.temporal_layers
     t = x.shape[1]
-    if t > 1 and bool((x == x[:, :1]).all()):
+    if t > 1 and (x.strides[1] == 0
+                  or all(np.array_equal(x[:, i], x[:, 0]) for i in range(1, t))):
         x = x[:, :1]
     for i, p in enumerate(model.layers):
         if p.is_temporal != (i >= plain):

@@ -93,13 +93,15 @@ class TestBudget:
         ("compression.te_hidden", 0, 0), ("vit.temporal_layers", 6, 2),
         ("arch.flops_per_mac", "nan", 2), ("arch.flops_per_mac", "inf", 2),
         ("arch.flops_per_mac", -2, 2), ("arch.flops_per_mac", 0, 2),
-        ("arch.flops_per_mac", 1, 0)])
+        ("arch.flops_per_mac", 1, 0), ("vit.layers", "abc", 2),
+        ("arch.flops_per_mac", "x", 2), ("workload.t_img", "abc", 2),
+        ("workload.t_img", 0, 2)])
     def test_config_extents(self, capsys, tmp_path, key, value, code):
         cfg = tmp_path / "arch.cfg"
         io.write_manifest(cfg, {"vit.layers": 4, "vit.temporal_layers": 2, key: value})
         got, out, err = run(capsys, "budget", "--config", str(cfg))
         assert got == code
-        assert (key in err) if code else "flops.total" in out
+        assert err.startswith(f"pvc: {key} = {value}") if code else "flops.total" in out
 
 
 class TestForwardCompress:
@@ -290,6 +292,23 @@ class TestPipeline:
         m = cfg.tokens_per_frame // cfg.shuffle_kernel ** 2
         assert y.shape == (1, cfg.t_img, m, cfg.channels)
         assert f"{y.shape[0] * y.shape[1] * y.shape[2]} visual tokens" in out
+
+    def test_image_tiles_are_held_once(self, capsys, tmp_path, monkeypatch):
+        seen = []
+        real_patchify = cli.patchify
+
+        def patchify(pixels, cfg, patch):
+            seen.append((pixels.shape, pixels.strides[1]))
+            return real_patchify(pixels, cfg, patch)
+
+        monkeypatch.setattr(cli, "patchify", patchify)
+        gen = np.random.Generator(np.random.Philox(16))
+        ppm = tmp_path / "img.ppm"
+        write_ppm(ppm, RawImage(gen.integers(0, 256, size=(56, 112, 3), dtype=np.uint8)))
+        code, _, err = run(capsys, "pipeline", "--toy", "--image", str(ppm), "--t-img", "3",
+                           "--output", str(tmp_path / "tokens.pvct"))
+        assert code == 0, err
+        assert seen == [((2, 3, 56, 56, 3), 0)]
 
     def test_vit_released_before_compressor_is_built(self, capsys, tmp_path, monkeypatch):
         refs = {}

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from pvc.input_pipeline import (
+    PIXEL_MEAN,
+    PIXEL_STD,
     RawImage,
     RawVideo,
     bilinear_resize,
@@ -149,6 +151,21 @@ class TestNormalize:
                           ((0.5, 0.5, 0.5), (0.5, 0.5, 0.5))):
             out = normalize(images, mean=mean, std=std)
             assert np.array_equal(out, reference_normalize(pixels, mean, std))
+
+    def test_equal_frames_are_held_once(self):
+        frame = rand_image(60, 7, 5).pixels
+        out = normalize([RawImage(frame.copy()) for _ in range(4)])
+        assert out.shape == (4, 7, 5, 3)
+        assert out.strides[0] == 0 and not out.flags.writeable
+        want = reference_normalize(np.stack([frame] * 4), PIXEL_MEAN, PIXEL_STD)
+        assert np.array_equal(out, want)
+
+    def test_last_frame_differs_converts_every_frame(self):
+        pixels = np.stack([rand_image(61, 7, 5).pixels] * 4)
+        pixels[3, 6, 4, 2] ^= 1
+        out = normalize([RawImage(p) for p in pixels])
+        assert out.strides[0] != 0 and out.flags.writeable
+        assert np.array_equal(out, reference_normalize(pixels, PIXEL_MEAN, PIXEL_STD))
 
     def test_rejects_non_uint8(self):
         # normalize reads RawImage frames, which hold only uint8 pixels

@@ -5,6 +5,7 @@ import pytest
 
 from pvc import conditioning, tensor, vit
 from pvc.conditioning import ada_ln
+from pvc.input_pipeline import RawImage, image_to_static_video, video_to_pixel_tensor
 from pvc.tensor import NEW_WEIGHT_STD, NonFiniteError, Rng, layer_norm, silu
 from pvc.verification import randomize_gates, run_grad_check, toy_config
 from pvc.vit import (
@@ -121,6 +122,48 @@ class TestPatchify:
         x = patchify(img, cfg, patch)
         # row-major patch order: (0,0), (0,1), (1,0), (1,1)
         assert np.array_equal(x[0, 0], img[0, 0].reshape(4, 3))
+
+    def test_static_video_is_projected_once(self, monkeypatch):
+        cfg = toy_config()
+        patch = init_model(58, cfg).patch
+        frame = Rng(59).normal((2, 1, cfg.image_size, cfg.image_size, 3))
+        rows = []
+
+        def spy(x, w, b=None):
+            rows.append(x.size // x.shape[-1])
+            return tensor.linear(x, w, b)
+
+        monkeypatch.setattr(vit, "linear", spy)
+        tokens = patchify(np.broadcast_to(frame, (2, 4, *frame.shape[2:])), cfg, patch)
+        assert rows == [2 * cfg.tokens_per_frame]
+        assert tokens.shape == (2, 4, cfg.tokens_per_frame, cfg.channels)
+        assert tokens.strides[1] == 0
+        # each frame's tokens are that frame's projection; a GEMM over all
+        # 4 frames may block differently, so it agrees to rounding only
+        assert np.array_equal(tokens, np.repeat(patchify(frame, cfg, patch), 4, axis=1))
+        assert np.allclose(tokens, patchify(np.repeat(frame, 4, axis=1), cfg, patch),
+                           rtol=1e-13, atol=1e-13)
+
+    def test_static_image_pipeline_holds_one_frame(self):
+        # a 4-frame static image held once: one frame of pixels and one of
+        # tokens stay, and no step builds all 4 frames
+        cfg, t = toy_config(), 4
+        patch = init_model(60, cfg).patch
+        gen = np.random.Generator(np.random.Philox(61))
+        img = RawImage(gen.integers(0, 256, (cfg.image_size, cfg.image_size, 3), np.uint8))
+        video = image_to_static_video(img, t)
+        frame_px = cfg.image_size ** 2 * 3 * 8
+        frame_tokens = cfg.tokens_per_frame * cfg.channels * 8
+        tracemalloc.start()
+        try:
+            pixels = video_to_pixel_tensor(video)
+            tokens = patchify(pixels, cfg, patch)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tokens.shape == (1, t, cfg.tokens_per_frame, cfg.channels)
+        assert held <= 1.5 * frame_px + frame_tokens
+        assert peak < t * frame_px
 
 
 class TestSpatialMha:
@@ -601,6 +644,24 @@ class TestPlainLayerReuse:
         out = vit_forward(x, cfg, model)
         assert calls == [(False, 1)] * cfg.layers
         assert np.array_equal(out, layerwise_reference(x, cfg, model))
+
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_stride_zero_tokens_are_held_once_without_a_compare(self, b, monkeypatch):
+        cfg = toy_config()
+        model = self._model(62, cfg)
+        frame = Rng(63).normal((b, 1, cfg.tokens_per_frame, cfg.channels))
+        want = vit_forward(np.repeat(frame, 4, axis=1), cfg, model)
+
+        def no_compare(*args, **kwargs):
+            raise AssertionError("a stride-0 frame axis needs no value compare")
+
+        calls = spy_layer_calls(monkeypatch)
+        with monkeypatch.context() as m:
+            m.setattr(np, "array_equal", no_compare)
+            out = vit_forward(np.broadcast_to(frame, (b, 4, *frame.shape[2:])), cfg, model)
+        plain = cfg.layers - cfg.temporal_layers
+        assert calls[:plain + 1] == [(False, 1)] * plain + [(True, 1)]
+        assert np.array_equal(out, want)
 
     @pytest.mark.parametrize("case", ["one_frame", "moving", "one_static_of_two"])
     def test_no_reuse_unless_all_frames_identical(self, case, monkeypatch):
