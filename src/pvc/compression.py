@@ -23,6 +23,7 @@ from .conditioning import (
     sinusoidal_embed,
     temporal_embedding,
 )
+from . import tensor
 from .tensor import NEW_WEIGHT_STD, Array, Rng, _sub_cache, silu_mlp
 from .vit import PvcConfig
 
@@ -93,15 +94,24 @@ def compress(x: Array, p: CompressionParams, cfg: PvcConfig,
              cache: dict | None = None) -> Array:
     """Compress tokens [B,T,N,C] per frame, N -> M = N/k^2; output [B,T,M,C_out].
 
-    With a `cache` dict, the intermediates of the temporal embedding, AdaLN
-    and the MLP are recorded in it under `te`, `adaln` and `mlp`.
+    The (B, T) frames go through in `tensor.tiles`, M·k²C values each and at
+    least MLP_ROW_BLOCK rows per tile where there are. A `cache` dict (one
+    tile) records the TE, AdaLN and MLP intermediates under `te`, `adaln`, `mlp`.
     """
+    b, t, n, c = x.shape
     k = cfg.shuffle_kernel
-    xt = pixel_shuffle(x, k)
-    if xt.shape[-1] != p.wide_dim:
-        raise ValueError(f"shuffled width {xt.shape[-1]} != params {p.wide_dim}")
-    te = temporal_embedding(sinusoidal_embed(relative_timestamps(xt.shape[1])), p.te,
+    m = (_grid_side(n, k) // k) ** 2
+    if k * k * c != p.wide_dim:
+        raise ValueError(f"shuffled width {k * k * c} != params {p.wide_dim}")
+    te = temporal_embedding(sinusoidal_embed(relative_timestamps(t)), p.te,
                             _sub_cache(cache, "te"))
-    z = xt + te[None, :, None, :]
-    a = ada_ln(xt, z, p.adaln, _sub_cache(cache, "adaln"))
-    return silu_mlp(a, p.w_in, p.w_out, p.b_in, p.b_out, _sub_cache(cache, "mlp"))
+    shape, out = (b, t, m, p.w_out.shape[1]), None
+    floor = -(-tensor.MLP_ROW_BLOCK // max(m, 1))  # ceil; N = 0 gives M = 0
+    for bs, ts in tensor.tiles((b, t), m * p.wide_dim, floor, whole=cache is not None):
+        xt = pixel_shuffle(x[bs, ts], k)
+        a = ada_ln(xt, xt + te[None, ts, None, :], p.adaln, _sub_cache(cache, "adaln"))
+        y = silu_mlp(a, p.w_in, p.w_out, p.b_in, p.b_out, _sub_cache(cache, "mlp"))
+        if out is None:  # allocated after a tile, it reuses what the tile freed
+            out = np.empty(shape)
+        out[bs, ts] = y
+    return np.empty(shape) if out is None else out

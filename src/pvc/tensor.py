@@ -16,11 +16,10 @@ Array = np.ndarray
 
 EPS_NORM = 1e-6
 NEW_WEIGHT_STD = 0.02  # std of every freshly drawn weight matrix
-# Most elements of a tile-sized temporary: a SiLU MLP's hidden block, an
-# attention score block, and each [.., C] array a ViT layer holds per chunk;
-# 2**18 float64 values are 2 MB.
+# Most elements of a tile-sized temporary: an attention score block, or an
+# array a ViT layer or `compress` holds per tile; 2**18 float64 values are 2 MB.
 CHUNK_ELEMENTS = 2 ** 18
-# Fewest rows of a SiLU MLP block, so a wide MLP keeps tall GEMMs.
+# Fewest rows per tile of the FFN's and the compressor's MLP GEMMs, to keep them tall.
 MLP_ROW_BLOCK = 256
 
 
@@ -81,9 +80,9 @@ def tiles(extents: tuple[int, ...], item: int, floor: int = 1,
     for `item` elements, in blocks of at most CHUNK_ELEMENTS elements.
 
     A block spans the later axes whole before it takes two points of an
-    earlier one, holds at least one point and at least `floor` points of
-    the last axis, and the last block along an axis may be shorter. A zero
-    extent gives no tiles, and points of no elements all fit in one.
+    earlier one, holds at least one point and at least `floor` points where
+    the grid has them, and the last block along an axis may be shorter. A
+    zero extent gives no tiles, and points of no elements all fit in one.
     With `whole` (a cached forward), one tile covers the grid.
     """
     if whole:
@@ -93,7 +92,7 @@ def tiles(extents: tuple[int, ...], item: int, floor: int = 1,
     for e in reversed(extents):
         step = max(floor, min(e, fit))
         axes.insert(0, [slice(i, min(e, i + step)) for i in range(0, e, step)])
-        fit, floor = fit // max(1, e), 1
+        fit, floor = fit // max(1, e), -(-floor // max(1, e))  # ceil: what is left of the floor
     return list(itertools.product(*axes))
 
 
@@ -101,27 +100,17 @@ def silu_mlp(x: Array, w_in: Array, w_out: Array, b_in: Array | None = None,
              b_out: Array | None = None, cache: dict | None = None) -> Array:
     """Two projections with SiLU between: linear(silu(linear(x, w_in, b_in)), w_out, b_out).
 
-    The rows of x (all leading axes flattened) go through in `tiles` of
-    CHUNK_ELEMENTS hidden values, but at least MLP_ROW_BLOCK rows, each
-    block's output written into the one result array, so the hidden
-    activation is never held for every row. With a `cache` dict, the rows
-    run as one block, and the input, the pre-activation and the activation
-    are recorded in it as `x`, `pre` and `act`.
+    Every row of x (all leading axes flattened) goes through at once; the
+    calling stage bounds the rows. With a `cache` dict, the input, the
+    pre-activation and the activation are recorded in it as `x`, `pre`, `act`.
     """
-    rows = x.reshape(-1, x.shape[-1])
-    lead, hidden = x.shape[:-1], w_in.shape[1]
-    out = np.empty((len(rows), w_out.shape[1]))
-    for r, in tiles((len(rows),), hidden, MLP_ROW_BLOCK, whole=cache is not None):
-        h = linear(rows[r], w_in, b_in)
-        if cache is not None:
-            cache.update(x=x, pre=h.reshape(*lead, hidden))
-        h = silu(h)  # frees the pre-activation block
-        if cache is not None:
-            cache["act"] = h.reshape(*lead, hidden)
-        np.matmul(h, w_out, out=out[r])
-        if b_out is not None:
-            out[r] += b_out
-    return out.reshape(*lead, w_out.shape[1])
+    h = linear(x, w_in, b_in)
+    if cache is not None:
+        cache.update(x=x, pre=h)
+    h = silu(h)  # frees the pre-activation unless it is cached
+    if cache is not None:
+        cache["act"] = h
+    return linear(h, w_out, b_out)
 
 
 def silu_grad(x: Array) -> Array:

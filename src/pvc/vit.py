@@ -309,7 +309,7 @@ def progressive_layer_forward(x: Array, frames: int, p: LayerParams,
     is added into the output a chunk at a time, so its temporaries hold
     about CHUNK_ELEMENTS values each: LN1 + S-MHA over whole frames, the
     temporal block over spatial positions (T-MHA mixes only the frames of
-    one position), LN2 + FFN over rows.
+    one position), LN2 + FFN over rows (by the FFN width, >= MLP_ROW_BLOCK).
 
     With a `cache` dict, every sublayer runs as one chunk and records its
     intermediates in a dict under its own key (`ln1`, `smha`, ...), and
@@ -350,7 +350,8 @@ def progressive_layer_forward(x: Array, frames: int, p: LayerParams,
             y += p.gate_alpha * tm
 
     rows = out.reshape(-1, c)
-    for r, in tensor.tiles((len(rows),), c, whole=whole):
+    ffn = len(p.ffn_b_in)
+    for r, in tensor.tiles((len(rows),), ffn, tensor.MLP_ROW_BLOCK, whole=whole):
         h = layer_norm(rows[r], gamma=p.ln2_gamma, beta=p.ln2_beta,
                        cache=_sub_cache(cache, "ln2"))
         rows[r] += silu_mlp(h, p.ffn_w_in, p.ffn_w_out, p.ffn_b_in, p.ffn_b_out,

@@ -127,6 +127,16 @@ class TestForwardCompress:
         assert code == 0, err
         assert io.read_tensor(dst).shape == (0, 4, 16, 32)
 
+    def test_compress_empty_batch(self, capsys, tmp_path):
+        # B = 0: compress's tile loop over (B, T) frames has no tiles
+        src, dst = tmp_path / "in.pvct", tmp_path / "out.pvct"
+        io.write_tensor(src, np.zeros((0, 4, 16, 32)))
+        code, _, err = run(capsys, "compress", "--kernel", "2",
+                           "--input", str(src), "--output", str(dst))
+        assert code == 0, err
+        assert io.read_tensor(dst).shape == (0, 4, 4, 32)
+        assert io.read_manifest(str(dst) + ".manifest")["B"] == "0"
+
     def test_forward_shape_mismatch_is_io_error(self, capsys, tmp_path):
         src = tmp_path / "in.pvct"
         dst = tmp_path / "out.pvct"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pvc import compression
 from pvc.compression import (
     compress,
     init_compression,
@@ -151,10 +152,11 @@ class TestCompress:
                     assert np.array_equal(out[:, other], base[:, other])
 
     def test_peak_is_four_copies_of_the_input(self, monkeypatch):
-        # with small MLP blocks (x / 16 each), compress holds the shuffled
-        # tokens, z, the AdaLN scale and the LN output (later the shift):
-        # about 4.2 copies of x; the LN's and AdaLN's full-size temporaries
-        # made it 6.1
+        # a 1-element chunk leaves the 16-row floor, one frame of M = 16
+        # tokens, to size the tiles: about 0.5 copies of x. The bound holds
+        # the shuffled tokens, z, the AdaLN scale and the LN output (later
+        # the shift) for every frame at once, about 4.2 copies; full-size
+        # temporaries in LN or AdaLN would exceed it
         monkeypatch.setattr(tensor, "MLP_ROW_BLOCK", 16)
         monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", 1)
         cfg = PvcConfig(image_size=224, patch_size=14, channels=64, heads=4,
@@ -170,6 +172,73 @@ class TestCompress:
         finally:
             tracemalloc.stop()
         assert peak <= 4.3 * x.nbytes
+
+    def test_tiled_peak_is_under_one_copy_of_the_input(self, monkeypatch):
+        # the geometry above in tiles of one frame (M·k²C = x / 16): the
+        # output (x / 16) plus the tile's arrays, about 0.5 copies of x in
+        # all; one full-size temporary would add a copy
+        cfg = PvcConfig(image_size=224, patch_size=14, channels=64, heads=4,
+                        ffn_dim=256, layers=1, temporal_layers=0, shuffle_kernel=4)
+        monkeypatch.setattr(tensor, "MLP_ROW_BLOCK", cfg.compressed_tokens)
+        monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", cfg.compressed_tokens * 16 * 64)
+        p = init_compression(Rng(12), cfg)
+        x = Rng(13).normal((1, 16, cfg.tokens_per_frame, cfg.channels))
+        seen, real = [], compression.pixel_shuffle
+        monkeypatch.setattr(compression, "pixel_shuffle",
+                            lambda xs, k: seen.append(xs.shape[1]) or real(xs, k))
+        compress(x, p, cfg)
+        assert seen == [1] * 16
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            compress(x, p, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak <= x.nbytes
+
+    # small_cfg(): M = 4 tokens of k²C = 12 per frame, 48 values; B=2, T=5
+    @pytest.mark.parametrize("chunk, floor_rows, tiles", [
+        (96, 4, [(1, 2), (1, 2), (1, 1)] * 2),      # 2 frames fit, floor 1 frame
+        (1, 12, [(1, 3), (1, 2)] * 2),              # none fit: floor ceil(12/4) = 3
+        (1, 24, [(2, 5)]),                          # a floor of 6 frames spans T and B
+        (7 * 48, 4, [(1, 5)] * 2),                  # 7 fit: the whole T, one batch row
+        (10 * 48, 1, [(2, 5)]),                     # every frame fits
+    ], ids=["chunk", "floor", "floor_over_batch", "batch_row", "one_tile"])
+    def test_frames_per_tile_follow_the_frame_width_and_row_floor(
+            self, chunk, floor_rows, tiles, monkeypatch):
+        cfg = small_cfg()
+        p = init_compression(Rng(14), cfg)
+        x = Rng(15).normal((2, 5, 16, 3))
+        monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", 2 ** 40)
+        ref = compress(x, p, cfg)
+        monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", chunk)
+        monkeypatch.setattr(tensor, "MLP_ROW_BLOCK", floor_rows)
+        seen, real = [], compression.pixel_shuffle
+        monkeypatch.setattr(compression, "pixel_shuffle",
+                            lambda xs, k: seen.append(xs.shape[:2]) or real(xs, k))
+        out = compress(x, p, cfg)
+        assert seen == tiles
+        # bitwise: every op is per token row, and a GEMM output row depends
+        # only on its own input row
+        assert np.array_equal(out, ref)
+
+    def test_empty_extents(self):
+        cfg = small_cfg()
+        p = init_compression(Rng(16), cfg, out_dim=5)
+        assert compress(np.zeros((0, 3, 16, 3)), p, cfg).shape == (0, 3, 4, 5)
+        # N = 0 gives M = 0 tokens per frame, and the row floor no division by 0
+        assert compress(np.zeros((2, 3, 0, 3)), p, cfg).shape == (2, 3, 0, 5)
+
+    @pytest.mark.parametrize("b", [0, 2])
+    @pytest.mark.parametrize("shape, message", [((15, 3), "not a perfect square"),
+                                                ((16, 4), "shuffled width 16 != params 12")])
+    def test_bad_geometry_raises_before_any_tile(self, b, shape, message, monkeypatch):
+        cfg = small_cfg()
+        p = init_compression(Rng(17), cfg)
+        monkeypatch.setattr(tensor, "tiles", lambda *a, **kw: pytest.fail("tiled"))
+        with pytest.raises(ValueError, match=message):
+            compress(np.zeros((b, 3, *shape)), p, cfg)
 
     def test_compression_ratio(self):
         cfg = PvcConfig()

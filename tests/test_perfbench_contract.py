@@ -3,13 +3,21 @@
 `perfbench/workloads.py` is frozen with the benchmark, so the library
 names it uses (`PvcConfig(t_img=...)`, `cfg.pixel_mean`, `vit_forward`,
 `compress`, ...) must keep working. Each encode workload runs once here at
-its toy geometry: set-up, one request and its checks.
+its toy geometry: set-up, one request and its checks. At the benchmark
+geometry, the GEMM heights the library's tiling gives are pinned, so a
+tiling change that shortens them shows here before it shows in the
+benchmark's timings.
 """
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from pvc import compression, vit
+from pvc.compression import CompressionParams
+from pvc.conditioning import SINUSOID_DIM, AdaLnParams, TemporalEmbeddingParams
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -33,3 +41,40 @@ def test_encode_workload_runs_at_toy_geometry(workloads, tmp_path, kind):
     assert work.out_path.exists()
     prefix_ok, gap = work.prefix_check()
     assert prefix_ok, f"frame 0 prefix gap {gap:.3e}"
+
+
+@pytest.mark.parametrize("kind", ["image_static", "video_dynamic"])
+def test_bench_geometry_keeps_256_row_gemms(workloads, tmp_path, kind, monkeypatch):
+    # zero weights built by hand, since drawing the compressor takes longer
+    # than the forwards; with them S-MHA's output is exactly zero, so it is
+    # not computed
+    work = workloads.EncodeWorkload(kind, workloads.BENCH, 0, tmp_path)
+    cfg, h, z = work.cfg, workloads.BENCH.comp_hidden, np.zeros
+    c, f, wide = cfg.channels, cfg.ffn_dim, cfg.shuffle_kernel ** 2 * cfg.channels
+    attn = vit.AttentionParams(cfg.heads, *[z((c, c))] * 4, *[z(c)] * 4)
+    layer = vit.LayerParams(z(c), z(c), z(c), z(c), z((c, f)), z(f), z((f, c)), z(c), attn)
+    comp = CompressionParams(
+        AdaLnParams(z((wide, h)), z((h, wide)), z((wide, h)), z((h, wide))),
+        TemporalEmbeddingParams(z((SINUSOID_DIM, h)), z((h, wide))),
+        z((wide, h)), z(h), z((h, h)), z(h))
+    frames = work.out_shape[1]
+    x = z((1, frames, cfg.tokens_per_frame, c))
+    ffn_rows, shuffled_rows = [], []
+    mlp, shuffle = vit.silu_mlp, compression.pixel_shuffle
+
+    def ffn_spy(a, *weights, **kwargs):
+        ffn_rows.append(len(a))
+        return mlp(a, *weights, **kwargs)
+
+    def shuffle_spy(a, k):
+        shuffled_rows.append(a.shape[0] * a.shape[1] * a.shape[2] // k ** 2)
+        return shuffle(a, k)
+
+    monkeypatch.setattr(vit, "spatial_mha", lambda a, p, cache=None: z(a.shape))
+    monkeypatch.setattr(vit, "silu_mlp", ffn_spy)
+    monkeypatch.setattr(compression, "pixel_shuffle", shuffle_spy)
+    vit.progressive_layer_forward(x, frames, layer)
+    out = compression.compress(x, comp, cfg)
+    assert ffn_rows == [256] * (frames * cfg.tokens_per_frame // 256)
+    assert shuffled_rows == [256]
+    assert out.shape == work.out_shape

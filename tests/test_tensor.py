@@ -172,8 +172,8 @@ class TestSilu:
 
 
 class TestSiluMlp:
-    """silu_mlp holds the hidden activation a block of rows at a time: at
-    most CHUNK_ELEMENTS hidden values, but at least MLP_ROW_BLOCK rows."""
+    """silu_mlp runs every row it is given at once; the stage loops that
+    call it (the layer's FFN, compress) cut the rows into tiles."""
 
     @staticmethod
     def _mlp(rows, c=8, hidden=16, out=8):
@@ -181,12 +181,15 @@ class TestSiluMlp:
         return (rng.normal((1, rows, c)), rng.normal((c, hidden), 0.3),
                 rng.normal((hidden, out), 0.3), rng.normal((hidden,)), rng.normal((out,)))
 
+    @staticmethod
+    def _by_blocks(x, block, *weights):
+        return np.concatenate([silu_mlp(x[:, i:i + block], *weights)
+                               for i in range(0, x.shape[1], block)], axis=1)
+
     @pytest.mark.parametrize("block", [3, 5, 23, 256])
-    def test_blocks_equal_the_unblocked_formula_bitwise(self, block, monkeypatch):
-        # 23 rows: blocks of 3 and 5 leave an uneven last block of 2 and 3;
-        # a 1-element chunk leaves the row floor to set the block
-        monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", 1)
-        monkeypatch.setattr(tensor, "MLP_ROW_BLOCK", block)
+    def test_blocks_equal_the_unblocked_formula_bitwise(self, block):
+        # 23 rows: blocks of 3 and 5 leave an uneven last block of 2 and 3,
+        # as a stage loop's last tile may be
         x, w_in, w_out, b_in, b_out = self._mlp(23)
         pre = linear(x, w_in, b_in)
         expect = linear(silu(pre), w_out, b_out)
@@ -194,52 +197,18 @@ class TestSiluMlp:
         got = silu_mlp(x, w_in, w_out, b_in, b_out, cache)
         # bitwise: a GEMM output row depends only on its own input row
         assert np.array_equal(got, expect)
-        assert np.array_equal(silu_mlp(x, w_in, w_out, b_in, b_out), got)
+        assert np.array_equal(self._by_blocks(x, block, w_in, w_out, b_in, b_out), got)
         assert cache["x"] is x
         assert np.array_equal(cache["pre"], pre)
         assert np.array_equal(cache["act"], silu(pre))
 
-    def test_one_row_blocks_match_the_unblocked_formula(self, monkeypatch):
+    def test_one_row_blocks_match_the_unblocked_formula(self):
         # a 1-row product takes NumPy's vector-matrix path, which may round
         # the last bit differently from the matrix product
-        monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", 1)
-        monkeypatch.setattr(tensor, "MLP_ROW_BLOCK", 1)
         x, w_in, w_out, b_in, b_out = self._mlp(23)
         expect = linear(silu(linear(x, w_in, b_in)), w_out, b_out)
-        got = silu_mlp(x, w_in, w_out, b_in, b_out)
+        got = self._by_blocks(x, 1, w_in, w_out, b_in, b_out)
         assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
-
-    @pytest.mark.parametrize("hidden, blocks", [(4, [16, 16, 10]), (16, [4] * 10 + [2]),
-                                                (32, [3] * 14)])
-    def test_block_rows_follow_the_hidden_width(self, hidden, blocks, monkeypatch):
-        # 64 hidden values per block, at least 3 rows: a narrow MLP gets
-        # taller blocks, a wide one keeps the row floor
-        monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", 64)
-        monkeypatch.setattr(tensor, "MLP_ROW_BLOCK", 3)
-        rows = []
-        real = tensor.silu
-        monkeypatch.setattr(tensor, "silu", lambda h: rows.append(len(h)) or real(h))
-        x, w_in, w_out, b_in, b_out = self._mlp(42, hidden=hidden)
-        got = silu_mlp(x, w_in, w_out, b_in, b_out)
-        assert rows == blocks
-        assert np.array_equal(got, linear(real(linear(x, w_in, b_in)), w_out, b_out))
-
-    def test_uncached_peak_is_output_plus_two_blocks(self):
-        # 1000 rows at hidden 512: blocks of CHUNK_ELEMENTS hidden values
-        # (512 rows), the last one uneven
-        x, w_in, w_out, b_in, b_out = self._mlp(1000, c=32, hidden=512, out=16)
-        silu_mlp(x, w_in, w_out, b_in, b_out)
-        tracemalloc.start()
-        try:
-            held = tracemalloc.get_traced_memory()[0]
-            out = silu_mlp(x, w_in, w_out, b_in, b_out)
-            peak = tracemalloc.get_traced_memory()[1] - held
-        finally:
-            tracemalloc.stop()
-        block = tensor.CHUNK_ELEMENTS * 8
-        # slack: NumPy's ufunc buffer (the broadcast bias add) and small objects
-        slack = np.getbufsize() * 8 + 4096
-        assert peak <= out.nbytes + 2 * block + slack
 
 
 class TestDeterminismAndRng:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pvc import conditioning, tensor, vit
+from pvc.compression import compress, init_compression
 from pvc.conditioning import ada_ln
 from pvc.input_pipeline import RawImage, image_to_static_video, video_to_pixel_tensor
 from pvc.tensor import NEW_WEIGHT_STD, NonFiniteError, Rng, layer_norm, silu
@@ -273,10 +274,11 @@ def test_blocked_attention_matches_reference(block, causal, c, monkeypatch):
         assert (attn[..., np.triu(np.ones((7, 7), dtype=bool), 1)] == 0.0).all()
 
 
-@pytest.mark.parametrize("name", ["silu_mlp", "attention"])
+@pytest.mark.parametrize("name", ["compress", "attention"])
 def test_cached_forward_runs_as_one_tile(name, monkeypatch):
-    # with 7-element chunks the uncached forward takes several tiles; the
-    # cached one takes one, so its whole-size cache needs no copying
+    # with 7-element chunks the uncached forward takes several tiles (one
+    # frame each for compress); the cached one takes one, so its whole-size
+    # cache needs no copying
     monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", 7)
     monkeypatch.setattr(tensor, "MLP_ROW_BLOCK", 2)
     counts, real = [], tensor.tiles
@@ -289,9 +291,11 @@ def test_cached_forward_runs_as_one_tile(name, monkeypatch):
     monkeypatch.setattr(tensor, "tiles", tiles)
     rng = Rng(65)
     x = rng.normal((3, 7, 8))
-    if name == "silu_mlp":
-        w_in, w_out = rng.normal((8, 16), 0.3), rng.normal((16, 8), 0.3)
-        forward = lambda cache: tensor.silu_mlp(x, w_in, w_out, cache=cache)
+    if name == "compress":
+        cfg = toy_config(channels=8, heads=2)
+        comp = init_compression(rng, cfg)
+        x = rng.normal((2, 3, cfg.tokens_per_frame, 8))
+        forward = lambda cache: compress(x, comp, cfg, cache)
     else:
         p = wide(init_attention(rng, c=8, heads=2), 0.5)
         forward = lambda cache: temporal_mha_causal(x, p, cache)
@@ -301,10 +305,10 @@ def test_cached_forward_runs_as_one_tile(name, monkeypatch):
     got = forward(cache)
     assert counts[-1] == 1
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-    if name == "silu_mlp":
-        pre = tensor.linear(x, w_in)
-        assert np.array_equal(cache["pre"], pre)
-        assert np.array_equal(cache["act"], silu(pre))
+    if name == "compress":
+        assert counts[-2] == 6  # the uncached call: one tile per frame
+        assert cache["mlp"]["act"].shape == (2, 3, cfg.compressed_tokens, 4 * 8)
+        assert cache["adaln"]["xhat"].shape == (2, 3, cfg.compressed_tokens, 4 * 8)
     else:
         assert cache["attn"].shape == (3, 2, 7, 7)
         assert np.max(np.abs(cache["attn"].sum(axis=-1) - 1.0)) <= 1e-15
@@ -312,9 +316,9 @@ def test_cached_forward_runs_as_one_tile(name, monkeypatch):
 
 @pytest.mark.parametrize("module", ["tmha_causal", "progressive_layer"])
 def test_grad_check_with_small_blocks(module, monkeypatch):
-    # several attention blocks per sequence with an uneven last one, MLPs
-    # of several row blocks, the last one uneven, and uncached forwards (the
-    # finite differences) of several layer chunks
+    # several attention blocks per sequence with an uneven last one, FFN
+    # tiles of MLP_ROW_BLOCK rows, and uncached forwards (the finite
+    # differences) of several layer chunks
     monkeypatch.setattr(tensor, "MLP_ROW_BLOCK", 2)
     monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", 12)
     report = run_grad_check(module, seed=0)
@@ -408,10 +412,10 @@ class TestProgressiveLayer:
         assert self._peak_copies_of_x(False, monkeypatch) <= 1.5
 
     # chunk sizes at toy_config(), B=2, T=3 (6 frames of N*C = 512, 16
-    # positions of B*T*C = 192, 96 rows of C = 32): one frame, position
-    # and row per chunk; 1 frame, 3 positions (16 = 5*3 + 1) and 21 rows
-    # (96 = 4*21 + 12); 4 frames (6 = 4 + 2), 10 positions (16 = 10 + 6)
-    # and 64 rows (96 = 64 + 32)
+    # positions of B*T*C = 192, 96 rows of FFN width 64) with a 1-row
+    # floor: one frame, position and row per chunk; 1 frame, 3 positions
+    # (16 = 5*3 + 1) and 10 rows (96 = 9*10 + 6); 4 frames (6 = 4 + 2),
+    # 10 positions (16 = 10 + 6) and 32 rows (96 = 3*32)
     @pytest.mark.parametrize("chunk", [32, 700, 2048])
     @pytest.mark.parametrize("static", [False, True], ids=["moving", "held_once"])
     @pytest.mark.parametrize("temporal", [True, False], ids=["temporal", "plain"])
@@ -422,6 +426,7 @@ class TestProgressiveLayer:
         x = make_batch(Rng(18), cfg, b=2, t=3)
         if static:
             x = x[:, :1]
+        monkeypatch.setattr(tensor, "MLP_ROW_BLOCK", 1)
         monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", 2 ** 40)
         x0 = x.copy()
         ref = progressive_layer_forward(x, 3, p)
@@ -432,6 +437,32 @@ class TestProgressiveLayer:
         assert out.shape == ref.shape == (2, frames) + x.shape[2:]
         # 1-row chunks take NumPy's vector-matrix path, which may round the
         # last bit differently
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    # FFN width 4, 16 and 32 at 64-element chunks and a 3-row floor: 16,
+    # 4 and 2 rows fit, so the narrow FFNs get taller tiles and the widest
+    # keeps the floor; B=1, T=3 gives 48 rows
+    @pytest.mark.parametrize("ffn, blocks", [(4, [16] * 3), (16, [4] * 12), (32, [3] * 16)])
+    def test_ffn_row_tiles_follow_the_ffn_width(self, ffn, blocks, monkeypatch):
+        cfg = toy_config(ffn_dim=ffn)
+        p = init_layer(Rng(21), cfg, temporal=False)
+        x = make_batch(Rng(22), cfg, t=3)
+        ref = progressive_layer_forward(x, 3, p)
+        monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", 64)
+        monkeypatch.setattr(tensor, "MLP_ROW_BLOCK", 3)
+        ln2, ffn_rows = [], []
+        real_ln, real_mlp = vit.layer_norm, vit.silu_mlp
+
+        def layer_norm_spy(h, **kwargs):
+            if h.ndim == 2:  # LN1 sees whole frames [f, N, C]
+                ln2.append(len(h))
+            return real_ln(h, **kwargs)
+
+        monkeypatch.setattr(vit, "layer_norm", layer_norm_spy)
+        monkeypatch.setattr(vit, "silu_mlp",
+                            lambda h, *w, **kw: ffn_rows.append(len(h)) or real_mlp(h, *w, **kw))
+        out = progressive_layer_forward(x, 3, p)
+        assert ln2 == ffn_rows == blocks
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_cache_holds_no_view_of_the_input_or_output(self):
