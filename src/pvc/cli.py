@@ -58,6 +58,12 @@ def _load_or_init_model(args):
     return init_model(args.seed, cfg)
 
 
+def _load_or_init_compression(args, cfg: PvcConfig, seed: int):
+    if args.comp_manifest:
+        return model_store.load_compression(args.comp_manifest)
+    return init_compression(Rng(seed), cfg)
+
+
 def _cmd_forward(args) -> int:
     model = _load_or_init_model(args)
     cfg = model.cfg
@@ -81,11 +87,7 @@ def _cmd_compress(args) -> int:
     _, _, n, c = x.shape
     # geometry comes from the tokens themselves; only the kernel matters
     cfg = _compress_config(n, c, args.kernel)
-    if args.comp_manifest:
-        params = model_store.load_compression(args.comp_manifest)
-    else:
-        params = init_compression(Rng(args.seed), cfg)
-    out = compress(x, params, cfg)
+    out = compress(x, _load_or_init_compression(args, cfg, args.seed), cfg)
     _write_tokens(args.output, out)
     print(f"compress: wrote {args.output} shape={out.shape}")
     return EXIT_OK
@@ -205,8 +207,8 @@ def _cmd_pipeline(args) -> int:
         print(f"pipeline: video, {t} sampled frame(s)")
 
     x = vit_forward(patchify(pixels, cfg, model.patch), cfg, model)
-    del model, pixels  # the ViT weights go before the compressor's are built
-    out = compress(x, init_compression(Rng(args.seed + 1), cfg), cfg)
+    del model, pixels  # the ViT weights go before the compressor's are loaded or built
+    out = compress(x, _load_or_init_compression(args, cfg, args.seed + 1), cfg)
     _write_tokens(args.output, out)
     print(f"pipeline: wrote {args.output} shape={out.shape} "
           f"({out.shape[0] * out.shape[1] * out.shape[2]} visual tokens)")
@@ -273,6 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-tiles", type=int, default=12)
     p.add_argument("--no-frame-bounds", action="store_true")
     p.add_argument("--manifest", help="model manifest (else init from seed)")
+    p.add_argument("--comp-manifest",
+                   help="compression weights manifest (else init from seed + 1)")
     p.add_argument("--toy", action="store_true", help="toy-scale config")
     p.add_argument("--output", required=True)
     add_seed(p)

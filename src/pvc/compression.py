@@ -95,8 +95,11 @@ def compress(x: Array, p: CompressionParams, cfg: PvcConfig,
     """Compress tokens [B,T,N,C] per frame, N -> M = N/k^2; output [B,T,M,C_out].
 
     The (B, T) frames go through in `tensor.tiles`, M·k²C values each and at
-    least MLP_ROW_BLOCK rows per tile where there are. A `cache` dict (one
-    tile) records the TE, AdaLN and MLP intermediates under `te`, `adaln`, `mlp`.
+    least MLP_ROW_BLOCK rows per tile where there are. Each tile's
+    `pixel_shuffle` copy is private, so AdaLN normalises it in place: a tile
+    holds that copy, AdaLN's two condition hiddens and one of its column
+    tiles, and no z = x + TE. A `cache` dict (one tile) records the TE,
+    AdaLN and MLP intermediates under `te`, `adaln`, `mlp`.
     """
     b, t, n, c = x.shape
     k = cfg.shuffle_kernel
@@ -108,8 +111,8 @@ def compress(x: Array, p: CompressionParams, cfg: PvcConfig,
     shape, out = (b, t, m, p.w_out.shape[1]), None
     floor = -(-tensor.MLP_ROW_BLOCK // max(m, 1))  # ceil; N = 0 gives M = 0
     for bs, ts in tensor.tiles((b, t), m * p.wide_dim, floor, whole=cache is not None):
-        xt = pixel_shuffle(x[bs, ts], k)
-        a = ada_ln(xt, xt + te[None, ts, None, :], p.adaln, _sub_cache(cache, "adaln"))
+        xt = pixel_shuffle(x[bs, ts], k)  # a private copy, so AdaLN writes into it
+        a = ada_ln(xt, te[ts], p.adaln, _sub_cache(cache, "adaln"), out=xt)
         y = silu_mlp(a, p.w_in, p.w_out, p.b_in, p.b_out, _sub_cache(cache, "mlp"))
         if out is None:  # allocated after a tile, it reuses what the tile freed
             out = np.empty(shape)

@@ -10,7 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import NEW_WEIGHT_STD, Array, Rng, _sub_cache, layer_norm, silu_mlp
+from . import tensor
+from .tensor import (NEW_WEIGHT_STD, Array, Rng, _sub_cache, layer_norm, linear, silu,
+                     silu_mlp)
 
 SINUSOID_DIM = 256
 TS_SCALE = 1000.0  # stretches t in [0,1] so sub-second spacings reach fast channels
@@ -86,29 +88,56 @@ def temporal_embedding(t_tilde: Array, p: TemporalEmbeddingParams,
     return silu_mlp(t_tilde, p.w1, p.w2, cache=cache)
 
 
-def ada_ln(x: Array, z: Array, p: AdaLnParams,
-           cache: dict | None = None) -> Array:
-    """gamma(z) * LayerNorm(x) + beta(z) over the last axis, with the
-    per-position scale gamma(z) = SiLU(z @ W3) @ W4 and bias
-    beta(z) = SiLU(z @ W5) @ W6.
+def _condition_hidden(x: Array, te: Array, w: Array, cache: dict | None) -> Array:
+    """SiLU(z @ w) for z = x + te[t], as SiLU(x @ w + (te @ w)[t]); x may
+    hold one frame of the T that te has."""
+    pre = linear(x, w)
+    pre = np.add(pre, linear(te, w)[:, None, :],
+                 out=pre if pre.shape[1] == len(te) else None)
+    act = silu(pre)
+    if cache is not None:
+        cache.update(pre=pre, act=act)
+    return act
 
-    The inner LayerNorm carries no learned affine of its own; the scale
-    and bias come entirely from the condition. x may have extent 1 where z
-    has more (a static video held once), and is then normalised once. The
-    scale is multiplied by the LN output in place, which is freed before
-    the bias is computed. With a `cache` dict, the intermediates of the two
-    MLPs (under `scale` and `shift`) and of layer_norm, and gamma, are
-    recorded.
+
+def ada_ln(x: Array, te: Array, p: AdaLnParams, cache: dict | None = None,
+           out: Array | None = None) -> Array:
+    """AdaLN of tokens x [B, T or 1, N, D] conditioned on z = x + te[t], with
+    te [T, D] one row per frame: gamma(z) * LayerNorm(x) + beta(z) over the
+    last axis, where gamma(z) = SiLU(z @ W3) @ W4 and beta(z) =
+    SiLU(z @ W5) @ W6. The result is [B, T, N, D].
+
+    z is never formed: each first GEMM is split by linearity into x @ W3 +
+    (te @ W3)[t], so x of one frame (a static video held once) runs those
+    GEMMs and its LayerNorm on that frame alone. The inner LayerNorm
+    carries no learned affine; it is written into `out` when given (x's
+    shape; it may be x itself), which holds the result when x has every
+    frame. W4 and W6 then run in column tiles from `tensor.tiles`, each
+    tile scaling and shifting its columns of the LN output in place. With
+    a `cache` dict (one tile), a copy of x, te, the hidden layers' `pre`
+    and `act` (under `scale` and `shift`), layer_norm's `xhat` and `std`,
+    and gamma are recorded.
     """
     x = np.asarray(x, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape[-1] != p.dim:
-        raise ValueError(f"condition width {z.shape[-1]} != {p.dim}")
-    if x.ndim != z.ndim or np.broadcast_shapes(x.shape, z.shape) != z.shape:
-        raise ValueError(f"x shape {x.shape} does not broadcast to z shape {z.shape}")
-    out = silu_mlp(z, p.w3, p.w4, cache=_sub_cache(cache, "scale"))
+    te = np.asarray(te, dtype=np.float64)
+    if te.ndim != 2 or te.shape[1] != p.dim or x.ndim != 4 or x.shape[3] != p.dim:
+        raise ValueError(f"condition width {p.dim}: got x {x.shape}, te {te.shape}")
+    b, t, n, d = x.shape
+    frames = len(te)
+    if t not in (1, frames):
+        raise ValueError(f"x frame count {t} must be 1 or te's {frames}")
+    gamma_in = _condition_hidden(x, te, p.w3, _sub_cache(cache, "scale"))
+    beta_in = _condition_hidden(x, te, p.w5, _sub_cache(cache, "shift"))
     if cache is not None:
-        cache["gamma"], out = out, out.copy()
-    out *= layer_norm(x, cache=cache)
-    out += silu_mlp(z, p.w5, p.w6, cache=_sub_cache(cache, "shift"))
-    return out
+        cache.update(x=x.copy(), te=te)
+    res = layer_norm(x, cache=cache, out=out)
+    if t != frames:
+        res = np.repeat(res, frames, axis=1)
+    for cs, in tensor.tiles((d,), b * frames * n, whole=cache is not None):
+        gamma, cols = linear(gamma_in, p.w4[:, cs]), res[..., cs]
+        cols *= gamma
+        if cache is not None:
+            cache["gamma"] = gamma
+        del gamma  # freed before the shift tile is made
+        cols += linear(beta_in, p.w6[:, cs])
+    return res

@@ -120,13 +120,15 @@ def silu_grad(x: Array) -> Array:
 
 
 def layer_norm(x: Array, gamma: Array | None = None, beta: Array | None = None,
-               cache: dict | None = None) -> Array:
+               cache: dict | None = None, out: Array | None = None) -> Array:
     """Normalize to zero mean / unit variance along the last axis, then affine.
 
     gamma/beta, when given, are 1-D with the extent of the last axis.
-    The result is built in one buffer. With a `cache` dict, the normalized
-    x (before the affine) and the standard deviation are recorded in it as
-    `xhat` and `std`, and the affine goes to a copy.
+    The result is built in one buffer, `out` when given (x's shape; it may
+    be x itself). The variance is the mean square of that centred buffer,
+    so nothing else of x's size is allocated. With a `cache` dict, a copy
+    of the normalized x (before the affine) and the standard deviation are
+    recorded in it as `xhat` and `std`.
     """
     x = np.asarray(x, dtype=np.float64)
     d = x.shape[-1]
@@ -134,12 +136,11 @@ def layer_norm(x: Array, gamma: Array | None = None, beta: Array | None = None,
         if v is not None and np.shape(v) != (d,):
             raise ValueError(f"{name} shape {np.shape(v)} != ({d},)")
     mu = x.mean(axis=-1, keepdims=True)
-    std = np.sqrt(x.var(axis=-1, keepdims=True) + EPS_NORM)
-    out = np.subtract(x, mu)
+    out = np.subtract(x, mu, out=out)
+    std = np.sqrt(np.vecdot(out, out)[..., None] / d + EPS_NORM)
     out /= std
     if cache is not None:
-        cache.update(xhat=out, std=std)
-        out = out.copy()
+        cache.update(xhat=out.copy(), std=std)
     if gamma is not None:
         out *= gamma
     if beta is not None:

@@ -5,7 +5,7 @@ is small and the derivation itself is what gets verified, against a
 central-finite-difference oracle. Each backward reads the intermediates
 that the module's one public forward recorded in a `cache` dict its
 caller passed, so the checked forward is the forward the model runs.
-Each returns one dict: input grads under `x`, `z` or `t_tilde`, and
+Each returns one dict: input grads under `x`, `te` or `t_tilde`, and
 parameter grads under their `named_params` names.
 """
 from __future__ import annotations
@@ -131,9 +131,14 @@ def _attn_bwd(dy: Array, p: AttentionParams, cache: dict) -> dict:
 
 
 def _adaln_bwd(dy: Array, p: AdaLnParams, cache: dict) -> dict:
-    dz_g, dw3, _, dw4, _ = _mlp_bwd(dy * cache["xhat"], p.w3, p.w4, cache["scale"])
-    dz_b, dw5, _, dw6, _ = _mlp_bwd(dy, p.w5, p.w6, cache["shift"])
-    return {"x": _ln_bwd(dy * cache["gamma"], cache), "z": dz_g + dz_b,
+    """Grads of conditioning.ada_ln through z = x + te[t], which its forward
+    never forms: x gets the normalized branch and both condition branches,
+    te the condition grad pooled over batch and tokens."""
+    z = cache["x"] + cache["te"][None, :, None, :]
+    dz_g, dw3, _, dw4, _ = _mlp_bwd(dy * cache["xhat"], p.w3, p.w4, {**cache["scale"], "x": z})
+    dz_b, dw5, _, dw6, _ = _mlp_bwd(dy, p.w5, p.w6, {**cache["shift"], "x": z})
+    dz = dz_g + dz_b
+    return {"x": _ln_bwd(dy * cache["gamma"], cache) + dz, "te": dz.sum(axis=(0, 2)),
             "w3": dw3, "w4": dw4, "w5": dw5, "w6": dw6}
 
 
@@ -145,20 +150,16 @@ def _te_bwd(d_te: Array, p: TemporalEmbeddingParams, cache: dict) -> dict:
 def _prefixed(prefix: str, grads: dict) -> dict:
     """The parameter grads of a sub-module, named as in its parent."""
     return {f"{prefix}.{k}": g for k, g in grads.items()
-            if k not in ("x", "z", "t_tilde")}
+            if k not in ("x", "te", "t_tilde")}
 
 
 def _conditioned_adaln_bwd(dy: Array, p, cache: dict, grads: dict) -> Array:
-    """Input grad of AdaLN(x; z = x + TE) in a layer or the compressor.
-
-    z feeds gradient into x through both the normalized branch and the
-    condition branch, and into the TE MLP through the condition grad pooled
-    over batch and tokens; the adaln.* and te.* grads go into `grads`.
-    """
+    """Input grad of the AdaLN of a layer or the compressor, whose te comes
+    from its own TE MLP; the adaln.* and te.* grads go into `grads`."""
     ag = _adaln_bwd(dy, p.adaln, cache["adaln"])
     grads.update(_prefixed("adaln", ag))
-    grads.update(_prefixed("te", _te_bwd(ag["z"].sum(axis=(0, 2)), p.te, cache["te"])))
-    return ag["x"] + ag["z"]
+    grads.update(_prefixed("te", _te_bwd(ag["te"], p.te, cache["te"])))
+    return ag["x"]
 
 
 def _layer_bwd(dy: Array, p: LayerParams, cache: dict) -> dict:
@@ -267,10 +268,10 @@ def _probe(module_id: str, seed: int):
     std = 0.2
 
     if module_id == "adaln":
-        x = rng.normal((2, 3, 6))
-        z = rng.normal((2, 3, 6))
+        x = rng.normal((2, 3, 2, 6))
+        te = rng.normal((3, 6))
         p = _randomized(init_adaln(Rng(0), 6, hidden=5), rng, std)
-        return ({"x": x, "z": z}, p, lambda cache: ada_ln(x, z, p, cache),
+        return ({"x": x, "te": te}, p, lambda cache: ada_ln(x, te, p, cache),
                 lambda g, cache: _adaln_bwd(g, p, cache))
 
     if module_id == "temporal_embedding":

@@ -300,10 +300,10 @@ def progressive_layer_forward(x: Array, frames: int, p: LayerParams,
                               cache: dict | None = None) -> Array:
     """One ViT layer on tokens [B, T, N, C] of a `frames`-frame video.
 
-    T is `frames`, or 1 for a static video held once: that runs LN1 and
-    S-MHA on its one frame, and adding the timestamp embedding gives it
-    `frames` distinct frames. Applies the gated temporal block only when
-    present.
+    T is `frames`, or 1 for a static video held once: that runs LN1,
+    S-MHA, and AdaLN's LN and x-side GEMMs on its one frame, and AdaLN's
+    timestamp condition gives it `frames` distinct frames. Applies the
+    gated temporal block only when present.
 
     The layer writes one output array and never its input. Each sublayer
     is added into the output a chunk at a time, so its temporaries hold
@@ -337,10 +337,8 @@ def progressive_layer_forward(x: Array, frames: int, p: LayerParams,
         te = layer_te(frames, p, _sub_cache(cache, "te"))  # [T, C]
         for s, in tensor.tiles((n,), b * frames * c, whole=whole):
             y = out[:, :, s]  # [B, T, n_c, C], written only after T-MHA
-            z = y + te[None, :, None, :]
-            # held once, LN runs on the one frame and broadcasts over T
-            a = ada_ln(y[:, :t], z, p.adaln, cache=_sub_cache(cache, "adaln"))
-            del z
+            # held once, AdaLN's x-side GEMMs and LN run on the one frame
+            a = ada_ln(y[:, :t], te, p.adaln, cache=_sub_cache(cache, "adaln"))
             a = a.transpose(0, 2, 1, 3).reshape(-1, frames, c)
             tm = temporal_mha_causal(a, p.tmha, _sub_cache(cache, "tmha"))
             del a

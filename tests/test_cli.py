@@ -4,14 +4,15 @@ import weakref
 import numpy as np
 import pytest
 
-from pvc import cli, io
+from pvc import cli, io, model_store
 from pvc.cli import main
-from pvc.input_pipeline import RawImage, write_ppm
+from pvc.input_pipeline import (RawImage, RawVideo, sample_frames, video_to_pixel_tensor,
+                                write_ppm)
 from pvc.compression import init_compression
 from pvc.model_store import save_compression, save_model
 from pvc.tensor import Rng
 from pvc.verification import toy_config
-from pvc.vit import init_model
+from pvc.vit import init_model, patchify
 
 
 def run(capsys, *argv):
@@ -427,6 +428,56 @@ class TestPipeline:
         assert io.read_tensor(dst).shape == shape
         side = io.read_manifest(str(dst) + ".manifest")
         assert [int(side[k]) for k in ("B", "T", "M", "C_out")] == list(shape)
+
+    def test_comp_manifest_equals_forward_then_compress(self, capsys, tmp_path, monkeypatch):
+        cfg = toy_config()
+        model = init_model(9, cfg)
+        manifest = save_model(tmp_path / "model", model)
+        save_compression(tmp_path / "comp", init_compression(Rng(6), cfg))
+        comp = tmp_path / "comp" / "comp.manifest"
+        gen = np.random.Generator(np.random.Philox(17))
+        frames = gen.integers(0, 256, size=(4, 56, 56, 3), dtype=np.uint8)
+        video = tmp_path / "vid.pvct"
+        io.write_tensor(video, frames.astype(np.float64))
+        # the compressor is loaded after the ViT is dropped
+        alive, real_forward, real_load = [], cli.vit_forward, model_store.load_compression
+        monkeypatch.setattr(cli, "vit_forward", lambda x, c, m: alive.append(weakref.ref(m))
+                            or real_forward(x, c, m))
+        monkeypatch.setattr(model_store, "load_compression",
+                            lambda path: alive.append(alive[0]() is None) or real_load(path))
+        code, _, err = run(capsys, "pipeline", "--manifest", str(manifest), "--comp-manifest",
+                           str(comp), "--video", str(video), "--no-frame-bounds",
+                           "--output", str(tmp_path / "piped.pvct"))
+        assert code == 0, err
+        assert alive[1:] == [True]
+        # the same tokens through `pvc forward`, then `pvc compress`
+        raw = RawVideo([RawImage(f) for f in frames])
+        tokens = patchify(video_to_pixel_tensor(sample_frames(raw, 4)), cfg, model.patch)
+        io.write_tensor(tmp_path / "tokens.pvct", tokens)
+        path = lambda name: str(tmp_path / f"{name}.pvct")
+        steps = [["forward", "--manifest", str(manifest), "--input", path("tokens"),
+                  "--output", path("encoded")],
+                 ["compress", "--kernel", str(cfg.shuffle_kernel), "--comp-manifest",
+                  str(comp), "--input", path("encoded"), "--output", path("stepped")]]
+        for argv in steps:
+            code, _, err = run(capsys, *argv)
+            assert code == 0, err
+        piped = io.read_tensor(tmp_path / "piped.pvct")
+        assert piped.shape == (1, 4, cfg.compressed_tokens, cfg.channels)
+        assert np.array_equal(piped, io.read_tensor(path("stepped")))
+
+    def test_comp_manifest_of_another_width_is_usage_error(self, capsys, tmp_path):
+        # a compressor for C=8 (k²C = 32) against the toy ViT's C=32 (128)
+        save_compression(tmp_path, init_compression(Rng(6), toy_config(channels=8, heads=2)))
+        gen = np.random.Generator(np.random.Philox(18))
+        ppm = tmp_path / "img.ppm"
+        write_ppm(ppm, RawImage(gen.integers(0, 256, size=(56, 56, 3), dtype=np.uint8)))
+        dst = tmp_path / "out.pvct"
+        code, _, err = run(capsys, "pipeline", "--toy", "--image", str(ppm), "--comp-manifest",
+                           str(tmp_path / "comp.manifest"), "--output", str(dst))
+        assert code == 2
+        assert err == "pvc: shuffled width 128 != params 32\n"
+        assert not dst.exists()
 
     @pytest.mark.parametrize("flags, message", [
         (["--image", "img.ppm", "--t-img", "0"], "t_img must be >= 1, got 0"),

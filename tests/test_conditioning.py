@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pvc import conditioning, tensor
 from pvc.conditioning import (
     TS_SCALE,
     AdaLnParams,
@@ -95,15 +96,26 @@ class TestTemporalEmbedding:
 
 def coeffs(z, p):
     """The AdaLN scale SiLU(z @ W3) @ W4 and bias SiLU(z @ W5) @ W6, each
-    product one 2-D GEMM as in silu_mlp."""
+    product one 2-D GEMM as in silu_mlp, from z formed whole."""
     return (linear(silu(linear(z, p.w3)), p.w4), linear(silu(linear(z, p.w5)), p.w6))
 
 
-def ada_ln_coeffs(z, p):
-    """gamma(z) and beta(z) as ada_ln computes them: gamma from its cache,
-    beta as its output for a constant x, whose LayerNorm is exactly zero."""
+def condition(x, te):
+    """z = x + te[t] for tokens x [B, T, N, D] and te [T, D]."""
+    return x + te[None, :, None, :]
+
+
+def row_constant(rng, shape):
+    """Tokens constant along their last axis, in quarters so that the row
+    mean is exact and the LayerNorm exactly zero."""
+    return np.broadcast_to(np.round(4 * rng.normal((*shape[:-1], 1))) / 4, shape).copy()
+
+
+def ada_ln_coeffs(x, te, p):
+    """gamma and beta of z = x + te[t] as ada_ln computes them, for tokens x
+    constant along each row: gamma from its cache, beta as its output."""
     cache = {}
-    beta = ada_ln(np.full(z.shape, 2.5), z, p, cache)
+    beta = ada_ln(x, te, p, cache)
     return cache["gamma"], beta
 
 
@@ -111,17 +123,21 @@ class TestAffineCoeffs:
     def test_zero_weights(self):
         d = 5
         p = AdaLnParams(*(np.zeros((d, d)) for _ in range(4)))
-        g, b = ada_ln_coeffs(Rng(5).normal((2, d)), p)
-        assert np.array_equal(g, np.zeros((2, d)))
-        assert np.array_equal(b, np.zeros((2, d)))
+        rng = Rng(5)
+        g, b = ada_ln_coeffs(row_constant(rng, (1, 2, 3, d)), rng.normal((2, d)), p)
+        assert np.array_equal(g, np.zeros((1, 2, 3, d)))
+        assert np.array_equal(b, np.zeros((1, 2, 3, d)))
 
     def test_composition_oracle(self):
+        # the split first GEMM, x @ W3 + (te @ W3)[t], rounds apart from
+        # (x + te[t]) @ W3 in the last bits
         rng = Rng(7)
         p = wide(init_adaln(rng, dim=6), 0.3)
-        z = rng.normal((4, 6))
-        g, b = ada_ln_coeffs(z, p)
-        assert np.max(np.abs(g - silu(z @ p.w3) @ p.w4)) < 1e-14
-        assert np.max(np.abs(b - silu(z @ p.w5) @ p.w6)) < 1e-14
+        x, te = row_constant(rng, (2, 4, 3, 6)), rng.normal((4, 6))
+        g, b = ada_ln_coeffs(x, te, p)
+        g_ref, b_ref = coeffs(condition(x, te), p)
+        assert np.max(np.abs(g - g_ref)) < 1e-14
+        assert np.max(np.abs(b - b_ref)) < 1e-14
 
 
 class TestAdaLn:
@@ -129,62 +145,97 @@ class TestAdaLn:
         d = 5
         p = AdaLnParams(*(np.zeros((d, d)) for _ in range(4)))
         rng = Rng(9)
-        out = ada_ln(rng.normal((2, 3, d)), rng.normal((2, 3, d)), p)
-        assert np.array_equal(out, np.zeros((2, 3, d)))
+        out = ada_ln(rng.normal((2, 3, 4, d)), rng.normal((3, d)), p)
+        assert np.array_equal(out, np.zeros((2, 3, 4, d)))
 
     def test_constant_x_gives_beta(self):
         rng = Rng(10)
         p = wide(init_adaln(rng, dim=4), 0.3)
-        z = rng.normal((3, 4))
-        x = np.full((3, 4), 2.5)
-        _, beta = coeffs(z, p)
-        assert np.max(np.abs(ada_ln(x, z, p) - beta)) < 1e-13
+        x, te = row_constant(rng, (1, 3, 2, 4)), rng.normal((3, 4))
+        _, beta = coeffs(condition(x, te), p)
+        assert np.max(np.abs(ada_ln(x, te, p) - beta)) < 1e-13
 
     def test_zero_condition(self):
-        # SiLU(0) = 0, so a zero condition gives zero scale and bias
+        # x @ W + (-x) @ W is exactly 0 and SiLU(0) = 0, so a zero condition
+        # gives zero scale and bias
         p = init_adaln(Rng(6), dim=5)
-        x = Rng(5).normal((3, 5))
-        assert np.array_equal(ada_ln(x, np.zeros((3, 5)), p), np.zeros((3, 5)))
+        x = Rng(5).normal((1, 3, 1, 5))
+        assert np.array_equal(ada_ln(x, -x[0, :, 0], p), np.zeros((1, 3, 1, 5)))
 
     def test_per_token_equivariance(self):
         rng = Rng(8)
         p = wide(init_adaln(rng, dim=4), 0.3)
-        x, z = rng.normal((6, 4)), rng.normal((6, 4))
+        x, te = rng.normal((1, 2, 6, 4)), rng.normal((2, 4))
         perm = np.array([3, 1, 5, 0, 4, 2])
-        assert np.array_equal(ada_ln(x[perm], z[perm], p), ada_ln(x, z, p)[perm])
+        assert np.array_equal(ada_ln(x[:, :, perm], te, p), ada_ln(x, te, p)[:, :, perm])
 
     def test_composition_oracle(self):
         rng = Rng(11)
         p = wide(init_adaln(rng, dim=8), 0.3)
-        x, z = rng.normal((2, 5, 8)), rng.normal((2, 5, 8))
-        g, b = coeffs(z, p)
+        x, te = rng.normal((2, 3, 5, 8)), rng.normal((3, 8))
+        g, b = coeffs(condition(x, te), p)
         expect = g * layer_norm(x) + b
-        assert np.max(np.abs(ada_ln(x, z, p) - expect)) < 1e-13
+        assert np.max(np.abs(ada_ln(x, te, p) - expect)) < 1e-13
 
     def test_shape_mismatch(self):
         p = init_adaln(Rng(12), dim=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="condition width"):
             ada_ln(np.zeros((2, 4)), np.zeros((3, 4)), p)
-        with pytest.raises(ValueError, match="does not broadcast"):
-            ada_ln(np.zeros((2, 3, 4)), np.zeros((2, 1, 4)), p)
+        with pytest.raises(ValueError, match="condition width"):
+            ada_ln(np.zeros((2, 3, 1, 4)), np.zeros((3, 5)), p)
+        with pytest.raises(ValueError, match="must be 1 or te's 3"):
+            ada_ln(np.zeros((2, 2, 1, 4)), np.zeros((3, 4)), p)
 
     def test_held_once_x_broadcasts_bitwise(self):
         # LayerNorm works row by row, so normalising the one frame and
-        # broadcasting it equals normalising its T-frame broadcast
+        # broadcasting it equals normalising its T-frame broadcast; the
+        # x-side GEMMs run on the one frame's rows
         rng = Rng(13)
         p = wide(init_adaln(rng, dim=8), 0.3)
-        x, z = rng.normal((2, 1, 5, 8)), rng.normal((2, 3, 5, 8))
-        out = ada_ln(x, z, p)
-        assert np.array_equal(out, ada_ln(np.broadcast_to(x, z.shape), z, p))
-        g, b = coeffs(z, p)
-        assert np.array_equal(out, g * layer_norm(x) + b)
+        x, te = rng.normal((2, 1, 5, 8)), rng.normal((3, 8))
+        out = ada_ln(x, te, p)
+        assert np.array_equal(out, ada_ln(np.broadcast_to(x, (2, 3, 5, 8)), te, p))
+        g, b = coeffs(condition(x, te), p)
+        assert np.max(np.abs(out - (g * layer_norm(x) + b))) < 1e-13
 
     def test_cache_keeps_gamma_and_xhat_unscaled(self):
         rng = Rng(14)
         p = wide(init_adaln(rng, dim=8), 0.3)
-        x, z = rng.normal((2, 5, 8)), rng.normal((2, 5, 8))
+        x, te = rng.normal((2, 3, 5, 8)), rng.normal((3, 8))
         cache = {}
-        out = ada_ln(x, z, p, cache)
-        assert np.array_equal(out, ada_ln(x, z, p))
-        assert np.array_equal(cache["gamma"], coeffs(z, p)[0])
+        out = ada_ln(x, te, p, cache)
+        assert np.array_equal(out, ada_ln(x, te, p))
+        assert np.max(np.abs(cache["gamma"] - coeffs(condition(x, te), p)[0])) < 1e-14
         assert np.array_equal(cache["xhat"], layer_norm(x))
+        assert np.array_equal(cache["x"], x) and cache["x"] is not x
+
+    def test_writes_into_out(self):
+        # compress hands AdaLN its private shuffled copy: the result is that
+        # buffer, bitwise the out-of-place result, and the cache keeps x
+        rng = Rng(15)
+        p = wide(init_adaln(rng, dim=8), 0.3)
+        x, te = rng.normal((2, 3, 5, 8)), rng.normal((3, 8))
+        buf, cache = x.copy(), {}
+        assert ada_ln(buf, te, p, cache, out=buf) is buf
+        assert np.array_equal(buf, ada_ln(x, te, p))
+        assert np.array_equal(cache["x"], x)
+
+    @pytest.mark.parametrize("chunk, tiles", [(2 ** 40, [8]), (60, [2] * 4), (1, [1] * 8)])
+    def test_scale_and_shift_run_in_column_tiles(self, chunk, tiles, monkeypatch):
+        # 30 rows: 2 columns of W4 and W6 fit in 60 elements; the cached
+        # call runs as one tile whatever the bound
+        rng = Rng(16)
+        p = wide(init_adaln(rng, dim=8), 0.3)
+        x, te = rng.normal((2, 3, 5, 8)), rng.normal((3, 8))
+        ref = ada_ln(x, te, p)
+        monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", chunk)
+        seen, real = [], conditioning.linear
+        monkeypatch.setattr(conditioning, "linear",
+                            lambda a, w: seen.append(w.shape[1]) or real(a, w))
+        out = ada_ln(x, te, p)
+        assert seen[4::2] == seen[5::2] == tiles  # after x and te through W3, W5
+        # 1-column tiles take NumPy's matrix-vector path
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+        seen.clear()
+        ada_ln(x, te, p, cache={})
+        assert seen[4:] == [8, 8]

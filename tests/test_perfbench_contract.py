@@ -10,12 +10,13 @@ benchmark's timings.
 """
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pvc import compression, vit
+from pvc import compression, conditioning, tensor, vit
 from pvc.compression import CompressionParams
 from pvc.conditioning import SINUSOID_DIM, AdaLnParams, TemporalEmbeddingParams
 
@@ -74,7 +75,15 @@ def test_bench_geometry_keeps_256_row_gemms(workloads, tmp_path, kind, monkeypat
     monkeypatch.setattr(vit, "silu_mlp", ffn_spy)
     monkeypatch.setattr(compression, "pixel_shuffle", shuffle_spy)
     vit.progressive_layer_forward(x, frames, layer)
+    gemm_rows = Counter()
+    for module in (tensor, conditioning):  # every namespace compress's GEMMs go through
+        monkeypatch.setattr(module, "linear", lambda a, w, *b, real=module.linear:
+                            gemm_rows.update([a.size // a.shape[-1]]) or real(a, w, *b))
     out = compression.compress(x, comp, cfg)
     assert ffn_rows == [256] * (frames * cfg.tokens_per_frame // 256)
     assert shuffled_rows == [256]
+    # one row per frame: the timestamp MLP and te through AdaLN's W3 and W5.
+    # 256 rows: x through W3 and W5, W4 and W6 in four 1024-column tiles
+    # each, and the MLP's two GEMMs; the column tiles never cut rows
+    assert gemm_rows == {frames: 4, 256: 12}
     assert out.shape == work.out_shape

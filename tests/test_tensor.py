@@ -133,6 +133,27 @@ class TestLayerNorm:
         # formula holds two arrays of x's size
         assert peak <= x.nbytes + 2 * 64 * 8 + np.getbufsize() * 8 + 4096
 
+    def test_normalises_into_out_without_a_temporary(self):
+        # the variance is the mean square of the centred buffer, so out of
+        # place the result is the one array of x's size, and into x itself
+        # there is none; np.var would make a centred copy of its own
+        x = Rng(6).normal((4096, 256)) * 3 + 1
+        buf = x.copy()
+        assert layer_norm(buf, out=buf) is buf
+        assert np.array_equal(buf, layer_norm(x))
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                held = tracemalloc.get_traced_memory()[0]
+                fn()
+                return tracemalloc.get_traced_memory()[1] - held
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: layer_norm(x)) <= 1.1 * x.nbytes
+        assert peak(lambda: layer_norm(buf, out=buf)) <= 0.1 * x.nbytes
+
 
 class TestSilu:
     def test_zero(self):

@@ -77,7 +77,7 @@ class TestGradCheckRunner:
         # the report order is the probe inputs, then named_params order; the
         # names do not depend on the seed, so the shared seed-0 sweep serves
         expected = {
-            "adaln": ["x", "z", "w3", "w4", "w5", "w6"],
+            "adaln": ["x", "te", "w3", "w4", "w5", "w6"],
             "temporal_embedding": ["t_tilde", "w1", "w2"],
             "tmha_causal": ["x", *ATTENTION_ENTRIES],
             "progressive_layer": [
@@ -120,7 +120,7 @@ def _cache_forwards():
     plain = init_layer(rng, cfg, temporal=False)
     tokens = rng.normal((2, 3, cfg.tokens_per_frame, 8))
     x = rng.normal((2, 3, 8))
-    z = rng.normal((2, 3, 8))
+    x4, te_rows = rng.normal((2, 3, 4, 8)), rng.normal((3, 8))
     adaln, te = init_adaln(rng, 8), init_temporal_embedding(rng, 8)
     attn = init_attention(rng, 8, 2)
     comp_cfg = toy_config(channels=3, heads=1, ffn_dim=6, layers=1, temporal_layers=0)
@@ -134,7 +134,7 @@ def _cache_forwards():
                                             layer.ffn_b_in, layer.ffn_b_out, cache)),
         ("temporal_embedding", lambda cache: temporal_embedding(t_tilde, te, cache)),
         ("layer_te", lambda cache: layer_te(3, layer, cache)),
-        ("ada_ln", lambda cache: ada_ln(x, z, adaln, cache=cache)),
+        ("ada_ln", lambda cache: ada_ln(x4, te_rows, adaln, cache=cache)),
         ("spatial_mha", lambda cache: spatial_mha(x, attn, cache)),
         ("temporal_mha_causal", lambda cache: temporal_mha_causal(x, attn, cache)),
         ("progressive_layer_forward", lambda cache: progressive_layer_forward(

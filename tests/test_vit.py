@@ -5,7 +5,6 @@ import pytest
 
 from pvc import conditioning, tensor, vit
 from pvc.compression import compress, init_compression
-from pvc.conditioning import ada_ln
 from pvc.input_pipeline import RawImage, image_to_static_video, video_to_pixel_tensor
 from pvc.tensor import NEW_WEIGHT_STD, NonFiniteError, Rng, layer_norm, silu
 from pvc.verification import randomize_gates, run_grad_check, toy_config
@@ -300,13 +299,15 @@ def test_cached_forward_runs_as_one_tile(name, monkeypatch):
         p = wide(init_attention(rng, c=8, heads=2), 0.5)
         forward = lambda cache: temporal_mha_causal(x, p, cache)
     ref = forward(None)
-    assert counts[-1] > 1
+    assert counts[0] > 1
+    uncached, counts[:] = counts[:], []
     cache = {}
     got = forward(cache)
-    assert counts[-1] == 1
+    assert counts == [1] * len(counts)  # compress's AdaLN tiles its columns too
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     if name == "compress":
-        assert counts[-2] == 6  # the uncached call: one tile per frame
+        assert uncached[0] == 6  # the uncached call: one tile per frame
+        assert counts == [1, 1]
         assert cache["mlp"]["act"].shape == (2, 3, cfg.compressed_tokens, 4 * 8)
         assert cache["adaln"]["xhat"].shape == (2, 3, cfg.compressed_tokens, 4 * 8)
     else:
@@ -371,26 +372,49 @@ class TestProgressiveLayer:
         out = progressive_layer_forward(np.repeat(frame, 4, axis=1), 4, p)
         assert np.max(np.abs(out - out[:, :1])) == 0.0
 
-    def test_composition_oracle(self):
-        cfg = toy_config()
-        rng = Rng(12)
-        p = self._temporal_layer(rng, cfg, gate_std=0.5)
-        x0 = make_batch(rng, cfg, t=3)
-        b, t, n, c = x0.shape
-
-        x = x0
+    def _unfused_layer(self, x, p):
+        """The layer on every frame of x, its AdaLN from z = x + TE formed whole."""
+        b, t, n, c = x.shape
         h = layer_norm(x, gamma=p.ln1_gamma, beta=p.ln1_beta)
         x = x + spatial_mha(h.reshape(b * t, n, c), p.smha).reshape(b, t, n, c)
-        te = layer_te(t, p)
-        z = x + te[None, :, None, :]
-        a = ada_ln(x, z, p.adaln).transpose(0, 2, 1, 3).reshape(b * n, t, c)
+        z = x + layer_te(t, p)[None, :, None, :]
+        w = p.adaln
+        a = silu(z @ w.w3) @ w.w4 * layer_norm(x) + silu(z @ w.w5) @ w.w6
+        a = a.transpose(0, 2, 1, 3).reshape(b * n, t, c)
         tm = temporal_mha_causal(a, p.tmha).reshape(b, n, t, c).transpose(0, 2, 1, 3)
         x = x + p.gate_alpha * tm
         h = layer_norm(x, gamma=p.ln2_gamma, beta=p.ln2_beta)
-        expect = x + silu(h @ p.ffn_w_in + p.ffn_b_in) @ p.ffn_w_out + p.ffn_b_out
+        return x + silu(h @ p.ffn_w_in + p.ffn_b_in) @ p.ffn_w_out + p.ffn_b_out
 
-        out = progressive_layer_forward(x0, t, p)
-        assert np.max(np.abs(out - expect)) < 1e-12
+    def _split_against_unfused(self, static, monkeypatch):
+        # B=2, T=3 at toy_config(): a 100-element chunk gives the temporal
+        # block one position of 6 rows, so AdaLN's W4 and W6 run in two
+        # 16-column tiles
+        cfg = toy_config()
+        rng = Rng(12)
+        p = self._temporal_layer(rng, cfg, gate_std=0.5)
+        x0 = make_batch(rng, cfg, b=2, t=1 if static else 3)
+        frames = np.repeat(x0, 3, axis=1) if static else x0
+        expect = self._unfused_layer(frames, p)
+        monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", 100)
+        widths = []
+        monkeypatch.setattr(conditioning, "linear",
+                            lambda h, w, real=conditioning.linear: widths.append(w.shape[1])
+                            or real(h, w))
+        out = progressive_layer_forward(x0, 3, p)
+        # W3 and W5 on x and te, then the two column tiles of W4 and W6
+        assert widths[:8] == [cfg.channels] * 4 + [16] * 4
+        scale = np.max(np.abs(expect))
+        assert np.max(np.abs(out - expect)) <= 1e-13 * scale
+        return out, frames, p, scale
+
+    def test_composition_oracle(self, monkeypatch):
+        self._split_against_unfused(False, monkeypatch)
+
+    def test_held_once_composition_oracle(self, monkeypatch):
+        # held once, AdaLN's x-side GEMMs and LN run on the one frame
+        out, frames, p, scale = self._split_against_unfused(True, monkeypatch)
+        assert np.max(np.abs(out - progressive_layer_forward(frames, 3, p))) <= 1e-13 * scale
 
     def _peak_copies_of_x(self, temporal, monkeypatch):
         # with small chunks and blocks, the layer holds its one output plus
