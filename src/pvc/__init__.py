@@ -8,9 +8,11 @@ budget model.
 from .budget import ArchSpec, BudgetReport, WorkloadSpec, count_tokens, estimate_flops
 from .compression import CompressionParams, compress, init_compression, pixel_shuffle, pixel_unshuffle
 from .conditioning import (
+    AdaLnCondition,
     AdaLnParams,
     TemporalEmbeddingParams,
     ada_ln,
+    adaln_condition,
     relative_timestamps,
     sinusoidal_embed,
     temporal_embedding,

@@ -21,7 +21,7 @@ from .budget import (
     preset,
     specs_from_entries,
 )
-from .compression import compress, init_compression
+from .compression import check_shuffled_width, compress, init_compression
 from .conditioning import relative_timestamps
 from .input_pipeline import (
     FRAME_BOUNDS,
@@ -173,6 +173,9 @@ def _cmd_pipeline(args) -> int:
         return EXIT_USAGE
     model = _load_or_init_model(args)
     cfg = model.cfg
+    if args.comp_manifest:  # checked before the ViT runs, loaded after it
+        check_shuffled_width(cfg.channels, cfg.shuffle_kernel,
+                             model_store.compression_width(args.comp_manifest))
     if args.image:
         img = read_ppm(args.image)
         tiles, grid = dynamic_tile(img, cfg.image_size, args.max_tiles)

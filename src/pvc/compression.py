@@ -17,6 +17,7 @@ from .conditioning import (
     AdaLnParams,
     TemporalEmbeddingParams,
     ada_ln,
+    adaln_condition,
     init_adaln,
     init_temporal_embedding,
     relative_timestamps,
@@ -90,6 +91,13 @@ def pixel_unshuffle(y: Array, k: int) -> Array:
     return np.ascontiguousarray(g.reshape(b, t, (m * k) ** 2, c))
 
 
+def check_shuffled_width(c: int, k: int, wide_dim: int) -> None:
+    """Tokens of C channels, shuffled by k, must be as wide as the
+    compressor's k²C."""
+    if k * k * c != wide_dim:
+        raise ValueError(f"shuffled width {k * k * c} != params {wide_dim}")
+
+
 def compress(x: Array, p: CompressionParams, cfg: PvcConfig,
              cache: dict | None = None) -> Array:
     """Compress tokens [B,T,N,C] per frame, N -> M = N/k^2; output [B,T,M,C_out].
@@ -98,21 +106,22 @@ def compress(x: Array, p: CompressionParams, cfg: PvcConfig,
     least MLP_ROW_BLOCK rows per tile where there are. Each tile's
     `pixel_shuffle` copy is private, so AdaLN normalises it in place: a tile
     holds that copy, AdaLN's two condition hiddens and one of its column
-    tiles, and no z = x + TE. A `cache` dict (one tile) records the TE,
-    AdaLN and MLP intermediates under `te`, `adaln`, `mlp`.
+    tiles, and no z = x + TE. TE goes through AdaLN's W3 and W5 once, before
+    the first tile. A `cache` dict (one tile) records the TE, AdaLN and MLP
+    intermediates under `te`, `adaln`, `mlp`.
     """
     b, t, n, c = x.shape
     k = cfg.shuffle_kernel
     m = (_grid_side(n, k) // k) ** 2
-    if k * k * c != p.wide_dim:
-        raise ValueError(f"shuffled width {k * k * c} != params {p.wide_dim}")
+    check_shuffled_width(c, k, p.wide_dim)
     te = temporal_embedding(sinusoidal_embed(relative_timestamps(t)), p.te,
                             _sub_cache(cache, "te"))
+    cond = adaln_condition(te, p.adaln)
     shape, out = (b, t, m, p.w_out.shape[1]), None
     floor = -(-tensor.MLP_ROW_BLOCK // max(m, 1))  # ceil; N = 0 gives M = 0
     for bs, ts in tensor.tiles((b, t), m * p.wide_dim, floor, whole=cache is not None):
         xt = pixel_shuffle(x[bs, ts], k)  # a private copy, so AdaLN writes into it
-        a = ada_ln(xt, te[ts], p.adaln, _sub_cache(cache, "adaln"), out=xt)
+        a = ada_ln(xt, cond[ts], p.adaln, _sub_cache(cache, "adaln"), out=xt)
         y = silu_mlp(a, p.w_in, p.w_out, p.b_in, p.b_out, _sub_cache(cache, "mlp"))
         if out is None:  # allocated after a tile, it reuses what the tile freed
             out = np.empty(shape)

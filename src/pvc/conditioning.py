@@ -88,48 +88,69 @@ def temporal_embedding(t_tilde: Array, p: TemporalEmbeddingParams,
     return silu_mlp(t_tilde, p.w1, p.w2, cache=cache)
 
 
-def _condition_hidden(x: Array, te: Array, w: Array, cache: dict | None) -> Array:
-    """SiLU(z @ w) for z = x + te[t], as SiLU(x @ w + (te @ w)[t]); x may
-    hold one frame of the T that te has."""
+@dataclass
+class AdaLnCondition:
+    """AdaLN's timestamp side for T frames: te [T, D], and its rows through
+    the first weight of each condition MLP, te @ W3 and te @ W5 [T, H]."""
+    te: Array
+    scale: Array
+    shift: Array
+
+    def __getitem__(self, frames) -> AdaLnCondition:
+        """The condition of a slice of the T frames."""
+        return AdaLnCondition(self.te[frames], self.scale[frames], self.shift[frames])
+
+
+def adaln_condition(te: Array, p: AdaLnParams) -> AdaLnCondition:
+    """te [T, D] through W3 and W5 once per forward, so that each ada_ln
+    tile or chunk reads those weights only for its own x rows."""
+    te = np.asarray(te, dtype=np.float64)
+    if te.ndim != 2 or te.shape[1] != p.dim:
+        raise ValueError(f"condition width {p.dim}: got te {te.shape}")
+    return AdaLnCondition(te, linear(te, p.w3), linear(te, p.w5))
+
+
+def _condition_hidden(x: Array, te_w: Array, w: Array, cache: dict | None) -> Array:
+    """SiLU(z @ w) for z = x + te[t], as SiLU(x @ w + (te @ w)[t]) from
+    te_w = te @ w; x may hold one frame of the T that te_w has."""
     pre = linear(x, w)
-    pre = np.add(pre, linear(te, w)[:, None, :],
-                 out=pre if pre.shape[1] == len(te) else None)
+    pre = np.add(pre, te_w[:, None, :], out=pre if pre.shape[1] == len(te_w) else None)
     act = silu(pre)
     if cache is not None:
         cache.update(pre=pre, act=act)
     return act
 
 
-def ada_ln(x: Array, te: Array, p: AdaLnParams, cache: dict | None = None,
+def ada_ln(x: Array, cond: AdaLnCondition, p: AdaLnParams, cache: dict | None = None,
            out: Array | None = None) -> Array:
-    """AdaLN of tokens x [B, T or 1, N, D] conditioned on z = x + te[t], with
-    te [T, D] one row per frame: gamma(z) * LayerNorm(x) + beta(z) over the
-    last axis, where gamma(z) = SiLU(z @ W3) @ W4 and beta(z) =
-    SiLU(z @ W5) @ W6. The result is [B, T, N, D].
+    """AdaLN of tokens x [B, T or 1, N, D] conditioned on z = x + te[t], for
+    the per-frame te [T, D] of `cond` (see adaln_condition): gamma(z) *
+    LayerNorm(x) + beta(z) over the last axis, where gamma(z) =
+    SiLU(z @ W3) @ W4 and beta(z) = SiLU(z @ W5) @ W6. The result is
+    [B, T, N, D].
 
     z is never formed: each first GEMM is split by linearity into x @ W3 +
-    (te @ W3)[t], so x of one frame (a static video held once) runs those
-    GEMMs and its LayerNorm on that frame alone. The inner LayerNorm
-    carries no learned affine; it is written into `out` when given (x's
-    shape; it may be x itself), which holds the result when x has every
-    frame. W4 and W6 then run in column tiles from `tensor.tiles`, each
-    tile scaling and shifting its columns of the LN output in place. With
-    a `cache` dict (one tile), a copy of x, te, the hidden layers' `pre`
-    and `act` (under `scale` and `shift`), layer_norm's `xhat` and `std`,
-    and gamma are recorded.
+    (te @ W3)[t], the te side taken from `cond`, so x of one frame (a
+    static video held once) runs the x-side GEMMs and its LayerNorm on that
+    frame alone. The inner LayerNorm carries no learned affine; it is
+    written into `out` when given (x's shape; it may be x itself), which
+    holds the result when x has every frame. W4 and W6 then run in column
+    tiles from `tensor.tiles`, each tile scaling and shifting its columns
+    of the LN output in place. With a `cache` dict (one tile), a copy of x,
+    te, the hidden layers' `pre` and `act` (under `scale` and `shift`),
+    layer_norm's `xhat` and `std`, and gamma are recorded.
     """
     x = np.asarray(x, dtype=np.float64)
-    te = np.asarray(te, dtype=np.float64)
-    if te.ndim != 2 or te.shape[1] != p.dim or x.ndim != 4 or x.shape[3] != p.dim:
-        raise ValueError(f"condition width {p.dim}: got x {x.shape}, te {te.shape}")
+    if x.ndim != 4 or x.shape[3] != p.dim:
+        raise ValueError(f"condition width {p.dim}: got x {x.shape}")
     b, t, n, d = x.shape
-    frames = len(te)
+    frames = len(cond.te)
     if t not in (1, frames):
         raise ValueError(f"x frame count {t} must be 1 or te's {frames}")
-    gamma_in = _condition_hidden(x, te, p.w3, _sub_cache(cache, "scale"))
-    beta_in = _condition_hidden(x, te, p.w5, _sub_cache(cache, "shift"))
+    gamma_in = _condition_hidden(x, cond.scale, p.w3, _sub_cache(cache, "scale"))
+    beta_in = _condition_hidden(x, cond.shift, p.w5, _sub_cache(cache, "shift"))
     if cache is not None:
-        cache.update(x=x.copy(), te=te)
+        cache.update(x=x.copy(), te=cond.te)
     res = layer_norm(x, cache=cache, out=out)
     if t != frames:
         res = np.repeat(res, frames, axis=1)

@@ -35,25 +35,38 @@ def write_tensor(path, x: np.ndarray) -> None:
         f.write(x.astype("<f8", copy=False).tobytes(order="C"))
 
 
+def _read_header(f, path) -> tuple[tuple[int, ...], int]:
+    """Check a PVCT header against the file size; returns (extents, element
+    count), with f at the payload."""
+    head = f.read(12)
+    if head[:4] != MAGIC:
+        raise PvctError(f"{path}: bad magic {head[:4]!r}")
+    if len(head) < 12:
+        raise PvctError(f"{path}: truncated header")
+    version, ndim = struct.unpack("<II", head[4:])
+    if version != VERSION:
+        raise PvctError(f"{path}: unsupported version {version}")
+    size = os.fstat(f.fileno()).st_size
+    off = 12 + 8 * ndim
+    if size < off:  # checked before reading: ndim may claim gigabytes
+        raise PvctError(f"{path}: truncated header")
+    shape = struct.unpack(f"<{ndim}Q", f.read(8 * ndim))
+    n = math.prod(shape)  # Python ints: extents like 2**40 must not wrap
+    if size - off != 8 * n:
+        raise PvctError(f"{path}: payload is {size - off} bytes, expected {8 * n}")
+    return shape, n
+
+
+def read_tensor_shape(path) -> tuple[int, ...]:
+    """The extents of a PVCT file, from its header; the payload is not read."""
+    with open(path, "rb") as f:
+        return _read_header(f, path)[0]
+
+
 def read_tensor(path) -> np.ndarray:
     """Read a PVCT file; the payload is read once, straight into the array."""
     with open(path, "rb") as f:
-        head = f.read(12)
-        if head[:4] != MAGIC:
-            raise PvctError(f"{path}: bad magic {head[:4]!r}")
-        if len(head) < 12:
-            raise PvctError(f"{path}: truncated header")
-        version, ndim = struct.unpack("<II", head[4:])
-        if version != VERSION:
-            raise PvctError(f"{path}: unsupported version {version}")
-        size = os.fstat(f.fileno()).st_size
-        off = 12 + 8 * ndim
-        if size < off:  # checked before reading: ndim may claim gigabytes
-            raise PvctError(f"{path}: truncated header")
-        shape = struct.unpack(f"<{ndim}Q", f.read(8 * ndim))
-        n = math.prod(shape)  # Python ints: extents like 2**40 must not wrap
-        if size - off != 8 * n:
-            raise PvctError(f"{path}: payload is {size - off} bytes, expected {8 * n}")
+        shape, n = _read_header(f, path)
         data = np.fromfile(f, dtype="<f8", count=n).astype(np.float64, copy=False)
     try:
         return data.reshape(shape)

@@ -146,6 +146,20 @@ def save_compression(directory, p: CompressionParams) -> None:
                       _save_tensors(directory, p, {}, "comp_"))
 
 
+def compression_width(manifest_path) -> int:
+    """The k²C width of a manifest written by save_compression, from the
+    header of its w_in file alone: cheap enough to check before a forward
+    whose output the compressor is to take."""
+    manifest_path = Path(manifest_path)
+    entries = io.read_manifest(manifest_path)
+    if "weight.w_in" not in entries:
+        raise io.PvctError(f"{manifest_path}: missing weight entry w_in")
+    shape = io.read_tensor_shape(manifest_path.parent / entries["weight.w_in"])
+    if len(shape) != 2:
+        _check_shape(manifest_path, "w_in", shape, _COMPRESSION_SHAPES["w_in"])
+    return shape[0]
+
+
 def load_compression(manifest_path) -> CompressionParams:
     """Rebuild a CompressionParams from a manifest written by save_compression.
 

@@ -137,7 +137,8 @@ def layer_norm(x: Array, gamma: Array | None = None, beta: Array | None = None,
             raise ValueError(f"{name} shape {np.shape(v)} != ({d},)")
     mu = x.mean(axis=-1, keepdims=True)
     out = np.subtract(x, mu, out=out)
-    std = np.sqrt(np.vecdot(out, out)[..., None] / d + EPS_NORM)
+    sq = np.matmul(out[..., None, :], out[..., :, None])[..., 0]  # each row's dot with itself
+    std = np.sqrt(sq / d + EPS_NORM)
     out /= std
     if cache is not None:
         cache.update(xhat=out.copy(), std=std)

@@ -19,6 +19,7 @@ from .conditioning import (
     AdaLnParams,
     TemporalEmbeddingParams,
     ada_ln,
+    adaln_condition,
     init_adaln,
     init_temporal_embedding,
     temporal_embedding,
@@ -271,7 +272,8 @@ def _probe(module_id: str, seed: int):
         x = rng.normal((2, 3, 2, 6))
         te = rng.normal((3, 6))
         p = _randomized(init_adaln(Rng(0), 6, hidden=5), rng, std)
-        return ({"x": x, "te": te}, p, lambda cache: ada_ln(x, te, p, cache),
+        return ({"x": x, "te": te}, p,
+                lambda cache: ada_ln(x, adaln_condition(te, p), p, cache),
                 lambda g, cache: _adaln_bwd(g, p, cache))
 
     if module_id == "temporal_embedding":

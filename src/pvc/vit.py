@@ -26,6 +26,7 @@ from .conditioning import (
     AdaLnParams,
     TemporalEmbeddingParams,
     ada_ln,
+    adaln_condition,
     init_adaln,
     init_temporal_embedding,
     relative_timestamps,
@@ -303,7 +304,8 @@ def progressive_layer_forward(x: Array, frames: int, p: LayerParams,
     T is `frames`, or 1 for a static video held once: that runs LN1,
     S-MHA, and AdaLN's LN and x-side GEMMs on its one frame, and AdaLN's
     timestamp condition gives it `frames` distinct frames. Applies the
-    gated temporal block only when present.
+    gated temporal block only when present; its TE goes through AdaLN's W3
+    and W5 once, before the first chunk.
 
     The layer writes one output array and never its input. Each sublayer
     is added into the output a chunk at a time, so its temporaries hold
@@ -334,11 +336,11 @@ def progressive_layer_forward(x: Array, frames: int, p: LayerParams,
     if p.is_temporal:
         if t != frames:
             out = np.repeat(out, frames, axis=1)
-        te = layer_te(frames, p, _sub_cache(cache, "te"))  # [T, C]
+        cond = adaln_condition(layer_te(frames, p, _sub_cache(cache, "te")), p.adaln)
         for s, in tensor.tiles((n,), b * frames * c, whole=whole):
             y = out[:, :, s]  # [B, T, n_c, C], written only after T-MHA
             # held once, AdaLN's x-side GEMMs and LN run on the one frame
-            a = ada_ln(y[:, :t], te, p.adaln, cache=_sub_cache(cache, "adaln"))
+            a = ada_ln(y[:, :t], cond, p.adaln, cache=_sub_cache(cache, "adaln"))
             a = a.transpose(0, 2, 1, 3).reshape(-1, frames, c)
             tm = temporal_mha_causal(a, p.tmha, _sub_cache(cache, "tmha"))
             del a

@@ -466,18 +466,49 @@ class TestPipeline:
         assert piped.shape == (1, 4, cfg.compressed_tokens, cfg.channels)
         assert np.array_equal(piped, io.read_tensor(path("stepped")))
 
-    def test_comp_manifest_of_another_width_is_usage_error(self, capsys, tmp_path):
-        # a compressor for C=8 (k²C = 32) against the toy ViT's C=32 (128)
+    def test_comp_manifest_of_another_width_is_usage_error(self, capsys, tmp_path,
+                                                           monkeypatch):
+        # a compressor for C=8 (k²C = 32) against the toy ViT's C=32 (128),
+        # refused before the ViT runs
         save_compression(tmp_path, init_compression(Rng(6), toy_config(channels=8, heads=2)))
         gen = np.random.Generator(np.random.Philox(18))
         ppm = tmp_path / "img.ppm"
         write_ppm(ppm, RawImage(gen.integers(0, 256, size=(56, 56, 3), dtype=np.uint8)))
         dst = tmp_path / "out.pvct"
+        forwards = []
+        monkeypatch.setattr(cli, "vit_forward", lambda *a: forwards.append(a))
         code, _, err = run(capsys, "pipeline", "--toy", "--image", str(ppm), "--comp-manifest",
                            str(tmp_path / "comp.manifest"), "--output", str(dst))
         assert code == 2
         assert err == "pvc: shuffled width 128 != params 32\n"
-        assert not dst.exists()
+        assert forwards == [] and not dst.exists()
+
+    @pytest.mark.parametrize("damage", ["no_manifest", "no_w_in_entry", "w_in_1d",
+                                        "w_in_truncated"])
+    def test_unreadable_comp_manifest_is_io_error_before_the_vit(self, capsys, tmp_path,
+                                                                 monkeypatch, damage):
+        save_compression(tmp_path, init_compression(Rng(6), toy_config()))
+        manifest = tmp_path / "comp.manifest"
+        entries = io.read_manifest(manifest)
+        w_in = tmp_path / entries["weight.w_in"]
+        if damage == "no_manifest":
+            manifest.unlink()
+        elif damage == "no_w_in_entry":
+            io.write_manifest(manifest, {k: v for k, v in entries.items()
+                                         if k != "weight.w_in"})
+        elif damage == "w_in_1d":
+            io.write_tensor(w_in, np.zeros(128))
+        else:
+            w_in.write_bytes(w_in.read_bytes()[:-8])
+        gen = np.random.Generator(np.random.Philox(18))
+        ppm = tmp_path / "img.ppm"
+        write_ppm(ppm, RawImage(gen.integers(0, 256, size=(56, 56, 3), dtype=np.uint8)))
+        forwards = []
+        monkeypatch.setattr(cli, "vit_forward", lambda *a: forwards.append(a))
+        code, _, err = run(capsys, "pipeline", "--toy", "--image", str(ppm), "--comp-manifest",
+                           str(manifest), "--output", str(tmp_path / "out.pvct"))
+        assert code == 3 and "I/O error" in err
+        assert forwards == []
 
     @pytest.mark.parametrize("flags, message", [
         (["--image", "img.ppm", "--t-img", "0"], "t_img must be >= 1, got 0"),

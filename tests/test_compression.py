@@ -264,6 +264,19 @@ class TestCompress:
         else:
             assert np.array_equal(out, ref)
 
+    def test_te_goes_through_w3_and_w5_once(self, monkeypatch):
+        # six tiles of frames (the "chunk" case above) each run W3 and W5
+        # on their own x rows; the T rows of TE go through them once
+        cfg = small_cfg()
+        p = init_compression(Rng(14), cfg)
+        monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", 96)
+        monkeypatch.setattr(tensor, "MLP_ROW_BLOCK", 4)
+        ndims, real = [], conditioning.linear
+        monkeypatch.setattr(conditioning, "linear", lambda h, w: (
+            w is p.adaln.w3 or w is p.adaln.w5) and ndims.append(h.ndim) or real(h, w))
+        compress(Rng(15).normal((2, 5, 16, 3)), p, cfg)
+        assert ndims == [2, 2] + [4] * 2 * 6
+
     def test_empty_extents(self):
         cfg = small_cfg()
         p = init_compression(Rng(16), cfg, out_dim=5)

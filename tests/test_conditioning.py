@@ -7,6 +7,7 @@ from pvc.conditioning import (
     AdaLnParams,
     TemporalEmbeddingParams,
     ada_ln,
+    adaln_condition,
     init_adaln,
     init_temporal_embedding,
     relative_timestamps,
@@ -21,6 +22,11 @@ def wide(p: AdaLnParams, std: float) -> AdaLnParams:
     for w in (p.w3, p.w4, p.w5, p.w6):
         w *= std / NEW_WEIGHT_STD
     return p
+
+
+def ada_ln_te(x, te, p, cache=None, out=None):
+    """ada_ln on the condition of te [T, D], built as its callers build it."""
+    return ada_ln(x, adaln_condition(te, p), p, cache, out=out)
 
 
 class TestRelativeTimestamps:
@@ -115,7 +121,7 @@ def ada_ln_coeffs(x, te, p):
     """gamma and beta of z = x + te[t] as ada_ln computes them, for tokens x
     constant along each row: gamma from its cache, beta as its output."""
     cache = {}
-    beta = ada_ln(x, te, p, cache)
+    beta = ada_ln_te(x, te, p, cache)
     return cache["gamma"], beta
 
 
@@ -145,7 +151,7 @@ class TestAdaLn:
         d = 5
         p = AdaLnParams(*(np.zeros((d, d)) for _ in range(4)))
         rng = Rng(9)
-        out = ada_ln(rng.normal((2, 3, 4, d)), rng.normal((3, d)), p)
+        out = ada_ln_te(rng.normal((2, 3, 4, d)), rng.normal((3, d)), p)
         assert np.array_equal(out, np.zeros((2, 3, 4, d)))
 
     def test_constant_x_gives_beta(self):
@@ -153,21 +159,21 @@ class TestAdaLn:
         p = wide(init_adaln(rng, dim=4), 0.3)
         x, te = row_constant(rng, (1, 3, 2, 4)), rng.normal((3, 4))
         _, beta = coeffs(condition(x, te), p)
-        assert np.max(np.abs(ada_ln(x, te, p) - beta)) < 1e-13
+        assert np.max(np.abs(ada_ln_te(x, te, p) - beta)) < 1e-13
 
     def test_zero_condition(self):
         # x @ W + (-x) @ W is exactly 0 and SiLU(0) = 0, so a zero condition
         # gives zero scale and bias
         p = init_adaln(Rng(6), dim=5)
         x = Rng(5).normal((1, 3, 1, 5))
-        assert np.array_equal(ada_ln(x, -x[0, :, 0], p), np.zeros((1, 3, 1, 5)))
+        assert np.array_equal(ada_ln_te(x, -x[0, :, 0], p), np.zeros((1, 3, 1, 5)))
 
     def test_per_token_equivariance(self):
         rng = Rng(8)
         p = wide(init_adaln(rng, dim=4), 0.3)
         x, te = rng.normal((1, 2, 6, 4)), rng.normal((2, 4))
         perm = np.array([3, 1, 5, 0, 4, 2])
-        assert np.array_equal(ada_ln(x[:, :, perm], te, p), ada_ln(x, te, p)[:, :, perm])
+        assert np.array_equal(ada_ln_te(x[:, :, perm], te, p), ada_ln_te(x, te, p)[:, :, perm])
 
     def test_composition_oracle(self):
         rng = Rng(11)
@@ -175,16 +181,16 @@ class TestAdaLn:
         x, te = rng.normal((2, 3, 5, 8)), rng.normal((3, 8))
         g, b = coeffs(condition(x, te), p)
         expect = g * layer_norm(x) + b
-        assert np.max(np.abs(ada_ln(x, te, p) - expect)) < 1e-13
+        assert np.max(np.abs(ada_ln_te(x, te, p) - expect)) < 1e-13
 
     def test_shape_mismatch(self):
         p = init_adaln(Rng(12), dim=4)
         with pytest.raises(ValueError, match="condition width"):
-            ada_ln(np.zeros((2, 4)), np.zeros((3, 4)), p)
+            ada_ln_te(np.zeros((2, 4)), np.zeros((3, 4)), p)
         with pytest.raises(ValueError, match="condition width"):
-            ada_ln(np.zeros((2, 3, 1, 4)), np.zeros((3, 5)), p)
+            ada_ln_te(np.zeros((2, 3, 1, 4)), np.zeros((3, 5)), p)
         with pytest.raises(ValueError, match="must be 1 or te's 3"):
-            ada_ln(np.zeros((2, 2, 1, 4)), np.zeros((3, 4)), p)
+            ada_ln_te(np.zeros((2, 2, 1, 4)), np.zeros((3, 4)), p)
 
     def test_held_once_x_broadcasts_bitwise(self):
         # LayerNorm works row by row, so normalising the one frame and
@@ -193,8 +199,8 @@ class TestAdaLn:
         rng = Rng(13)
         p = wide(init_adaln(rng, dim=8), 0.3)
         x, te = rng.normal((2, 1, 5, 8)), rng.normal((3, 8))
-        out = ada_ln(x, te, p)
-        assert np.array_equal(out, ada_ln(np.broadcast_to(x, (2, 3, 5, 8)), te, p))
+        out = ada_ln_te(x, te, p)
+        assert np.array_equal(out, ada_ln_te(np.broadcast_to(x, (2, 3, 5, 8)), te, p))
         g, b = coeffs(condition(x, te), p)
         assert np.max(np.abs(out - (g * layer_norm(x) + b))) < 1e-13
 
@@ -203,8 +209,8 @@ class TestAdaLn:
         p = wide(init_adaln(rng, dim=8), 0.3)
         x, te = rng.normal((2, 3, 5, 8)), rng.normal((3, 8))
         cache = {}
-        out = ada_ln(x, te, p, cache)
-        assert np.array_equal(out, ada_ln(x, te, p))
+        out = ada_ln_te(x, te, p, cache)
+        assert np.array_equal(out, ada_ln_te(x, te, p))
         assert np.max(np.abs(cache["gamma"] - coeffs(condition(x, te), p)[0])) < 1e-14
         assert np.array_equal(cache["xhat"], layer_norm(x))
         assert np.array_equal(cache["x"], x) and cache["x"] is not x
@@ -216,8 +222,8 @@ class TestAdaLn:
         p = wide(init_adaln(rng, dim=8), 0.3)
         x, te = rng.normal((2, 3, 5, 8)), rng.normal((3, 8))
         buf, cache = x.copy(), {}
-        assert ada_ln(buf, te, p, cache, out=buf) is buf
-        assert np.array_equal(buf, ada_ln(x, te, p))
+        assert ada_ln_te(buf, te, p, cache, out=buf) is buf
+        assert np.array_equal(buf, ada_ln_te(x, te, p))
         assert np.array_equal(cache["x"], x)
 
     @pytest.mark.parametrize("chunk, tiles", [(2 ** 40, [8]), (60, [2] * 4), (1, [1] * 8)])
@@ -227,15 +233,15 @@ class TestAdaLn:
         rng = Rng(16)
         p = wide(init_adaln(rng, dim=8), 0.3)
         x, te = rng.normal((2, 3, 5, 8)), rng.normal((3, 8))
-        ref = ada_ln(x, te, p)
+        ref = ada_ln_te(x, te, p)
         monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", chunk)
         seen, real = [], conditioning.linear
         monkeypatch.setattr(conditioning, "linear",
                             lambda a, w: seen.append(w.shape[1]) or real(a, w))
-        out = ada_ln(x, te, p)
+        out = ada_ln_te(x, te, p)
         assert seen[4::2] == seen[5::2] == tiles  # after x and te through W3, W5
         # 1-column tiles take NumPy's matrix-vector path
         assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
         seen.clear()
-        ada_ln(x, te, p, cache={})
+        ada_ln_te(x, te, p, cache={})
         assert seen[4:] == [8, 8]

@@ -67,6 +67,8 @@ def test_truncated_payload(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(io.PvctError):
         io.read_tensor(path)
+    with pytest.raises(io.PvctError):  # the header alone is checked against the size
+        io.read_tensor_shape(path)
 
 
 @pytest.mark.parametrize("header", [
@@ -159,6 +161,13 @@ def test_compression_round_trip(tmp_path):
     saved, loaded = dict(named_params(comp)), dict(named_params(back))
     assert saved.keys() == loaded.keys()
     assert all(np.array_equal(loaded[k], v) for k, v in saved.items())
+
+
+def test_compression_width_reads_only_the_w_in_header(tmp_path, monkeypatch):
+    save_compression(tmp_path, init_compression(Rng(4), toy_config(), mlp_hidden=48))
+    monkeypatch.setattr(io, "read_tensor", None)  # no payload is read
+    assert model_store.compression_width(tmp_path / "comp.manifest") == 128
+    assert io.read_tensor_shape(tmp_path / "comp_w_in.pvct") == (128, 48)
 
 
 @pytest.mark.parametrize("name, shape", [

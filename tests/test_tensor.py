@@ -1,5 +1,7 @@
+import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,3 +260,24 @@ class TestDeterminismAndRng:
         x[2, 1] = bad
         with pytest.raises(NonFiniteError, match="op: result contains NaN or Inf"):
             tensor._check_finite(x, "op")
+
+
+# Names NumPy 2.0 added to the namespaces src/pvc uses; pyproject.toml
+# declares numpy>=1.24, where each of them is an AttributeError.
+NUMPY2_ONLY = ("vecdot", "matvec", "vecmat", "unstack", "concat", "permute_dims",
+               "matrix_transpose", "astype", "isdtype", "cumulative_sum",
+               "cumulative_prod", "trapezoid", "pow", "acos", "asin", "atan", "atan2",
+               "acosh", "asinh", "atanh", "bitwise_invert", "bitwise_left_shift",
+               "bitwise_right_shift", "unique_all", "unique_counts",
+               "unique_inverse", "unique_values", "matrix_norm", "vector_norm",
+               "svdvals")
+
+
+def test_source_keeps_to_the_declared_numpy_floor():
+    src = Path(tensor.__file__).parent
+    floor = re.search(r'"numpy>=([\d.]+)"',
+                      (src.parents[1] / "pyproject.toml").read_text()).group(1)
+    names = re.compile(r"\bnp\.(?:linalg\.)?(%s)\b" % "|".join(NUMPY2_ONLY))
+    used = {f"{path.name}: np.{m.group(1)}" for path in src.glob("*.py")
+            for m in names.finditer(path.read_text())}
+    assert not used or int(floor.split(".")[0]) >= 2, used

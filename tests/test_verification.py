@@ -5,6 +5,7 @@ from pvc import verification
 from pvc.compression import compress, init_compression
 from pvc.conditioning import (
     ada_ln,
+    adaln_condition,
     init_adaln,
     init_temporal_embedding,
     temporal_embedding,
@@ -134,7 +135,8 @@ def _cache_forwards():
                                             layer.ffn_b_in, layer.ffn_b_out, cache)),
         ("temporal_embedding", lambda cache: temporal_embedding(t_tilde, te, cache)),
         ("layer_te", lambda cache: layer_te(3, layer, cache)),
-        ("ada_ln", lambda cache: ada_ln(x4, te_rows, adaln, cache=cache)),
+        ("ada_ln", lambda cache: ada_ln(x4, adaln_condition(te_rows, adaln), adaln,
+                                            cache=cache)),
         ("spatial_mha", lambda cache: spatial_mha(x, attn, cache)),
         ("temporal_mha_causal", lambda cache: temporal_mha_causal(x, attn, cache)),
         ("progressive_layer_forward", lambda cache: progressive_layer_forward(

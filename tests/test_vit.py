@@ -416,6 +416,19 @@ class TestProgressiveLayer:
         out, frames, p, scale = self._split_against_unfused(True, monkeypatch)
         assert np.max(np.abs(out - progressive_layer_forward(frames, 3, p))) <= 1e-13 * scale
 
+    def test_te_goes_through_w3_and_w5_once(self, monkeypatch):
+        # one position per chunk, each running W3 and W5 on its own x rows;
+        # the T rows of TE go through them once per layer
+        cfg = toy_config()
+        rng = Rng(12)
+        p = self._temporal_layer(rng, cfg, gate_std=0.5)
+        monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", 100)
+        ndims, real = [], conditioning.linear
+        monkeypatch.setattr(conditioning, "linear", lambda h, w: (
+            w is p.adaln.w3 or w is p.adaln.w5) and ndims.append(h.ndim) or real(h, w))
+        progressive_layer_forward(make_batch(rng, cfg, b=2, t=3), 3, p)
+        assert ndims == [2, 2] + [4] * 2 * cfg.tokens_per_frame
+
     def _peak_copies_of_x(self, temporal, monkeypatch):
         # with small chunks and blocks, the layer holds its one output plus
         # one frame's S-MHA temporaries (x / 16 each): about 1.42 copies of
