@@ -41,13 +41,16 @@ def _sub_cache(cache: dict | None, key: str) -> dict | None:
     return cache[key]
 
 
-def linear(x: Array, w: Array, b: Array | None = None) -> Array:
+def linear(x: Array, w: Array, b: Array | None = None, out: Array | None = None) -> Array:
     """x @ w + b over the last axis of x, as one 2-D product.
 
     NumPy runs a stacked `[..., L, C] @ [C, D]` as one small product per
     leading index; flattening the leading axes gives BLAS one tall GEMM.
+    The product goes into `out` when given: a C-contiguous array of the
+    result's shape, so that flattening it is a view.
     """
-    y = x.reshape(-1, x.shape[-1]) @ w
+    rows = x.reshape(-1, x.shape[-1])
+    y = np.matmul(rows, w, out=None if out is None else out.reshape(len(rows), -1))
     if b is not None:
         y += b
     return y.reshape(*x.shape[:-1], w.shape[-1])
@@ -162,7 +165,9 @@ class Rng:
         self._gen = np.random.Generator(np.random.Philox(self.seed))
 
     def normal(self, shape, std: float = 1.0) -> Array:
-        return self._gen.standard_normal(size=tuple(shape)) * float(std)
+        a = self._gen.standard_normal(size=tuple(shape))
+        a *= float(std)  # in place: a draw holds one array of its size
+        return a
 
     def uniform(self, shape, low: float = 0.0, high: float = 1.0) -> Array:
         return self._gen.uniform(low, high, size=tuple(shape))

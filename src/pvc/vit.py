@@ -205,7 +205,10 @@ def patchify(frames: Array, cfg: PvcConfig, patch: PatchEmbedParams) -> Array:
 
     Each patch_size^2 pixel block is flattened row-major (row, col,
     channel) and linearly projected; a learned per-position embedding is
-    added, shared across frames.
+    added, shared across frames. The frames go through in `tensor.tiles`,
+    and the patch rows of a frame too big for one tile: each tile's pixels
+    are copied into patch order, at most CHUNK_ELEMENTS values, and
+    projected straight into the tokens.
 
     A frame axis with stride 0 (a static video held once, see
     `input_pipeline.normalize`) is projected for its one frame, and the
@@ -220,12 +223,17 @@ def patchify(frames: Array, cfg: PvcConfig, patch: PatchEmbedParams) -> Array:
     if t > 1 and frames.strides[1] == 0:
         tokens = patchify(frames[:, :1], cfg, patch)
         return np.broadcast_to(tokens, (b, t, *tokens.shape[2:]))
-    g, ps = cfg.grid, cfg.patch_size
-    x = frames.reshape(b, t, g, ps, g, ps, 3)
-    x = x.transpose(0, 1, 2, 4, 3, 5, 6).reshape(b, t, g * g, ps * ps * 3)
-    tokens = linear(x, patch.weight, patch.bias)
-    tokens += patch.pos
-    return tokens
+    g, ps, c = cfg.grid, cfg.patch_size, cfg.channels
+    px = frames.reshape(b * t, g, ps, g, ps, 3)
+    pos = patch.pos.reshape(g, g, c)
+    tokens = np.empty((b * t, g, g, c))
+    # a tile spans a frame's patch rows whole before it takes two frames,
+    # so its block of tokens is contiguous
+    for f, r in tensor.tiles((b * t, g), g * ps * ps * 3):
+        x = px[f, r].transpose(0, 1, 3, 2, 4, 5)  # [frames, patch rows, g, ps, ps, 3]
+        y = linear(x.reshape(*x.shape[:3], -1), patch.weight, patch.bias, out=tokens[f, r])
+        y += pos[r]
+    return tokens.reshape(b, t, g * g, c)
 
 
 def _heads(a: Array, heads: int) -> Array:
@@ -243,9 +251,11 @@ def _attention(x: Array, p: AttentionParams, causal: bool,
     folded into q, each block's exponentials multiply v unnormalised, and
     the [bq, d] context is divided by the row sums afterwards
     (FlashAttention's deferred normalisation). Masked scores are
-    MASK_VALUE, whose exponential is exactly 0.
-    With a `cache` dict, the grid runs as one block, and x, the
-    projections q (scaled), k and v, the context `ctx` and the
+    MASK_VALUE, whose exponential is exactly 0. A block's queries are dead
+    once its scores exist, so its context is written over them: q becomes
+    the context, and k and v are dropped before the output projection.
+    With a `cache` dict, the grid runs as one block, and x, a copy of the
+    scaled projection q taken before the loop, k, v, the context `ctx` and the
     probabilities `attn` [S, H, L, L] (that block's scores over their row
     sums) are recorded in it for the backward; `attn` is the whole score
     tensor the blocks avoid, so a cached forward is for toy-scale checks.
@@ -257,8 +267,9 @@ def _attention(x: Array, p: AttentionParams, causal: bool,
     q *= 1.0 / np.sqrt(c // p.heads)
     k = linear(x, p.wk, p.bk)
     v = linear(x, p.wv, p.bv)
-    ctx = np.empty_like(q)
-    qh, kh, vh, ch = (_heads(a, p.heads) for a in (q, k, v, ctx))
+    if cache is not None:
+        cache.update(x=x, q=q.copy(), k=k, v=v, ctx=q)
+    qh, kh, vh = (_heads(a, p.heads) for a in (q, k, v))
     with np.errstate(invalid="ignore"):  # inf - inf from inf inputs; reported below
         for block in tensor.tiles((s, p.heads, l), l, whole=cache is not None):
             ss, hs, qs = block
@@ -271,13 +282,14 @@ def _attention(x: Array, p: AttentionParams, causal: bool,
             total = scores.sum(axis=-1, keepdims=True)
             # the terms are >= 0, so a NaN or Inf anywhere shows in its sum
             _check_finite(total, "attention")
-            out = ch[block]
-            np.matmul(scores, vh[ss, hs], out=out)
-            out /= total
+            ctx = qh[block]  # this block's queries are dead now
+            np.matmul(scores, vh[ss, hs], out=ctx)
+            ctx /= total
             if cache is not None:
                 scores /= total
-                cache.update(x=x, q=q, k=k, v=v, ctx=ctx, attn=scores)
-    return linear(ctx, p.wo, p.bo)
+                cache["attn"] = scores
+    del k, v, kh, vh
+    return linear(q, p.wo, p.bo)
 
 
 def spatial_mha(x: Array, p: AttentionParams, cache: dict | None = None) -> Array:
@@ -298,7 +310,7 @@ def layer_te(t: int, p: LayerParams, cache: dict | None = None) -> Array:
 
 
 def progressive_layer_forward(x: Array, frames: int, p: LayerParams,
-                              cache: dict | None = None) -> Array:
+                              cache: dict | None = None, out: Array | None = None) -> Array:
     """One ViT layer on tokens [B, T, N, C] of a `frames`-frame video.
 
     T is `frames`, or 1 for a static video held once: that runs LN1,
@@ -307,11 +319,16 @@ def progressive_layer_forward(x: Array, frames: int, p: LayerParams,
     gated temporal block only when present; its TE goes through AdaLN's W3
     and W5 once, before the first chunk.
 
-    The layer writes one output array and never its input. Each sublayer
-    is added into the output a chunk at a time, so its temporaries hold
-    about CHUNK_ELEMENTS values each: LN1 + S-MHA over whole frames, the
-    temporal block over spatial positions (T-MHA mixes only the frames of
-    one position), LN2 + FFN over rows (by the FFN width, >= MLP_ROW_BLOCK).
+    The layer writes one output array, and never its input unless handed
+    `out=x`. `out` (a writeable, C-contiguous float64 array of x's shape;
+    it may be x itself) holds the result when x has every frame; a held-once
+    x gets only its LN1 + S-MHA there, since the temporal block repeats it
+    to `frames` frames in a new array. Each sublayer is added into the
+    output a chunk at a time, reading each chunk before writing it, so its
+    temporaries hold about CHUNK_ELEMENTS values each: LN1 + S-MHA over
+    whole frames, the temporal block over spatial positions (T-MHA mixes
+    only the frames of one position), LN2 + FFN over rows (by the FFN
+    width, >= MLP_ROW_BLOCK).
 
     With a `cache` dict, every sublayer runs as one chunk and records its
     intermediates in a dict under its own key (`ln1`, `smha`, ...), and
@@ -323,10 +340,16 @@ def progressive_layer_forward(x: Array, frames: int, p: LayerParams,
     if cache is not None and t != frames:
         raise ValueError("a static video held once cannot be cached; "
                          "the backward passes expect every frame")
+    if out is None:
+        out = np.empty(x.shape)
+    elif (out.shape != x.shape or out.dtype != np.float64
+          or not out.flags.c_contiguous or not out.flags.writeable):
+        # a reshape of any other array could copy it, losing the writes
+        raise ValueError(f"out must be a writeable C-contiguous float64 array of "
+                         f"shape {x.shape}")
     whole = cache is not None
 
-    x = x.reshape(b * t, n, c)
-    out = np.empty((b * t, n, c))
+    x, out = x.reshape(b * t, n, c), out.reshape(b * t, n, c)
     for f, in tensor.tiles((b * t,), n * c, whole=whole):
         h = layer_norm(x[f], gamma=p.ln1_gamma, beta=p.ln1_beta,
                        cache=_sub_cache(cache, "ln1"))
@@ -349,7 +372,7 @@ def progressive_layer_forward(x: Array, frames: int, p: LayerParams,
                 cache["tm"] = tm
             y += p.gate_alpha * tm
 
-    rows = out.reshape(-1, c)
+    rows = out.reshape(-1, c)  # a view: out is contiguous
     ffn = len(p.ffn_b_in)
     for r, in tensor.tiles((len(rows),), ffn, tensor.MLP_ROW_BLOCK, whole=whole):
         h = layer_norm(rows[r], gamma=p.ln2_gamma, beta=p.ln2_beta,
@@ -373,6 +396,11 @@ def vit_forward(x: Array, cfg: PvcConfig, model: ModelParams) -> Array:
     video held once) is identical by construction and is not compared.
     Any other input is compared frame by frame against frame 0, stopping
     at the first frame that differs.
+
+    Layer 0 writes a new array, so the caller's tokens are never written.
+    That array is the residual stream, and every later layer updates it in
+    place (`out=x`), so the stack holds one layer output plus one layer's
+    tile-sized temporaries.
     """
     if x.ndim != 4:
         raise ValueError(f"tokens must be [B,T,N,C], got {x.shape}")
@@ -387,7 +415,7 @@ def vit_forward(x: Array, cfg: PvcConfig, model: ModelParams) -> Array:
         if p.is_temporal != (i >= plain):
             raise ValueError(f"layer {i}: temporal={p.is_temporal}, expected "
                              f"{'temporal' if i >= plain else 'plain'}")
-        x = progressive_layer_forward(x, t, p)
+        x = progressive_layer_forward(x, t, p, out=x if i else None)
     if x.shape[1] != t:
         x = np.repeat(x, t, axis=1)
     return x

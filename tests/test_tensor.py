@@ -81,6 +81,15 @@ class TestLinear:
         assert np.array_equal(x, x0) and np.array_equal(w, w0)
         assert b is None or np.array_equal(b, b0)
 
+    @pytest.mark.parametrize("shape", [(6, 5), (2, 3, 4, 5)])
+    def test_writes_into_out(self, shape):
+        rng = Rng(13)
+        x, w, b = rng.normal(shape), rng.normal((5, 7)), rng.normal((7,))
+        out = np.empty(shape[:-1] + (7,))
+        y = linear(x, w, b, out=out)
+        assert np.shares_memory(y, out) and y.shape == out.shape
+        assert np.array_equal(out, linear(x, w, b))
+
 
 class TestLayerNorm:
     def test_constant_input_zero(self):
@@ -245,6 +254,20 @@ class TestDeterminismAndRng:
         b = Rng(123)
         assert np.array_equal(a.normal((4, 4)), b.normal((4, 4)))
         assert np.array_equal(a.uniform((3,)), b.uniform((3,)))
+
+    def test_normal_scales_its_draw_in_place(self):
+        shape, std = (1024, 1024), 0.02
+        draw = Rng(9).normal(shape, std)
+        assert np.array_equal(
+            draw, np.random.Generator(np.random.Philox(9)).standard_normal(shape) * std)
+        rng = Rng(9)
+        tracemalloc.start()
+        try:
+            rng.normal(shape, std)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * draw.nbytes  # a scaled copy would hold two
 
     def test_different_seed_differs(self):
         assert not np.array_equal(Rng(1).normal((8,)), Rng(2).normal((8,)))

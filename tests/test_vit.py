@@ -75,6 +75,15 @@ def make_batch(rng, cfg, b=1, t=4):
     return rng.normal((b, t, cfg.tokens_per_frame, cfg.channels))
 
 
+def cached_arrays(cache):
+    """Every array a forward's cache dict records, nested dicts included."""
+    for v in cache.values():
+        if isinstance(v, dict):
+            yield from cached_arrays(v)
+        elif isinstance(v, np.ndarray):
+            yield v
+
+
 class TestConfig:
     def test_vit_l_geometry(self):
         cfg = PvcConfig()
@@ -123,15 +132,34 @@ class TestPatchify:
         # row-major patch order: (0,0), (0,1), (1,0), (1,1)
         assert np.array_equal(x[0, 0], img[0, 0].reshape(4, 3))
 
+    # toy_config(): 56 px frames are 4 patch rows of 2352 pixel values each,
+    # so these chunks give 3 frames, 1 frame, 3 + 1 patch rows and 1 patch
+    # row per tile (B=2, T=3)
+    @pytest.mark.parametrize("chunk, rows", [(3 * 9408, [48, 48]), (9408, [16] * 6),
+                                             (3 * 2352, [12, 4] * 6), (1, [4] * 24)])
+    def test_tiles_match_one_tile(self, chunk, rows, monkeypatch):
+        cfg = toy_config()
+        patch = init_model(56, cfg).patch
+        frames = Rng(57).normal((2, 3, cfg.image_size, cfg.image_size, 3))
+        ref = patchify(frames, cfg, patch)
+        monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", chunk)
+        heights = []
+        monkeypatch.setattr(vit, "linear", lambda x, *w, real=vit.linear, **kw:
+                            heights.append(x.size // x.shape[-1]) or real(x, *w, **kw))
+        out = patchify(frames, cfg, patch)
+        assert heights == rows
+        # BLAS may round a product of another height differently
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     def test_static_video_is_projected_once(self, monkeypatch):
         cfg = toy_config()
         patch = init_model(58, cfg).patch
         frame = Rng(59).normal((2, 1, cfg.image_size, cfg.image_size, 3))
         rows = []
 
-        def spy(x, w, b=None):
+        def spy(x, w, b=None, out=None):
             rows.append(x.size // x.shape[-1])
-            return tensor.linear(x, w, b)
+            return tensor.linear(x, w, b, out)
 
         monkeypatch.setattr(vit, "linear", spy)
         tokens = patchify(np.broadcast_to(frame, (2, 4, *frame.shape[2:])), cfg, patch)
@@ -431,7 +459,7 @@ class TestProgressiveLayer:
 
     def _peak_copies_of_x(self, temporal, monkeypatch):
         # with small chunks and blocks, the layer holds its one output plus
-        # one frame's S-MHA temporaries (x / 16 each): about 1.42 copies of
+        # one frame's S-MHA temporaries (x / 16 each): about 1.28 copies of
         # x; a full-size temporary anywhere would add one more
         monkeypatch.setattr(tensor, "MLP_ROW_BLOCK", 64)
         monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", 4096)
@@ -510,17 +538,51 @@ class TestProgressiveLayer:
         x = make_batch(Rng(20), cfg)
         cache = {}
         out = progressive_layer_forward(x, 4, p, cache)
-
-        def arrays(d):
-            for v in d.values():
-                if isinstance(v, dict):
-                    yield from arrays(v)
-                elif isinstance(v, np.ndarray):
-                    yield v
-
-        cached = list(arrays(cache))
+        cached = list(cached_arrays(cache))
         assert len(cached) > 20
         assert not any(np.shares_memory(a, out) or np.shares_memory(a, x) for a in cached)
+
+    # the chunk sizes of test_chunked_layer_matches_one_chunk; a held-once
+    # input cannot be cached
+    @pytest.mark.parametrize("chunk", [32, 700, 2048])
+    @pytest.mark.parametrize("static, cached", [(False, False), (True, False), (False, True)],
+                             ids=["moving", "held_once", "moving_cached"])
+    @pytest.mark.parametrize("temporal", [True, False], ids=["temporal", "plain"])
+    def test_out_x_equals_out_of_place(self, chunk, static, cached, temporal, monkeypatch):
+        cfg = toy_config()
+        p = self._temporal_layer(Rng(17), cfg, gate_std=0.5) if temporal else \
+            init_layer(Rng(17), cfg, temporal=False)
+        x = make_batch(Rng(18), cfg, b=2, t=1 if static else 3)
+        monkeypatch.setattr(tensor, "MLP_ROW_BLOCK", 1)
+        monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", chunk)
+        ref_cache, cache = ({}, {}) if cached else (None, None)
+        ref = progressive_layer_forward(x, 3, p, ref_cache)
+        x_in = x.copy()
+        out = progressive_layer_forward(x_in, 3, p, cache, out=x_in)
+        assert np.array_equal(out, ref)
+        if not (static and temporal):  # x had every frame, so out holds the result
+            assert np.shares_memory(out, x_in) and np.array_equal(x_in, ref)
+        else:  # held once: LN1 + S-MHA went into x, then T frames into a new array
+            assert not np.shares_memory(out, x_in) and not np.array_equal(x_in, x)
+        if cached:
+            got, expect = list(cached_arrays(cache)), list(cached_arrays(ref_cache))
+            assert len(got) == len(expect) > 10
+            assert all(np.array_equal(a, e) for a, e in zip(got, expect))
+            assert not any(np.shares_memory(a, x_in) for a in got)
+
+    @pytest.mark.parametrize("bad", ["shape", "not_contiguous", "read_only", "float32"])
+    def test_rejects_an_out_it_cannot_write_through(self, bad):
+        cfg = toy_config()
+        p = init_layer(Rng(23), cfg, temporal=False)
+        x = make_batch(Rng(24), cfg, t=3)
+        out = {"shape": lambda: np.empty((1, 2) + x.shape[2:]),
+               "not_contiguous": lambda: np.empty(x.shape[:3] + (2 * cfg.channels,))[..., ::2],
+               "read_only": lambda: np.broadcast_to(np.empty(x.shape), x.shape),
+               "float32": lambda: np.empty(x.shape, np.float32)}[bad]()
+        x0 = x.copy()
+        with pytest.raises(ValueError, match="out must be a writeable C-contiguous float64"):
+            progressive_layer_forward(x, 3, p, out=out)
+        assert np.array_equal(x, x0)
 
     def test_gate_initialized_exactly_zero(self):
         p = init_layer(Rng(14), toy_config(), temporal=True)
@@ -592,6 +654,44 @@ class TestVitForward:
         x = make_batch(Rng(36), cfg)
         with pytest.raises(ValueError, match=r"\[B,T,N,C\]"):
             vit_forward(x[0], cfg, model)
+
+    @pytest.mark.parametrize("static", [False, True], ids=["moving", "static"])
+    def test_layers_after_the_first_write_in_place(self, static, monkeypatch):
+        # layer 0 writes a new array, so the caller's tokens are never
+        # written; every later layer is handed its own input as `out`
+        cfg = toy_config()
+        model = init_model(37, cfg)
+        randomize_gates(model, Rng(38))
+        x = make_batch(Rng(39), cfg)
+        if static:
+            x = np.repeat(x[:, :1], 4, axis=1)
+        x0 = x.copy()
+        ref = layerwise_reference(x, cfg, model)
+        outs, real = [], vit.progressive_layer_forward
+
+        def spy(h, frames, p, out=None):
+            outs.append(None if out is None else out is h)
+            return real(h, frames, p, out=out)
+
+        monkeypatch.setattr(vit, "progressive_layer_forward", spy)
+        out = vit_forward(x, cfg, model)
+        assert x.flags.writeable and np.array_equal(x, x0)
+        assert outs == [None] + [True] * (cfg.layers - 1)
+        assert np.array_equal(out, ref)
+
+    def test_stack_holds_one_layer_output(self, monkeypatch):
+        # the _peak_copies_of_x geometry, 3 layers: layer 0's output is the
+        # residual stream the later layers update, so the stack holds it
+        # plus one layer's tile-sized temporaries (about 1.28 copies of x,
+        # output included); a second layer-sized array would add one more
+        monkeypatch.setattr(tensor, "MLP_ROW_BLOCK", 64)
+        monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", 4096)
+        cfg = toy_config(image_size=224, channels=64, heads=4, ffn_dim=256,
+                         layers=3, temporal_layers=1)
+        model = init_model(15, cfg)
+        randomize_gates(model, Rng(16))
+        x = make_batch(Rng(16), cfg, t=16)
+        assert peak_bytes(lambda: vit_forward(x, cfg, model)) / x.nbytes <= 1.5
 
     def test_deterministic_forward(self):
         cfg = toy_config()
