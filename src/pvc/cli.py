@@ -26,10 +26,11 @@ from .conditioning import relative_timestamps
 from .input_pipeline import (
     FRAME_BOUNDS,
     dynamic_tile,
-    normalize,
+    level_table,
     read_ppm,
     sample_frames,
     video_to_pixel_tensor,
+    PixelLevels,
     RawImage,
     RawVideo,
 )
@@ -183,10 +184,10 @@ def _cmd_pipeline(args) -> int:
         if t_img < 1:
             raise ValueError(f"t_img must be >= 1, got {t_img}")
         # tiles ride the batch axis; every tile of a frame shares its timestamp.
-        # Each tile is normalised once and held once across its t_img frames.
-        pixels = np.broadcast_to(
-            np.stack([normalize([tile]) for tile in tiles]),  # [tiles, 1, H, W, 3]
-            (len(tiles), t_img, cfg.image_size, cfg.image_size, 3))
+        # Each tile's 8-bit levels are held once across its t_img frames.
+        levels = np.stack([tile.pixels for tile in tiles])[:, None]  # [tiles, 1, H, W, 3]
+        pixels = PixelLevels(np.broadcast_to(levels, (len(tiles), t_img, *levels.shape[2:])),
+                             level_table())
         print(f"pipeline: {len(tiles)} tile(s), grid {grid[0]}x{grid[1]}, "
               f"t_img={t_img}")
     else:

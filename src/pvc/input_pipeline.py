@@ -2,12 +2,15 @@
 
 Images are repeated into static videos; native videos are uniformly
 subsampled; high-resolution images are split into fixed-size tiles by
-aspect ratio. Pixels travel as 8-bit RGB until `normalize`.
+aspect ratio. Pixels stay 8-bit RGB until `vit.patchify`:
+`video_to_pixel_tensor` hands it a `PixelLevels`, the levels plus the
+table of their normalised values, and patchify looks each tile up
+straight into patch order, so the float64 pixels are never built.
 
-A static video (every frame equal, as an image repeated) is held once
-from `normalize` on: its one converted frame is broadcast to all T frames
-as a read-only view whose frame axis has stride 0. `vit.patchify` and
-`vit.vit_forward` read that stride and work on the one frame.
+A static video (every frame equal, as an image repeated) is held once:
+its one frame is broadcast to all T frames as a read-only view whose
+frame axis has stride 0. `vit.patchify` and `vit.vit_forward` read that
+stride and work on the one frame.
 """
 from __future__ import annotations
 
@@ -102,10 +105,11 @@ def write_ppm(path, img: RawImage) -> None:
 
 
 def image_to_static_video(img: RawImage, t_img: int) -> RawVideo:
-    """Repeat one image t_img times into a static video."""
+    """Repeat one image t_img times into a static video; its frames are
+    one copy of the image."""
     if t_img < 1:
         raise ValueError(f"t_img must be >= 1, got {t_img}")
-    return RawVideo(frames=[RawImage(img.pixels.copy()) for _ in range(t_img)])
+    return RawVideo(frames=[RawImage(img.pixels.copy())] * t_img)
 
 
 def sample_frames(v: RawVideo, t: int) -> RawVideo:
@@ -178,25 +182,87 @@ def dynamic_tile(img: RawImage, tile_px: int,
     return tiles, (rows, cols)
 
 
+@dataclass(frozen=True)
+class PixelLevels:
+    """Normalised pixels [B, T, H, W, 3] held as their 8-bit levels.
+
+    `levels` is uint8 [B, T, H, W, 3] and `table` the float64 [256, 3]
+    normalised value of each level per channel (`level_table`): pixel
+    (b, t, y, x, c) is table[levels[b, t, y, x, c], c]. A static video
+    keeps its stride-0 frame axis on `levels`. `vit.patchify` looks the
+    values up a tile at a time, so they are never held whole.
+    """
+    levels: np.ndarray
+    table: Array
+
+    def __post_init__(self):
+        lv, tb = self.levels, self.table
+        if (lv.dtype != np.uint8 or lv.ndim != 5 or lv.shape[-1] != 3
+                or tb.shape != (256, 3) or tb.dtype != np.float64):
+            raise ValueError(f"need uint8 levels [B,T,H,W,3] and a float64 [256,3] table, "
+                             f"got {lv.dtype} {lv.shape} and {tb.dtype} {tb.shape}")
+
+    @property
+    def shape(self) -> tuple:
+        return self.levels.shape
+
+    def values(self, levels: np.ndarray) -> Array:
+        """The float64 values of `levels`, uint8 [..., M, 3] taken from
+        `self.levels` in any order or strides (a tile, say), C-contiguous
+        in the index order of `levels`."""
+        return _level_values(levels, self.table)
+
+
+def level_table(mean=PIXEL_MEAN, std=PIXEL_STD) -> Array:
+    """float64 [256, 3]: each 8-bit level scaled to [0,1], then
+    channel-standardized."""
+    mean = np.asarray(mean, dtype=np.float64)
+    std = np.asarray(std, dtype=np.float64)
+    return (np.arange(256.0)[:, None] / 255.0 - mean) / std
+
+
+def _level_values(levels: np.ndarray, table: Array) -> Array:
+    """float64 table[levels[..., c], c] for uint8 levels [..., M, 3] of any
+    strides, C-contiguous in the index order of `levels`.
+
+    The lookup gathers from the flattened table at level*3 + channel; the
+    channel offsets are added over whole [M, 3] rows, since a length-3
+    inner loop is several times slower.
+    """
+    idx = np.multiply(levels, 3, dtype=np.intp, order="C")
+    rows = idx.reshape(-1, 3 * levels.shape[-2])  # a view: idx is contiguous
+    rows += np.tile(np.arange(3), levels.shape[-2])
+    # uint8 levels index at most 3 * 255 + 2, so no index is clipped
+    return np.take(table.ravel(), idx, mode="clip")
+
+
+def _frame_levels(frames: list[RawImage]) -> np.ndarray:
+    """uint8 [len, H, W, 3] levels of the frames. When every frame's pixels
+    equal frame 0's, frame 0's pixels broadcast to all of them: a read-only
+    view whose frame axis has stride 0. The comparison stops at the first
+    frame that differs."""
+    first = frames[0].pixels
+    if all(np.array_equal(im.pixels, first) for im in frames[1:]):
+        return np.broadcast_to(first, (len(frames), *first.shape))
+    return np.stack([im.pixels for im in frames])
+
+
 def normalize(frames: list[RawImage], mean=PIXEL_MEAN, std=PIXEL_STD) -> Array:
     """8-bit RGB frames -> float64 [len, H, W, 3], scaled to [0,1] then
     channel-standardized. Each of the 256 levels of each channel is
-    computed once and the pixels look it up.
+    computed once (`level_table`) and the pixels look it up.
 
     When every frame's pixels equal frame 0's, frame 0 is converted once
     and returned broadcast to [len, H, W, 3]: a read-only view whose frame
     axis has stride 0. The comparison stops at the first frame that differs.
     """
-    mean = np.asarray(mean, dtype=np.float64)
-    std = np.asarray(std, dtype=np.float64)
-    table = (np.arange(256.0)[:, None] / 255.0 - mean) / std  # [256, 3]
-    first = frames[0].pixels
-    if all(np.array_equal(im.pixels, first) for im in frames[1:]):
-        return np.broadcast_to(table[first, np.arange(3)], (len(frames), *first.shape))
-    return table[np.stack([im.pixels for im in frames]), np.arange(3)]
+    levels, table = _frame_levels(frames), level_table(mean, std)
+    if levels.strides[0] == 0:
+        return np.broadcast_to(_level_values(levels[0], table), levels.shape)
+    return _level_values(levels, table)
 
 
-def video_to_pixel_tensor(v: RawVideo, mean=PIXEL_MEAN, std=PIXEL_STD) -> Array:
-    """[1, T, H, W, 3] normalized pixel tensor for patchify; a static video
-    keeps its stride-0 frame axis."""
-    return normalize(v.frames, mean, std)[None]
+def video_to_pixel_tensor(v: RawVideo, mean=PIXEL_MEAN, std=PIXEL_STD) -> PixelLevels:
+    """The [1, T, H, W, 3] normalised pixels of v for patchify, held as
+    8-bit levels; a static video keeps its stride-0 frame axis."""
+    return PixelLevels(_frame_levels(v.frames)[None], level_table(mean, std))

@@ -34,7 +34,7 @@ from .conditioning import (
     temporal_embedding,
 )
 from . import tensor
-from .input_pipeline import PIXEL_MEAN, PIXEL_STD
+from .input_pipeline import PIXEL_MEAN, PIXEL_STD, PixelLevels
 from .tensor import (NEW_WEIGHT_STD, Array, Rng, _check_finite, _sub_cache, layer_norm,
                      linear, silu_mlp)
 
@@ -200,7 +200,7 @@ def build_model(rng: Rng, cfg: PvcConfig) -> ModelParams:
     return ModelParams(cfg=cfg, patch=patch, layers=layers)
 
 
-def patchify(frames: Array, cfg: PvcConfig, patch: PatchEmbedParams) -> Array:
+def patchify(frames: Array | PixelLevels, cfg: PvcConfig, patch: PatchEmbedParams) -> Array:
     """Project [B,T,H,W,3] pixels to patch tokens [B,T,N,C].
 
     Each patch_size^2 pixel block is flattened row-major (row, col,
@@ -208,32 +208,44 @@ def patchify(frames: Array, cfg: PvcConfig, patch: PatchEmbedParams) -> Array:
     added, shared across frames. The frames go through in `tensor.tiles`,
     and the patch rows of a frame too big for one tile: each tile's pixels
     are copied into patch order, at most CHUNK_ELEMENTS values, and
-    projected straight into the tokens.
+    projected straight into the tokens. Pixels given as `PixelLevels`
+    (from `input_pipeline.video_to_pixel_tensor`) are looked up from their
+    8-bit levels a tile at a time, straight into patch order, so the float64
+    pixels are never built; the values, and so the tokens, are the same.
 
-    A frame axis with stride 0 (a static video held once, see
-    `input_pipeline.normalize`) is projected for its one frame, and the
-    tokens come back broadcast to [B,T,N,C] with the same stride 0.
+    A frame axis with stride 0 (a static video held once, as
+    `input_pipeline.normalize` and `video_to_pixel_tensor` return it) is
+    projected for its one frame, and the tokens come back broadcast to
+    [B,T,N,C] with the same stride 0.
     """
-    frames = np.asarray(frames, dtype=np.float64)
+    lookup = None
+    if isinstance(frames, PixelLevels):
+        lookup, frames = frames.values, frames.levels
+    else:
+        frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 5 or frames.shape[-1] != 3:
         raise ValueError(f"expected [B,T,H,W,3] pixels, got {frames.shape}")
     b, t, h, w, _ = frames.shape
     if h != cfg.image_size or w != cfg.image_size:
         raise ValueError(f"frame size {h}x{w} != configured {cfg.image_size}")
-    if t > 1 and frames.strides[1] == 0:
-        tokens = patchify(frames[:, :1], cfg, patch)
-        return np.broadcast_to(tokens, (b, t, *tokens.shape[2:]))
+    held_once = t > 1 and frames.strides[1] == 0
+    if held_once:
+        frames = frames[:, :1]
     g, ps, c = cfg.grid, cfg.patch_size, cfg.channels
-    px = frames.reshape(b * t, g, ps, g, ps, 3)
+    n = b * frames.shape[1]
+    px = frames.reshape(n, g, ps, g, ps, 3)
     pos = patch.pos.reshape(g, g, c)
-    tokens = np.empty((b * t, g, g, c))
+    tokens = np.empty((n, g, g, c))
     # a tile spans a frame's patch rows whole before it takes two frames,
     # so its block of tokens is contiguous
-    for f, r in tensor.tiles((b * t, g), g * ps * ps * 3):
+    for f, r in tensor.tiles((n, g), g * ps * ps * 3):
         x = px[f, r].transpose(0, 1, 3, 2, 4, 5)  # [frames, patch rows, g, ps, ps, 3]
+        if lookup is not None:
+            x = lookup(x)  # contiguous, in patch order
         y = linear(x.reshape(*x.shape[:3], -1), patch.weight, patch.bias, out=tokens[f, r])
         y += pos[r]
-    return tokens.reshape(b, t, g * g, c)
+    tokens = tokens.reshape(b, -1, g * g, c)
+    return np.broadcast_to(tokens, (b, t, g * g, c)) if held_once else tokens
 
 
 def _heads(a: Array, heads: int) -> Array:
@@ -354,6 +366,7 @@ def progressive_layer_forward(x: Array, frames: int, p: LayerParams,
         h = layer_norm(x[f], gamma=p.ln1_gamma, beta=p.ln1_beta,
                        cache=_sub_cache(cache, "ln1"))
         np.add(x[f], spatial_mha(h, p.smha, _sub_cache(cache, "smha")), out=out[f])
+        del h
     out = out.reshape(b, t, n, c)
 
     if p.is_temporal:
@@ -369,8 +382,10 @@ def progressive_layer_forward(x: Array, frames: int, p: LayerParams,
             del a
             tm = tm.reshape(b, y.shape[2], frames, c).transpose(0, 2, 1, 3)
             if cache is not None:
-                cache["tm"] = tm
-            y += p.gate_alpha * tm
+                cache["tm"] = tm.copy()  # ungated: the backward reads it
+            tm *= p.gate_alpha
+            y += tm
+            del tm
 
     rows = out.reshape(-1, c)  # a view: out is contiguous
     ffn = len(p.ffn_b_in)

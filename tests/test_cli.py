@@ -309,7 +309,7 @@ class TestPipeline:
         real_patchify = cli.patchify
 
         def patchify(pixels, cfg, patch):
-            seen.append((pixels.shape, pixels.strides[1]))
+            seen.append((pixels.shape, pixels.levels.strides[1], pixels.levels.dtype))
             return real_patchify(pixels, cfg, patch)
 
         monkeypatch.setattr(cli, "patchify", patchify)
@@ -319,7 +319,7 @@ class TestPipeline:
         code, _, err = run(capsys, "pipeline", "--toy", "--image", str(ppm), "--t-img", "3",
                            "--output", str(tmp_path / "tokens.pvct"))
         assert code == 0, err
-        assert seen == [((2, 3, 56, 56, 3), 0)]
+        assert seen == [((2, 3, 56, 56, 3), 0, np.uint8)]
 
     def test_vit_released_before_compressor_is_built(self, capsys, tmp_path, monkeypatch):
         refs = {}

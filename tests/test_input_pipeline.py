@@ -1,18 +1,23 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pvc.input_pipeline import (
     PIXEL_MEAN,
     PIXEL_STD,
+    PixelLevels,
     RawImage,
     RawVideo,
     bilinear_resize,
     dynamic_tile,
     image_to_static_video,
+    level_table,
     normalize,
     read_ppm,
     sample_frames,
     select_tile_grid,
+    video_to_pixel_tensor,
     write_ppm,
 )
 from pvc.tensor import Rng
@@ -44,10 +49,13 @@ def reference_normalize(pixels, mean, std):
 
 class TestStaticVideo:
     def test_default_repeat(self):
-        v = image_to_static_video(rand_image(1, 8, 8), 4)
+        img = rand_image(1, 8, 8)
+        v = image_to_static_video(img, 4)
         assert v.frame_count == 4
-        for f in v.frames[1:]:
-            assert np.array_equal(f.pixels, v.frames[0].pixels)
+        # one copy of the image, not the caller's, holds every frame
+        assert v.frames[0].pixels is not img.pixels
+        assert np.array_equal(v.frames[0].pixels, img.pixels)
+        assert all(f.pixels is v.frames[0].pixels for f in v.frames[1:])
 
     def test_singleton(self):
         v = image_to_static_video(rand_image(2, 4, 4), 1)
@@ -181,6 +189,34 @@ class TestNormalize:
         img = RawImage(np.full((1, 1, 3), 255, dtype=np.uint8))
         out = normalize([img], mean=(0.5, 0.5, 0.5), std=(0.5, 0.5, 0.5))
         assert np.allclose(out, 1.0)
+
+
+class TestPixelLevels:
+    @pytest.mark.parametrize("static", [False, True])
+    def test_holds_a_byte_per_pixel_channel(self, static):
+        frames = [rand_image(70 + (0 if static else i), 24, 40) for i in range(6)]
+        video = RawVideo(frames)
+        tracemalloc.start()
+        try:
+            pixels = video_to_pixel_tensor(video)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert pixels.shape == (1, 6, 24, 40, 3)
+        assert pixels.levels.dtype == np.uint8
+        assert (pixels.levels.strides[1] == 0) == static
+        # the float64 pixels would be 8 bytes per pixel channel
+        assert held <= pixels.levels.size + pixels.table.nbytes + 4096
+
+    @pytest.mark.parametrize("levels, table", [
+        (np.zeros((1, 1, 2, 2, 3)), level_table()),                  # float levels
+        (np.zeros((1, 1, 2, 2, 3), np.uint16), level_table()),       # levels past 255
+        (np.zeros((1, 2, 2, 3), np.uint8), level_table()),           # no batch axis
+        (np.zeros((1, 1, 2, 2, 3), np.uint8), level_table()[:, :2]),
+        (np.zeros((1, 1, 2, 2, 3), np.uint8), level_table().astype(np.float32))])
+    def test_rejects_what_patchify_cannot_look_up(self, levels, table):
+        with pytest.raises(ValueError):
+            PixelLevels(levels, table)
 
 
 class TestPpm:

@@ -5,7 +5,8 @@ import pytest
 
 from pvc import conditioning, tensor, vit
 from pvc.compression import compress, init_compression
-from pvc.input_pipeline import RawImage, image_to_static_video, video_to_pixel_tensor
+from pvc.input_pipeline import (PixelLevels, RawImage, RawVideo, image_to_static_video,
+                                 level_table, normalize, video_to_pixel_tensor)
 from pvc.tensor import NEW_WEIGHT_STD, NonFiniteError, Rng, layer_norm, silu
 from pvc.verification import randomize_gates, run_grad_check, toy_config
 from pvc.vit import (
@@ -171,6 +172,33 @@ class TestPatchify:
         assert np.array_equal(tokens, np.repeat(patchify(frame, cfg, patch), 4, axis=1))
         assert np.allclose(tokens, patchify(np.repeat(frame, 4, axis=1), cfg, patch),
                            rtol=1e-13, atol=1e-13)
+
+    # toy_config(): 3 * 2352 values give tiles of 3 + 1 patch rows per frame
+    @pytest.mark.parametrize("chunk", [None, 3 * 2352])
+    @pytest.mark.parametrize("kind", ["moving", "static", "tiles"])
+    def test_levels_give_the_tokens_of_float_pixels(self, kind, chunk, monkeypatch):
+        cfg = toy_config()
+        patch = init_model(62, cfg).patch
+        gen = np.random.Generator(np.random.Philox(63))
+        images = [RawImage(gen.integers(0, 256, (cfg.image_size,) * 2 + (3,), np.uint8))
+                  for _ in range(3)]
+        if kind == "tiles":
+            # as `pvc pipeline` builds an image: tiles on the batch axis, each
+            # held once over 4 frames
+            levels = np.stack([im.pixels for im in images])[:, None]
+            pixels = PixelLevels(np.broadcast_to(levels, (3, 4, *levels.shape[2:])),
+                                 level_table())
+            floats = np.broadcast_to(np.stack([normalize([im]) for im in images]),
+                                     pixels.shape)
+        else:
+            video = RawVideo(images) if kind == "moving" else image_to_static_video(images[0], 4)
+            pixels, floats = video_to_pixel_tensor(video), normalize(video.frames)[None]
+        assert (pixels.levels.strides[1] == 0) == (kind != "moving")
+        if chunk is not None:
+            monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", chunk)
+        tokens, want = patchify(pixels, cfg, patch), patchify(floats, cfg, patch)
+        assert tokens.strides[1] == want.strides[1]
+        assert np.array_equal(tokens, want)
 
     def test_static_image_pipeline_holds_one_frame(self):
         # a 4-frame static image held once: one frame of pixels and one of
