@@ -12,8 +12,8 @@ from pvc.input_pipeline import (
     RawVideo,
     dynamic_tile,
     image_to_static_video,
-    normalize,
     sample_frames,
+    video_to_pixel_tensor,
 )
 
 
@@ -40,10 +40,12 @@ def main():
               for g in short.frames]
     print(f"50 frames sampled to 16: indices {picked}")
 
-    # 4. pixels to normalized float tensors
-    pixels = normalize(video.frames)
-    print(f"normalized tensor: shape {pixels.shape}, "
-          f"mean {pixels.mean():+.3f}, std {pixels.std():.3f}")
+    # 4. pixels stay 8-bit levels, with the table of their normalized values
+    pixels = video_to_pixel_tensor(video)
+    held_once = pixels.levels.strides[1] == 0
+    print(f"pixel levels: shape {pixels.levels.shape} {pixels.levels.dtype}, "
+          f"frame axis held once: {held_once}, "
+          f"values in [{pixels.table.min():+.3f}, {pixels.table.max():+.3f}]")
 
 
 if __name__ == "__main__":

@@ -140,7 +140,6 @@ def _layer_macs(tokens: int, seq_sq_sum: int, d: int, f: int) -> float:
 
 def estimate_flops(w: WorkloadSpec, a: ArchSpec, reuse: bool = False) -> BudgetReport:
     """Per-stage FLOPs for one sample of the workload."""
-    w.validate()
     counts = count_tokens(w, a)
     vit, comp, llm = a.vit, a.compression, a.llm
     n = vit.tokens_per_frame

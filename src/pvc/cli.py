@@ -111,7 +111,7 @@ def _compress_config(n: int, c: int, k: int) -> PvcConfig:
         raise io.PvctError(f"token count {n} is not a square grid")
     # synthesize a config matching the token geometry
     return PvcConfig(image_size=side, patch_size=1, channels=c, heads=1,
-                     ffn_dim=max(c, 1), layers=1, temporal_layers=0,
+                     ffn_dim=c, layers=1, temporal_layers=0,
                      shuffle_kernel=k)
 
 

@@ -4,8 +4,9 @@ Images are repeated into static videos; native videos are uniformly
 subsampled; high-resolution images are split into fixed-size tiles by
 aspect ratio. Pixels stay 8-bit RGB until `vit.patchify`:
 `video_to_pixel_tensor` hands it a `PixelLevels`, the levels plus the
-table of their normalised values, and patchify looks each tile up
-straight into patch order, so the float64 pixels are never built.
+table of their normalised values and the one pixel format patchify
+takes, and patchify looks each tile up straight into patch order, so
+the float64 pixels are never built.
 
 A static video (every frame equal, as an image repeated) is held once:
 its one frame is broadcast to all T frames as a read-only view whose
@@ -202,15 +203,20 @@ class PixelLevels:
             raise ValueError(f"need uint8 levels [B,T,H,W,3] and a float64 [256,3] table, "
                              f"got {lv.dtype} {lv.shape} and {tb.dtype} {tb.shape}")
 
-    @property
-    def shape(self) -> tuple:
-        return self.levels.shape
-
     def values(self, levels: np.ndarray) -> Array:
         """The float64 values of `levels`, uint8 [..., M, 3] taken from
         `self.levels` in any order or strides (a tile, say), C-contiguous
-        in the index order of `levels`."""
-        return _level_values(levels, self.table)
+        in the index order of `levels`.
+
+        The lookup gathers from the flattened table at level*3 + channel;
+        the channel offsets are added over whole [M, 3] rows, since a
+        length-3 inner loop is several times slower.
+        """
+        idx = np.multiply(levels, 3, dtype=np.intp, order="C")
+        rows = idx.reshape(-1, 3 * levels.shape[-2])  # a view: idx is contiguous
+        rows += np.tile(np.arange(3), levels.shape[-2])
+        # uint8 levels index at most 3 * 255 + 2, so no index is clipped
+        return np.take(self.table.ravel(), idx, mode="clip")
 
 
 def level_table(mean=PIXEL_MEAN, std=PIXEL_STD) -> Array:
@@ -221,48 +227,14 @@ def level_table(mean=PIXEL_MEAN, std=PIXEL_STD) -> Array:
     return (np.arange(256.0)[:, None] / 255.0 - mean) / std
 
 
-def _level_values(levels: np.ndarray, table: Array) -> Array:
-    """float64 table[levels[..., c], c] for uint8 levels [..., M, 3] of any
-    strides, C-contiguous in the index order of `levels`.
-
-    The lookup gathers from the flattened table at level*3 + channel; the
-    channel offsets are added over whole [M, 3] rows, since a length-3
-    inner loop is several times slower.
-    """
-    idx = np.multiply(levels, 3, dtype=np.intp, order="C")
-    rows = idx.reshape(-1, 3 * levels.shape[-2])  # a view: idx is contiguous
-    rows += np.tile(np.arange(3), levels.shape[-2])
-    # uint8 levels index at most 3 * 255 + 2, so no index is clipped
-    return np.take(table.ravel(), idx, mode="clip")
-
-
-def _frame_levels(frames: list[RawImage]) -> np.ndarray:
-    """uint8 [len, H, W, 3] levels of the frames. When every frame's pixels
-    equal frame 0's, frame 0's pixels broadcast to all of them: a read-only
-    view whose frame axis has stride 0. The comparison stops at the first
-    frame that differs."""
-    first = frames[0].pixels
-    if all(np.array_equal(im.pixels, first) for im in frames[1:]):
-        return np.broadcast_to(first, (len(frames), *first.shape))
-    return np.stack([im.pixels for im in frames])
-
-
-def normalize(frames: list[RawImage], mean=PIXEL_MEAN, std=PIXEL_STD) -> Array:
-    """8-bit RGB frames -> float64 [len, H, W, 3], scaled to [0,1] then
-    channel-standardized. Each of the 256 levels of each channel is
-    computed once (`level_table`) and the pixels look it up.
-
-    When every frame's pixels equal frame 0's, frame 0 is converted once
-    and returned broadcast to [len, H, W, 3]: a read-only view whose frame
-    axis has stride 0. The comparison stops at the first frame that differs.
-    """
-    levels, table = _frame_levels(frames), level_table(mean, std)
-    if levels.strides[0] == 0:
-        return np.broadcast_to(_level_values(levels[0], table), levels.shape)
-    return _level_values(levels, table)
-
-
 def video_to_pixel_tensor(v: RawVideo, mean=PIXEL_MEAN, std=PIXEL_STD) -> PixelLevels:
     """The [1, T, H, W, 3] normalised pixels of v for patchify, held as
-    8-bit levels; a static video keeps its stride-0 frame axis."""
-    return PixelLevels(_frame_levels(v.frames)[None], level_table(mean, std))
+    8-bit levels. When every frame's pixels equal frame 0's, frame 0's
+    pixels broadcast to all T frames: a read-only view whose frame axis
+    has stride 0. The comparison stops at the first frame that differs."""
+    first = v.frames[0].pixels
+    if all(np.array_equal(im.pixels, first) for im in v.frames[1:]):
+        levels = np.broadcast_to(first, (len(v.frames), *first.shape))
+    else:
+        levels = np.stack([im.pixels for im in v.frames])
+    return PixelLevels(levels[None], level_table(mean, std))

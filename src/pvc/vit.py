@@ -200,48 +200,39 @@ def build_model(rng: Rng, cfg: PvcConfig) -> ModelParams:
     return ModelParams(cfg=cfg, patch=patch, layers=layers)
 
 
-def patchify(frames: Array | PixelLevels, cfg: PvcConfig, patch: PatchEmbedParams) -> Array:
+def patchify(pixels: PixelLevels, cfg: PvcConfig, patch: PatchEmbedParams) -> Array:
     """Project [B,T,H,W,3] pixels to patch tokens [B,T,N,C].
 
     Each patch_size^2 pixel block is flattened row-major (row, col,
     channel) and linearly projected; a learned per-position embedding is
     added, shared across frames. The frames go through in `tensor.tiles`,
-    and the patch rows of a frame too big for one tile: each tile's pixels
-    are copied into patch order, at most CHUNK_ELEMENTS values, and
-    projected straight into the tokens. Pixels given as `PixelLevels`
-    (from `input_pipeline.video_to_pixel_tensor`) are looked up from their
-    8-bit levels a tile at a time, straight into patch order, so the float64
-    pixels are never built; the values, and so the tokens, are the same.
+    and the patch rows of a frame too big for one tile: each tile's 8-bit
+    levels are looked up straight into patch order, at most CHUNK_ELEMENTS
+    values, and projected straight into the tokens, so the float64 pixels
+    are never built.
 
     A frame axis with stride 0 (a static video held once, as
-    `input_pipeline.normalize` and `video_to_pixel_tensor` return it) is
-    projected for its one frame, and the tokens come back broadcast to
-    [B,T,N,C] with the same stride 0.
+    `input_pipeline.video_to_pixel_tensor` returns it) is projected for its
+    one frame, and the tokens come back broadcast to [B,T,N,C] with the
+    same stride 0.
     """
-    lookup = None
-    if isinstance(frames, PixelLevels):
-        lookup, frames = frames.values, frames.levels
-    else:
-        frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 5 or frames.shape[-1] != 3:
-        raise ValueError(f"expected [B,T,H,W,3] pixels, got {frames.shape}")
-    b, t, h, w, _ = frames.shape
+    levels = pixels.levels
+    b, t, h, w, _ = levels.shape
     if h != cfg.image_size or w != cfg.image_size:
         raise ValueError(f"frame size {h}x{w} != configured {cfg.image_size}")
-    held_once = t > 1 and frames.strides[1] == 0
+    held_once = t > 1 and levels.strides[1] == 0
     if held_once:
-        frames = frames[:, :1]
+        levels = levels[:, :1]
     g, ps, c = cfg.grid, cfg.patch_size, cfg.channels
-    n = b * frames.shape[1]
-    px = frames.reshape(n, g, ps, g, ps, 3)
+    n = b * levels.shape[1]
+    px = levels.reshape(n, g, ps, g, ps, 3)
     pos = patch.pos.reshape(g, g, c)
     tokens = np.empty((n, g, g, c))
     # a tile spans a frame's patch rows whole before it takes two frames,
     # so its block of tokens is contiguous
     for f, r in tensor.tiles((n, g), g * ps * ps * 3):
-        x = px[f, r].transpose(0, 1, 3, 2, 4, 5)  # [frames, patch rows, g, ps, ps, 3]
-        if lookup is not None:
-            x = lookup(x)  # contiguous, in patch order
+        # [frames, patch rows, g, ps, ps, 3], contiguous, in patch order
+        x = pixels.values(px[f, r].transpose(0, 1, 3, 2, 4, 5))
         y = linear(x.reshape(*x.shape[:3], -1), patch.weight, patch.bias, out=tokens[f, r])
         y += pos[r]
     tokens = tokens.reshape(b, -1, g * g, c)

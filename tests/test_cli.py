@@ -309,7 +309,7 @@ class TestPipeline:
         real_patchify = cli.patchify
 
         def patchify(pixels, cfg, patch):
-            seen.append((pixels.shape, pixels.levels.strides[1], pixels.levels.dtype))
+            seen.append((pixels.levels.shape, pixels.levels.strides[1], pixels.levels.dtype))
             return real_patchify(pixels, cfg, patch)
 
         monkeypatch.setattr(cli, "patchify", patchify)

@@ -13,7 +13,6 @@ from pvc.input_pipeline import (
     dynamic_tile,
     image_to_static_video,
     level_table,
-    normalize,
     read_ppm,
     sample_frames,
     select_tile_grid,
@@ -148,46 +147,55 @@ def test_bilinear_resize_matches_reference_bitwise(h, w, out_h, out_w):
     assert np.array_equal(out, reference_resize(pixels, out_h, out_w))
 
 
+def looked_up(frames, mean=PIXEL_MEAN, std=PIXEL_STD):
+    """`video_to_pixel_tensor` of uint8 frames [T, H, W, 3], and its float64
+    pixels [T, H, W, 3] looked up whole."""
+    pixels = video_to_pixel_tensor(RawVideo([RawImage(p) for p in frames]), mean, std)
+    return pixels, pixels.values(pixels.levels)[0]
+
+
 class TestNormalize:
+    """Normalisation as `video_to_pixel_tensor`'s levels and table give it."""
+
     @pytest.mark.parametrize("shape", [(1, 1, 1, 3), (2, 7, 5, 3), (3, 13, 1, 3)])
     def test_matches_reference_bitwise(self, shape):
         gen = np.random.Generator(np.random.Philox(sum(shape)))
         pixels = gen.integers(0, 256, size=shape, dtype=np.uint8)
         pixels.flat[:2] = (0, 255)
-        images = [RawImage(p) for p in pixels]
         for mean, std in (((0.485, 0.456, 0.406), (0.229, 0.224, 0.225)),
                           ((0.5, 0.5, 0.5), (0.5, 0.5, 0.5))):
-            out = normalize(images, mean=mean, std=std)
+            _, out = looked_up(pixels, mean=mean, std=std)
             assert np.array_equal(out, reference_normalize(pixels, mean, std))
 
     def test_equal_frames_are_held_once(self):
         frame = rand_image(60, 7, 5).pixels
-        out = normalize([RawImage(frame.copy()) for _ in range(4)])
-        assert out.shape == (4, 7, 5, 3)
-        assert out.strides[0] == 0 and not out.flags.writeable
+        pixels, out = looked_up([frame.copy() for _ in range(4)])
+        assert pixels.levels.shape == (1, 4, 7, 5, 3)
+        assert pixels.levels.strides[1] == 0 and not pixels.levels.flags.writeable
         want = reference_normalize(np.stack([frame] * 4), PIXEL_MEAN, PIXEL_STD)
         assert np.array_equal(out, want)
 
     def test_last_frame_differs_converts_every_frame(self):
-        pixels = np.stack([rand_image(61, 7, 5).pixels] * 4)
-        pixels[3, 6, 4, 2] ^= 1
-        out = normalize([RawImage(p) for p in pixels])
-        assert out.strides[0] != 0 and out.flags.writeable
-        assert np.array_equal(out, reference_normalize(pixels, PIXEL_MEAN, PIXEL_STD))
+        frames = np.stack([rand_image(61, 7, 5).pixels] * 4)
+        frames[3, 6, 4, 2] ^= 1
+        pixels, out = looked_up(frames)
+        assert pixels.levels.strides[1] != 0 and pixels.levels.flags.writeable
+        assert np.array_equal(pixels.levels[0], frames)
+        assert np.array_equal(out, reference_normalize(frames, PIXEL_MEAN, PIXEL_STD))
 
     def test_rejects_non_uint8(self):
-        # normalize reads RawImage frames, which hold only uint8 pixels
+        # video_to_pixel_tensor reads RawImage frames, which hold only uint8 pixels
         with pytest.raises(ValueError, match="uint8"):
             RawImage(np.zeros((2, 2, 3)))
 
     def test_zero_pixel(self):
-        img = RawImage(np.zeros((1, 1, 3), dtype=np.uint8))
-        out = normalize([img], mean=(0.5, 0.5, 0.5), std=(0.5, 0.5, 0.5))
+        _, out = looked_up(np.zeros((1, 1, 1, 3), dtype=np.uint8),
+                           mean=(0.5, 0.5, 0.5), std=(0.5, 0.5, 0.5))
         assert np.allclose(out, -1.0)
 
     def test_full_pixel(self):
-        img = RawImage(np.full((1, 1, 3), 255, dtype=np.uint8))
-        out = normalize([img], mean=(0.5, 0.5, 0.5), std=(0.5, 0.5, 0.5))
+        _, out = looked_up(np.full((1, 1, 1, 3), 255, dtype=np.uint8),
+                           mean=(0.5, 0.5, 0.5), std=(0.5, 0.5, 0.5))
         assert np.allclose(out, 1.0)
 
 
@@ -202,7 +210,7 @@ class TestPixelLevels:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert pixels.shape == (1, 6, 24, 40, 3)
+        assert pixels.levels.shape == (1, 6, 24, 40, 3)
         assert pixels.levels.dtype == np.uint8
         assert (pixels.levels.strides[1] == 0) == static
         # the float64 pixels would be 8 bytes per pixel channel

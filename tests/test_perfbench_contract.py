@@ -59,24 +59,21 @@ def test_bench_geometry_keeps_256_row_gemms(workloads, tmp_path, kind, monkeypat
         TemporalEmbeddingParams(z((SINUSOID_DIM, h)), z((h, wide))),
         z((wide, h)), z(h), z((h, h)), z(h))
     frames = work.out_shape[1]
-    side = cfg.image_size
-    # pixels as `normalize` hands them over (the static image held once),
-    # and as the benchmark hands them over: `video_to_pixel_tensor`'s levels
-    floats = z((1, 1 if kind == "image_static" else frames, side, side, 3))
-    levels = input_pipeline.video_to_pixel_tensor(work._frames(), cfg.pixel_mean,
+    # pixels as the benchmark hands them over: `video_to_pixel_tensor`'s
+    # levels, the static image held once
+    pixels = input_pipeline.video_to_pixel_tensor(work._frames(), cfg.pixel_mean,
                                                    cfg.pixel_std)
     patch = vit.PatchEmbedParams(z((cfg.patch_size ** 2 * 3, c)), z(c),
                                  z((cfg.tokens_per_frame, c)))
-    for pixels in (np.broadcast_to(floats, (1, frames, side, side, 3)), levels):
-        patch_rows = []
-        with monkeypatch.context() as m:
-            m.setattr(vit, "linear", lambda a, *w, real=vit.linear, **kw:
-                      patch_rows.append(a.size // a.shape[-1]) or real(a, *w, **kw))
-            vit.patchify(pixels, cfg, patch)
-        # a 448 px frame is 32 patch rows of 18816 pixel values, 13 of which
-        # fit one chunk; a 224 px frame (150528 values) is one tile
-        assert patch_rows == ([13 * 32, 13 * 32, 6 * 32] if kind == "image_static"
-                              else [256] * frames)
+    patch_rows = []
+    with monkeypatch.context() as m:
+        m.setattr(vit, "linear", lambda a, *w, real=vit.linear, **kw:
+                  patch_rows.append(a.size // a.shape[-1]) or real(a, *w, **kw))
+        vit.patchify(pixels, cfg, patch)
+    # a 448 px frame is 32 patch rows of 18816 pixel values, 13 of which
+    # fit one chunk; a 224 px frame (150528 values) is one tile
+    assert patch_rows == ([13 * 32, 13 * 32, 6 * 32] if kind == "image_static"
+                          else [256] * frames)
     x = z((1, frames, cfg.tokens_per_frame, c))
     ffn_rows, shuffled_rows = [], []
     mlp, shuffle = vit.silu_mlp, compression.pixel_shuffle

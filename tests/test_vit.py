@@ -5,8 +5,8 @@ import pytest
 
 from pvc import conditioning, tensor, vit
 from pvc.compression import compress, init_compression
-from pvc.input_pipeline import (PixelLevels, RawImage, RawVideo, image_to_static_video,
-                                 level_table, normalize, video_to_pixel_tensor)
+from pvc.input_pipeline import (PIXEL_MEAN, PIXEL_STD, PixelLevels, RawImage, RawVideo,
+                                 image_to_static_video, level_table, video_to_pixel_tensor)
 from pvc.tensor import NEW_WEIGHT_STD, NonFiniteError, Rng, layer_norm, silu
 from pvc.verification import randomize_gates, run_grad_check, toy_config
 from pvc.vit import (
@@ -24,6 +24,7 @@ from pvc.vit import (
     temporal_mha_causal,
     vit_forward,
 )
+from test_input_pipeline import reference_normalize
 
 
 def wide(p: AttentionParams, std: float) -> AttentionParams:
@@ -72,6 +73,22 @@ def peak_bytes(fn):
         tracemalloc.stop()
 
 
+def seeded_levels(seed, shape):
+    """Seeded uint8 levels of the given [B, T, H, W, 3] shape."""
+    return np.random.Generator(np.random.Philox(seed)).integers(0, 256, shape, np.uint8)
+
+
+def reference_patchify(levels, cfg, patch):
+    """Tokens [B, T, N, C] of uint8 levels [B, T, H, W, 3]: normalised as
+    `reference_normalize` does, put in patch order, then one GEMM plus bias
+    plus pos."""
+    b, t = levels.shape[:2]
+    g, ps = cfg.grid, cfg.patch_size
+    x = reference_normalize(levels, PIXEL_MEAN, PIXEL_STD)
+    x = x.reshape(b, t, g, ps, g, ps, 3).transpose(0, 1, 2, 4, 3, 5, 6)
+    return x.reshape(b, t, g * g, ps * ps * 3) @ patch.weight + patch.bias + patch.pos
+
+
 def make_batch(rng, cfg, b=1, t=4):
     return rng.normal((b, t, cfg.tokens_per_frame, cfg.channels))
 
@@ -108,7 +125,8 @@ class TestPatchify:
         patch = PatchEmbedParams(weight=rng.normal((14 * 14 * 3, 4), 0.02),
                                  bias=np.zeros(4),
                                  pos=rng.normal((1024, 4), 0.02))
-        x = patchify(np.zeros((1, 1, 448, 448, 3)), cfg, patch)
+        x = patchify(PixelLevels(seeded_levels(1, (1, 1, 448, 448, 3)), level_table()),
+                     cfg, patch)
         assert x.shape == (1, 1, 1024, 4)
 
     def test_zero_image_gives_pos_only(self):
@@ -118,20 +136,24 @@ class TestPatchify:
         patch = PatchEmbedParams(weight=rng.normal((14 * 14 * 3, 4)),
                                  bias=np.zeros(4),
                                  pos=rng.normal((4, 4)))
-        x = patchify(np.zeros((1, 2, 28, 28, 3)), cfg, patch)
+        # every level's value is 0
+        pixels = PixelLevels(seeded_levels(2, (1, 2, 28, 28, 3)), np.zeros((256, 3)))
+        x = patchify(pixels, cfg, patch)
         assert np.array_equal(x[0, 0], patch.pos)
         assert np.array_equal(x[0, 1], patch.pos)
 
     def test_pixel_identity_oracle(self):
-        # 2x2 image, patch 1, projection picking the red channel
+        # 2x2 image, patch 1, identity projection, and each level's value
+        # the level itself
         cfg = PvcConfig(image_size=2, patch_size=1, channels=3, heads=1,
                         ffn_dim=4, shuffle_kernel=2)
         w = np.eye(3)
         patch = PatchEmbedParams(weight=w, bias=np.zeros(3), pos=np.zeros((4, 3)))
-        img = np.arange(12.0).reshape(1, 1, 2, 2, 3)
-        x = patchify(img, cfg, patch)
+        levels = seeded_levels(3, (1, 1, 2, 2, 3))
+        table = np.repeat(np.arange(256.0)[:, None], 3, axis=1)
+        x = patchify(PixelLevels(levels, table), cfg, patch)
         # row-major patch order: (0,0), (0,1), (1,0), (1,1)
-        assert np.array_equal(x[0, 0], img[0, 0].reshape(4, 3))
+        assert np.array_equal(x[0, 0], levels[0, 0].reshape(4, 3))
 
     # toy_config(): 56 px frames are 4 patch rows of 2352 pixel values each,
     # so these chunks give 3 frames, 1 frame, 3 + 1 patch rows and 1 patch
@@ -141,13 +163,14 @@ class TestPatchify:
     def test_tiles_match_one_tile(self, chunk, rows, monkeypatch):
         cfg = toy_config()
         patch = init_model(56, cfg).patch
-        frames = Rng(57).normal((2, 3, cfg.image_size, cfg.image_size, 3))
-        ref = patchify(frames, cfg, patch)
+        pixels = PixelLevels(seeded_levels(57, (2, 3, cfg.image_size, cfg.image_size, 3)),
+                             level_table())
+        ref = patchify(pixels, cfg, patch)
         monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", chunk)
         heights = []
         monkeypatch.setattr(vit, "linear", lambda x, *w, real=vit.linear, **kw:
                             heights.append(x.size // x.shape[-1]) or real(x, *w, **kw))
-        out = patchify(frames, cfg, patch)
+        out = patchify(pixels, cfg, patch)
         assert heights == rows
         # BLAS may round a product of another height differently
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -155,7 +178,8 @@ class TestPatchify:
     def test_static_video_is_projected_once(self, monkeypatch):
         cfg = toy_config()
         patch = init_model(58, cfg).patch
-        frame = Rng(59).normal((2, 1, cfg.image_size, cfg.image_size, 3))
+        frame = seeded_levels(59, (2, 1, cfg.image_size, cfg.image_size, 3))
+        table = level_table()
         rows = []
 
         def spy(x, w, b=None, out=None):
@@ -163,15 +187,17 @@ class TestPatchify:
             return tensor.linear(x, w, b, out)
 
         monkeypatch.setattr(vit, "linear", spy)
-        tokens = patchify(np.broadcast_to(frame, (2, 4, *frame.shape[2:])), cfg, patch)
+        tokens = patchify(PixelLevels(np.broadcast_to(frame, (2, 4, *frame.shape[2:])), table),
+                          cfg, patch)
         assert rows == [2 * cfg.tokens_per_frame]
         assert tokens.shape == (2, 4, cfg.tokens_per_frame, cfg.channels)
         assert tokens.strides[1] == 0
         # each frame's tokens are that frame's projection; a GEMM over all
         # 4 frames may block differently, so it agrees to rounding only
-        assert np.array_equal(tokens, np.repeat(patchify(frame, cfg, patch), 4, axis=1))
-        assert np.allclose(tokens, patchify(np.repeat(frame, 4, axis=1), cfg, patch),
-                           rtol=1e-13, atol=1e-13)
+        one = patchify(PixelLevels(frame, table), cfg, patch)
+        assert np.array_equal(tokens, np.repeat(one, 4, axis=1))
+        every = patchify(PixelLevels(np.repeat(frame, 4, axis=1), table), cfg, patch)
+        assert np.allclose(tokens, every, rtol=1e-13, atol=1e-13)
 
     # toy_config(): 3 * 2352 values give tiles of 3 + 1 patch rows per frame
     @pytest.mark.parametrize("chunk", [None, 3 * 2352])
@@ -188,17 +214,16 @@ class TestPatchify:
             levels = np.stack([im.pixels for im in images])[:, None]
             pixels = PixelLevels(np.broadcast_to(levels, (3, 4, *levels.shape[2:])),
                                  level_table())
-            floats = np.broadcast_to(np.stack([normalize([im]) for im in images]),
-                                     pixels.shape)
         else:
             video = RawVideo(images) if kind == "moving" else image_to_static_video(images[0], 4)
-            pixels, floats = video_to_pixel_tensor(video), normalize(video.frames)[None]
+            pixels = video_to_pixel_tensor(video)
         assert (pixels.levels.strides[1] == 0) == (kind != "moving")
         if chunk is not None:
             monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", chunk)
-        tokens, want = patchify(pixels, cfg, patch), patchify(floats, cfg, patch)
-        assert tokens.strides[1] == want.strides[1]
-        assert np.array_equal(tokens, want)
+        tokens, want = patchify(pixels, cfg, patch), reference_patchify(pixels.levels, cfg, patch)
+        assert (tokens.strides[1] == 0) == (pixels.levels.strides[1] == 0)
+        # BLAS may round a product of another height differently
+        assert np.max(np.abs(tokens - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_static_image_pipeline_holds_one_frame(self):
         # a 4-frame static image held once: one frame of pixels and one of
@@ -880,14 +905,14 @@ class TestPlainLayerReuse:
     def test_patchified_static_video_reuses(self, monkeypatch):
         cfg = toy_config()
         model = self._model(48, cfg)
-        frame = Rng(49).normal((1, 1, cfg.image_size, cfg.image_size, 3))
+        frame = seeded_levels(49, (1, 1, cfg.image_size, cfg.image_size, 3))
         static = np.repeat(frame, 3, axis=1)
         moving = static.copy()
-        moving[0, 2, 0, 0, 0] += 1
+        moving[0, 2, 0, 0, 0] ^= 1
         plain = cfg.layers - cfg.temporal_layers
         calls = spy_layer_calls(monkeypatch)
-        vit_forward(patchify(static, cfg, model.patch), cfg, model)
+        vit_forward(patchify(PixelLevels(static, level_table()), cfg, model.patch), cfg, model)
         assert calls[:plain] == [(False, 1)] * plain
         calls.clear()
-        vit_forward(patchify(moving, cfg, model.patch), cfg, model)
+        vit_forward(patchify(PixelLevels(moving, level_table()), cfg, model.patch), cfg, model)
         assert calls[:plain] == [(False, 3)] * plain
