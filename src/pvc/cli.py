@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 I/O error,
-4 non-finite value (NaN or Inf) in a computation.
+4 non-finite value (NaN or Inf) in a computation, 5 out of memory.
 Every seeded command takes --seed, which defaults to 0.
 """
 from __future__ import annotations
@@ -50,6 +50,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NONFINITE = 4
+EXIT_MEMORY = 5
 
 
 def _load_or_init_model(args):
@@ -305,6 +306,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"pvc: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as e:
+        print(f"pvc: out of memory: {e}", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

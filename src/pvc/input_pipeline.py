@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Array
+from .tensor import Array, tiles
 
 # ImageNet channel statistics of [0,1]-scaled RGB, the default standardization
 PIXEL_MEAN = (0.485, 0.456, 0.406)
@@ -147,7 +147,12 @@ def select_tile_grid(width: int, height: int, max_tiles: int) -> tuple[int, int]
 
 
 def bilinear_resize(pixels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resample uint8 [H,W,3] with half-pixel-centered sampling."""
+    """Bilinear resample uint8 [H,W,3] with half-pixel-centered sampling.
+
+    The output is built in tiles of its rows (`tensor.tiles`): a tile
+    resamples each source row it reads along x once, then blends two of
+    those along y, so only a tile's rows are ever held in float64.
+    """
     h, w, _ = pixels.shape
     ys = np.clip((np.arange(out_h) + 0.5) * h / out_h - 0.5, 0, h - 1)
     xs = np.clip((np.arange(out_w) + 0.5) * w / out_w - 0.5, 0, w - 1)
@@ -157,13 +162,22 @@ def bilinear_resize(pixels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x1 = np.minimum(x0 + 1, w - 1)
     wy = (ys - y0)[:, None, None]
     wx = (xs - x0)[None, :, None]
-    # each source row that is read is resampled along x once, then the
-    # output rows blend two of those along y
-    used, pos = np.unique(np.concatenate([y0, y1]), return_inverse=True)
-    src = pixels[used].astype(np.float64)
-    rows = src[:, x0] * (1 - wx) + src[:, x1] * wx
-    out = rows[pos[:out_h]] * (1 - wy) + rows[pos[out_h:]] * wy
-    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+    out = np.empty((out_h, out_w, 3), np.uint8)
+    # a tile reads up to two source rows per output row
+    for (rows,) in tiles((out_h,), 2 * 3 * out_w):
+        n = rows.stop - rows.start
+        used, pos = np.unique(np.concatenate([y0[rows], y1[rows]]), return_inverse=True)
+        # uint8 times float64 converts each level to float64 exactly
+        src = pixels[used]
+        line = src[:, x0] * (1 - wx)
+        line += src[:, x1] * wx
+        top = line[pos[:n]]
+        top *= 1 - wy[rows]
+        bottom = line[pos[n:]]
+        bottom *= wy[rows]
+        top += bottom
+        out[rows] = np.clip(np.rint(top, out=top), 0, 255, out=top)
+    return out
 
 
 def dynamic_tile(img: RawImage, tile_px: int,

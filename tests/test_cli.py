@@ -1,5 +1,10 @@
+import os
+import resource
 import struct
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -529,3 +534,28 @@ class TestPipeline:
         code, _, err = run(capsys, "pipeline", "--toy", *argv, "--output", str(dst))
         assert code == 2 and message in err
         assert not dst.exists()
+
+
+def test_negative_seed_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "check-init-identity", "--seed", "-1")
+    assert code == cli.EXIT_USAGE and err.startswith("pvc: ")
+
+
+def test_an_allocation_past_the_address_space_is_a_clean_exit(tmp_path):
+    # t_img = 1e8 frames asks for 381 GiB of tokens; the child, alone, is
+    # capped at 2 GiB of address space so that the allocation fails at once
+    gen = np.random.Generator(np.random.Philox(19))
+    write_ppm(tmp_path / "x.ppm", RawImage(gen.integers(0, 256, (56, 56, 3), dtype=np.uint8)))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = Path(cli.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pvc.cli", "pipeline", "--toy", "--image",
+         str(tmp_path / "x.ppm"), "--t-img", "100000000", "--output", str(tmp_path / "o.pvct")],
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=cap, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == cli.EXIT_MEMORY, proc.stderr
+    assert proc.stderr.startswith("pvc: out of memory: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr

@@ -19,6 +19,7 @@ from pvc.input_pipeline import (
     video_to_pixel_tensor,
     write_ppm,
 )
+from pvc import tensor
 from pvc.tensor import Rng
 
 
@@ -145,6 +146,33 @@ def test_bilinear_resize_matches_reference_bitwise(h, w, out_h, out_w):
     out = bilinear_resize(pixels, out_h, out_w)
     assert out.shape == (out_h, out_w, 3) and out.dtype == np.uint8
     assert np.array_equal(out, reference_resize(pixels, out_h, out_w))
+
+
+@pytest.mark.parametrize("chunk", [1, 1000])
+@pytest.mark.parametrize("h, w, out_h, out_w", [
+    (1, 1, 1, 1), (1, 1, 6, 5), (7, 3, 2, 9), (33, 17, 13, 29), (24, 40, 61, 37)])
+def test_bilinear_resize_row_tiles_match_reference_bitwise(monkeypatch, chunk, h, w,
+                                                           out_h, out_w):
+    # one output row a tile, then a few (the default bound is one tile at these sizes)
+    monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", chunk)
+    pixels = rand_image(h * 7 + w, h, w).pixels
+    assert np.array_equal(bilinear_resize(pixels, out_h, out_w),
+                          reference_resize(pixels, out_h, out_w))
+
+
+def test_bilinear_resize_holds_its_output_and_a_few_tiles():
+    # 640x480 into 12 tiles of 448 px: the uint8 output is 7.2 MB; the
+    # whole-image float64 blend peaked at 201.6 MB
+    pixels = rand_image(3, 480, 640).pixels
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        out = bilinear_resize(pixels, 3 * 448, 4 * 448)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    assert peak < out.nbytes + 3 * tensor.CHUNK_ELEMENTS * 8  # a tile blends 2 MB arrays
 
 
 def looked_up(frames, mean=PIXEL_MEAN, std=PIXEL_STD):

@@ -42,6 +42,17 @@ def split_sigmoid(x):
     return out
 
 
+def blockwise(seed, k, n, fill):
+    """Draw k of Rng(seed), n values long, as the stream defines it: block j
+    is fill(generator, its length), from a Philox stream keyed by (seed, k, j)."""
+    blocks = []
+    for j, start in enumerate(range(0, n, tensor.DRAW_BLOCK)):
+        seq = np.random.SeedSequence(seed, spawn_key=(k, j))
+        blocks.append(fill(np.random.Generator(np.random.Philox(seq)),
+                           min(tensor.DRAW_BLOCK, n - start)))
+    return np.concatenate(blocks)
+
+
 class TestMatmul:
     """`linear` without a bias is the plain 2-D matrix product."""
 
@@ -115,13 +126,22 @@ class TestLayerNorm:
         assert np.max(np.abs(out.mean(axis=-1))) < 1e-10
         assert np.max(np.abs(out.var(axis=-1) - 1.0)) < 1e-6  # eps-limited
 
-    def test_one_buffer_equals_the_textbook_formula_bitwise(self):
+    def test_one_buffer_is_the_textbook_formula_to_rounding(self):
+        # The centred buffer's dot with itself and np.var round apart by 1-2
+        # ulp on most inputs, so the bound is 4 ulp of max|xhat| over every
+        # seed. A wrong variance, as /(d - 1), is off by about 3%.
+        for seed in range(200):
+            x = np.random.default_rng(seed).standard_normal((3, 5, 16)) * 3 + 1
+            mu = x.mean(axis=-1, keepdims=True)
+            want = (x - mu) / np.sqrt(x.var(axis=-1, keepdims=True) + tensor.EPS_NORM)
+            gap = np.max(np.abs(layer_norm(x) - want))
+            assert gap <= 4 * np.finfo(np.float64).eps * np.max(np.abs(want)), seed
+
+    def test_affine_and_cache_are_its_own_xhat_bitwise(self):
         rng = Rng(4)
         x = rng.normal((3, 5, 16)) * 3 + 1
         gamma, beta = rng.normal((16,)), rng.normal((16,))
-        mu = x.mean(axis=-1, keepdims=True)
-        xhat = (x - mu) / np.sqrt(x.var(axis=-1, keepdims=True) + tensor.EPS_NORM)
-        assert np.array_equal(layer_norm(x), xhat)
+        xhat = layer_norm(x)
         assert np.array_equal(layer_norm(x, gamma, beta), xhat * gamma + beta)
         # the affine goes to a copy: the cached xhat stays as recorded
         cache = {}
@@ -258,8 +278,8 @@ class TestDeterminismAndRng:
     def test_normal_scales_its_draw_in_place(self):
         shape, std = (1024, 1024), 0.02
         draw = Rng(9).normal(shape, std)
-        assert np.array_equal(
-            draw, np.random.Generator(np.random.Philox(9)).standard_normal(shape) * std)
+        want = blockwise(9, 0, draw.size, lambda gen, n: gen.standard_normal(n) * std)
+        assert np.array_equal(draw, want.reshape(shape))
         rng = Rng(9)
         tracemalloc.start()
         try:
@@ -271,6 +291,57 @@ class TestDeterminismAndRng:
 
     def test_different_seed_differs(self):
         assert not np.array_equal(Rng(1).normal((8,)), Rng(2).normal((8,)))
+
+    def test_successive_draws_differ(self):
+        rng = Rng(5)
+        assert not np.array_equal(rng.normal((8,)), rng.normal((8,)))
+        assert not np.array_equal(rng.uniform((8,)), rng.uniform((8,)))
+
+    def test_a_draw_is_its_keyed_blocks(self):
+        n = tensor.DRAW_BLOCK + 1
+        rng = Rng(9)
+        rng.normal((3,))  # draw 0
+        assert np.array_equal(
+            rng.normal((n,), 0.02),
+            blockwise(9, 1, n, lambda gen, m: gen.standard_normal(m) * 0.02))
+        assert np.array_equal(
+            rng.uniform((1, n), -1.0, 2.0),
+            blockwise(9, 2, n, lambda gen, m: gen.random(m) * 3.0 - 1.0)[None])
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_draws_do_not_depend_on_the_thread_count(self, monkeypatch, workers):
+        shapes = [(3 * tensor.DRAW_BLOCK + 5,), (7, tensor.DRAW_BLOCK // 2 + 3), (4, 5)]
+
+        def draws():
+            rng = Rng(31)
+            return [rng.normal(s, 0.5) for s in shapes] + [rng.uniform(s, -2.0, 1.0)
+                                                           for s in shapes]
+
+        monkeypatch.setattr(tensor, "draw_workers", lambda: 1)
+        one = draws()
+        monkeypatch.setattr(tensor, "draw_workers", lambda: workers)
+        for a, b in zip(one, draws()):
+            assert np.array_equal(a, b)
+
+    def test_only_a_draw_of_two_blocks_starts_a_thread(self, monkeypatch):
+        started = []
+        real = tensor.threading.Thread
+
+        def thread(*args, **kwargs):
+            started.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tensor, "draw_workers", lambda: 2)
+        monkeypatch.setattr(tensor.threading, "Thread", thread)
+        Rng(1).normal((tensor.DRAW_BLOCK,))
+        Rng(1).uniform((0,))
+        assert started == []
+        Rng(1).normal((tensor.DRAW_BLOCK + 1,))
+        assert started == [1]
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(ValueError):
+            Rng(-1)
 
     def test_non_finite_raises(self):
         with pytest.raises(NonFiniteError):
