@@ -28,7 +28,7 @@ from .input_pipeline import (
     dynamic_tile,
     level_table,
     read_ppm,
-    sample_frames,
+    sample_indices,
     video_to_pixel_tensor,
     PixelLevels,
     RawImage,
@@ -83,6 +83,8 @@ def _cmd_forward(args) -> int:
 
 
 def _cmd_compress(args) -> int:
+    if args.kernel < 1:  # before the input, whose geometry is checked against it
+        raise ValueError(f"shuffle_kernel must be positive, got {args.kernel}")
     x = io.read_tensor(args.input)
     if x.ndim != 4:
         raise io.PvctError(f"{args.input}: expected [B,T,N,C] tokens, got {x.shape}")
@@ -173,6 +175,24 @@ def _cmd_pipeline(args) -> int:
     if not (args.image or args.video):
         print("pipeline: need --image or --video", file=sys.stderr)
         return EXIT_USAGE
+    # every flag is checked before a weight is drawn or an input payload read
+    if args.image:
+        if args.max_tiles < 1:
+            raise ValueError(f"max_tiles must be >= 1, got {args.max_tiles}")
+        if args.t_img is not None and args.t_img < 1:
+            raise ValueError(f"t_img must be >= 1, got {args.t_img}")
+    else:
+        shape = io.read_tensor_shape(args.video)
+        if len(shape) != 4 or shape[-1] != 3:
+            raise io.PvctError(f"{args.video}: expected [T,H,W,3] frames")
+        t = shape[0] if args.frames is None else args.frames
+        lo, hi = FRAME_BOUNDS
+        if not args.no_frame_bounds and not lo <= t <= hi:
+            print(f"pipeline: frame count {t} outside validated bounds "
+                  f"[{lo}, {hi}] (use --no-frame-bounds to override)",
+                  file=sys.stderr)
+            return EXIT_USAGE
+        kept = sample_indices(shape[0], t)
     model = _load_or_init_model(args)
     cfg = model.cfg
     if args.comp_manifest:  # checked before the ViT runs, loaded after it
@@ -182,8 +202,6 @@ def _cmd_pipeline(args) -> int:
         img = read_ppm(args.image)
         tiles, grid = dynamic_tile(img, cfg.image_size, args.max_tiles)
         t_img = cfg.t_img if args.t_img is None else args.t_img
-        if t_img < 1:
-            raise ValueError(f"t_img must be >= 1, got {t_img}")
         # tiles ride the batch axis; every tile of a frame shares its timestamp.
         # Each tile's 8-bit levels are held once across its t_img frames.
         levels = np.stack([tile.pixels for tile in tiles])[:, None]  # [tiles, 1, H, W, 3]
@@ -193,22 +211,12 @@ def _cmd_pipeline(args) -> int:
               f"t_img={t_img}")
     else:
         frames_arr = io.read_tensor(args.video)
-        if frames_arr.ndim != 4 or frames_arr.shape[-1] != 3:
-            raise io.PvctError(f"{args.video}: expected [T,H,W,3] frames")
         if not np.all(np.isfinite(frames_arr)):
             raise NonFiniteError(f"{args.video}: frames contain NaN or Inf")
-        raw = RawVideo(frames=[RawImage(np.clip(f, 0, 255).astype(np.uint8))
-                               for f in frames_arr])
-        t = raw.frame_count if args.frames is None else args.frames
-        lo, hi = FRAME_BOUNDS
-        if not args.no_frame_bounds and not lo <= t <= hi:
-            print(f"pipeline: frame count {t} outside validated bounds "
-                  f"[{lo}, {hi}] (use --no-frame-bounds to override)",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        sampled = sample_frames(raw, t)
+        sampled = RawVideo(frames=[RawImage(np.clip(frames_arr[i], 0, 255).astype(np.uint8))
+                                   for i in kept])
         pixels = video_to_pixel_tensor(sampled)
-        del frames_arr, raw, sampled  # the source video, no longer needed
+        del frames_arr, sampled  # the source video, no longer needed
         print(f"pipeline: video, {t} sampled frame(s)")
 
     x = vit_forward(patchify(pixels, cfg, model.patch), cfg, model)

@@ -113,22 +113,24 @@ def image_to_static_video(img: RawImage, t_img: int) -> RawVideo:
     return RawVideo(frames=[RawImage(img.pixels.copy())] * t_img)
 
 
+def sample_indices(l: int, t: int) -> list[int]:
+    """The t of l frame indices that sample_frames keeps."""
+    if t < 1:
+        raise ValueError(f"frame count must be >= 1, got {t}")
+    if t > l:
+        raise ValueError(f"cannot sample {t} frames from a {l}-frame video")
+    if t == 1:
+        return [0]
+    return [int(np.floor(i * (l - 1) / (t - 1) + 0.5)) for i in range(t)]
+
+
 def sample_frames(v: RawVideo, t: int) -> RawVideo:
     """Uniformly sample t frames: idx_i = round(i*(L-1)/(t-1)), half up.
 
     Endpoints are always included for t >= 2. Asking for more frames than
     exist is an error; frames are never duplicated.
     """
-    l = v.frame_count
-    if t < 1:
-        raise ValueError(f"frame count must be >= 1, got {t}")
-    if t > l:
-        raise ValueError(f"cannot sample {t} frames from a {l}-frame video")
-    if t == 1:
-        idx = [0]
-    else:
-        idx = [int(np.floor(i * (l - 1) / (t - 1) + 0.5)) for i in range(t)]
-    return RawVideo(frames=[v.frames[i] for i in idx])
+    return RawVideo(frames=[v.frames[i] for i in sample_indices(v.frame_count, t)])
 
 
 def select_tile_grid(width: int, height: int, max_tiles: int) -> tuple[int, int]:

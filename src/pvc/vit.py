@@ -273,13 +273,14 @@ def _attention(x: Array, p: AttentionParams, causal: bool,
     if cache is not None:
         cache.update(x=x, q=q.copy(), k=k, v=v, ctx=q)
     qh, kh, vh = (_heads(a, p.heads) for a in (q, k, v))
+    # [L, L]: True where the key comes after the query; each block takes its rows
+    later = np.arange(l) > np.arange(l)[:, None] if causal else None
     with np.errstate(invalid="ignore"):  # inf - inf from inf inputs; reported below
         for block in tensor.tiles((s, p.heads, l), l, whole=cache is not None):
             ss, hs, qs = block
             scores = qh[block] @ kh[ss, hs].swapaxes(-1, -2)
             if causal:
-                later = np.arange(l) > np.arange(qs.start, qs.stop)[:, None]
-                np.copyto(scores, MASK_VALUE, where=later)
+                np.copyto(scores, MASK_VALUE, where=later[qs])
             scores -= scores.max(axis=-1, keepdims=True)
             np.exp(scores, out=scores)
             total = scores.sum(axis=-1, keepdims=True)

@@ -277,12 +277,14 @@ class TestForwardCompress:
 
     @pytest.mark.parametrize("kernel", ["0", "-2"])
     def test_compress_non_positive_kernel_is_usage_error(self, capsys, tmp_path, kernel):
-        src = tmp_path / "in.pvct"
-        io.write_tensor(src, Rng(6).normal((1, 1, 16, 4)))
-        code, _, err = run(capsys, "compress", "--input", str(src),
-                           "--output", str(src) + ".out", "--kernel", kernel)
-        assert code == 2
-        assert "shuffle_kernel must be positive" in err
+        # the kernel is refused before the input's geometry: 3 tokens are no square grid
+        for tokens in (16, 3):
+            src = tmp_path / f"in{tokens}.pvct"
+            io.write_tensor(src, Rng(6).normal((1, 1, tokens, 4)))
+            code, _, err = run(capsys, "compress", "--input", str(src),
+                               "--output", str(src) + ".out", "--kernel", kernel)
+            assert code == 2
+            assert "shuffle_kernel must be positive" in err
 
     def test_compress_non_square_grid(self, capsys, tmp_path):
         src = tmp_path / "in.pvct"
@@ -520,10 +522,13 @@ class TestPipeline:
         (["--video", "vid.pvct", "--frames", "0"], "frame count 0 outside"),
         (["--video", "vid.pvct", "--frames", "0", "--no-frame-bounds"],
          "frame count must be >= 1, got 0"),
-        (["--image", "img.ppm", "--tile-px", "56"], "unrecognized arguments: --tile-px")],
-        ids=["t_img_0", "frames_0", "frames_0_unbounded", "tile_px"])
-    def test_zero_frames_and_removed_flag_are_usage_errors(self, capsys, tmp_path,
+        (["--image", "img.ppm", "--tile-px", "56"], "unrecognized arguments: --tile-px"),
+        (["--image", "img.ppm", "--max-tiles", "0"], "max_tiles must be >= 1, got 0")],
+        ids=["t_img_0", "frames_0", "frames_0_unbounded", "tile_px", "max_tiles_0"])
+    def test_zero_frames_and_removed_flag_are_usage_errors(self, capsys, tmp_path, monkeypatch,
                                                            flags, message):
+        inits = []
+        monkeypatch.setattr(cli, "init_model", lambda *a: inits.append(a))
         gen = np.random.Generator(np.random.Philox(15))
         write_ppm(tmp_path / "img.ppm",
                   RawImage(gen.integers(0, 256, size=(56, 56, 3), dtype=np.uint8)))
@@ -534,6 +539,7 @@ class TestPipeline:
         code, _, err = run(capsys, "pipeline", "--toy", *argv, "--output", str(dst))
         assert code == 2 and message in err
         assert not dst.exists()
+        assert inits == []  # a refused flag draws no weights
 
 
 def test_negative_seed_is_a_usage_error(capsys):

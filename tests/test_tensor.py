@@ -44,11 +44,11 @@ def split_sigmoid(x):
 
 def blockwise(seed, k, n, fill):
     """Draw k of Rng(seed), n values long, as the stream defines it: block j
-    is fill(generator, its length), from a Philox stream keyed by (seed, k, j)."""
+    is fill(generator, its length), from an SFC64 stream keyed by (seed, k, j)."""
     blocks = []
     for j, start in enumerate(range(0, n, tensor.DRAW_BLOCK)):
         seq = np.random.SeedSequence(seed, spawn_key=(k, j))
-        blocks.append(fill(np.random.Generator(np.random.Philox(seq)),
+        blocks.append(fill(np.random.Generator(np.random.SFC64(seq)),
                            min(tensor.DRAW_BLOCK, n - start)))
     return np.concatenate(blocks)
 
