@@ -53,11 +53,24 @@ EXIT_NONFINITE = 4
 EXIT_MEMORY = 5
 
 
-def _load_or_init_model(args):
+def _config(args) -> PvcConfig:
+    """The config, from --manifest (no weight is read), --toy or the default."""
+    if args.manifest:
+        return model_store.load_config(args.manifest)
+    return toy_config() if args.toy else PvcConfig()
+
+
+def _load_or_init_model(args, cfg: PvcConfig):
     if args.manifest:
         return model_store.load_model(args.manifest)
-    cfg = toy_config() if args.toy else PvcConfig()
     return init_model(args.seed, cfg)
+
+
+def _check_compression_width(args, cfg: PvcConfig) -> None:
+    """Refuse a --comp-manifest of another width, from its w_in header alone."""
+    if args.comp_manifest:
+        check_shuffled_width(cfg.channels, cfg.shuffle_kernel,
+                             model_store.compression_width(args.comp_manifest))
 
 
 def _load_or_init_compression(args, cfg: PvcConfig, seed: int):
@@ -67,8 +80,7 @@ def _load_or_init_compression(args, cfg: PvcConfig, seed: int):
 
 
 def _cmd_forward(args) -> int:
-    model = _load_or_init_model(args)
-    cfg = model.cfg
+    cfg = _config(args)
     x = io.read_tensor(args.input)
     if x.ndim != 4:
         raise io.PvctError(f"{args.input}: expected [B,T,N,C] tokens, got {x.shape}")
@@ -76,7 +88,7 @@ def _cmd_forward(args) -> int:
         raise io.PvctError(
             f"{args.input}: tokens {x.shape} do not match model "
             f"(N={cfg.tokens_per_frame}, C={cfg.channels})")
-    out = vit_forward(x, cfg, model)
+    out = vit_forward(x, cfg, _load_or_init_model(args, cfg))
     io.write_tensor(args.output, out)
     print(f"forward: wrote {args.output} shape={out.shape}")
     return EXIT_OK
@@ -91,6 +103,7 @@ def _cmd_compress(args) -> int:
     _, _, n, c = x.shape
     # geometry comes from the tokens themselves; only the kernel matters
     cfg = _compress_config(n, c, args.kernel)
+    _check_compression_width(args, cfg)
     out = compress(x, _load_or_init_compression(args, cfg, args.seed), cfg)
     _write_tokens(args.output, out)
     print(f"compress: wrote {args.output} shape={out.shape}")
@@ -175,14 +188,22 @@ def _cmd_pipeline(args) -> int:
     if not (args.image or args.video):
         print("pipeline: need --image or --video", file=sys.stderr)
         return EXIT_USAGE
-    # every flag is checked before a weight is drawn or an input payload read
+    cfg = _config(args)
+    _check_compression_width(args, cfg)  # checked before the ViT runs, loaded after it
     if args.image:
-        if args.max_tiles < 1:
-            raise ValueError(f"max_tiles must be >= 1, got {args.max_tiles}")
-        if args.t_img is not None and args.t_img < 1:
-            raise ValueError(f"t_img must be >= 1, got {args.t_img}")
+        t_img = cfg.t_img if args.t_img is None else args.t_img
+        if t_img < 1:
+            raise ValueError(f"t_img must be >= 1, got {t_img}")
+        tiles, grid = dynamic_tile(read_ppm(args.image), cfg.image_size, args.max_tiles)
+        # tiles ride the batch axis; every tile of a frame shares its timestamp.
+        # Each tile's 8-bit levels are held once across its t_img frames.
+        levels = np.stack([tile.pixels for tile in tiles])[:, None]  # [tiles, 1, H, W, 3]
+        pixels = PixelLevels(np.broadcast_to(levels, (len(tiles), t_img, *levels.shape[2:])),
+                             level_table())
+        print(f"pipeline: {len(tiles)} tile(s), grid {grid[0]}x{grid[1]}, "
+              f"t_img={t_img}")
     else:
-        shape = io.read_tensor_shape(args.video)
+        shape = io.read_tensor_shape(args.video)  # the frame count, before the payload
         if len(shape) != 4 or shape[-1] != 3:
             raise io.PvctError(f"{args.video}: expected [T,H,W,3] frames")
         t = shape[0] if args.frames is None else args.frames
@@ -193,23 +214,6 @@ def _cmd_pipeline(args) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
         kept = sample_indices(shape[0], t)
-    model = _load_or_init_model(args)
-    cfg = model.cfg
-    if args.comp_manifest:  # checked before the ViT runs, loaded after it
-        check_shuffled_width(cfg.channels, cfg.shuffle_kernel,
-                             model_store.compression_width(args.comp_manifest))
-    if args.image:
-        img = read_ppm(args.image)
-        tiles, grid = dynamic_tile(img, cfg.image_size, args.max_tiles)
-        t_img = cfg.t_img if args.t_img is None else args.t_img
-        # tiles ride the batch axis; every tile of a frame shares its timestamp.
-        # Each tile's 8-bit levels are held once across its t_img frames.
-        levels = np.stack([tile.pixels for tile in tiles])[:, None]  # [tiles, 1, H, W, 3]
-        pixels = PixelLevels(np.broadcast_to(levels, (len(tiles), t_img, *levels.shape[2:])),
-                             level_table())
-        print(f"pipeline: {len(tiles)} tile(s), grid {grid[0]}x{grid[1]}, "
-              f"t_img={t_img}")
-    else:
         frames_arr = io.read_tensor(args.video)
         if not np.all(np.isfinite(frames_arr)):
             raise NonFiniteError(f"{args.video}: frames contain NaN or Inf")
@@ -219,6 +223,7 @@ def _cmd_pipeline(args) -> int:
         del frames_arr, sampled  # the source video, no longer needed
         print(f"pipeline: video, {t} sampled frame(s)")
 
+    model = _load_or_init_model(args, cfg)
     x = vit_forward(patchify(pixels, cfg, model.patch), cfg, model)
     del model, pixels  # the ViT weights go before the compressor's are loaded or built
     out = compress(x, _load_or_init_compression(args, cfg, args.seed + 1), cfg)

@@ -137,7 +137,7 @@ def select_tile_grid(width: int, height: int, max_tiles: int) -> tuple[int, int]
     """Pick the (rows, cols) grid with r*c <= max_tiles whose aspect c/r is
     closest to the image's; ties go to fewer tiles, then wider grids."""
     if max_tiles < 1:
-        raise ValueError("max_tiles must be >= 1")
+        raise ValueError(f"max_tiles must be >= 1, got {max_tiles}")
     aspect = width / height
     best = None
     for r in range(1, max_tiles + 1):

@@ -13,16 +13,17 @@ import numpy as np
 
 from . import io
 from .compression import CompressionParams
-from .conditioning import SINUSOID_DIM, AdaLnParams, TemporalEmbeddingParams
+from .conditioning import init_adaln, init_temporal_embedding
 from .vit import ModelParams, PvcConfig, build_model, named_params
 
 
-def _config_from_entries(entries: dict, manifest_path) -> PvcConfig:
-    """Every PvcConfig field is a required int entry, and any other `cfg.*`
-    entry is refused."""
+def load_config(manifest_path) -> PvcConfig:
+    """The PvcConfig of a manifest written by save_model, read before any weight:
+    every field is a required int entry, and any other `cfg.*` entry is refused."""
+    manifest_path = Path(manifest_path)
     names = {f"cfg.{f.name}": f.name for f in dataclasses.fields(PvcConfig)}
     kwargs = {}
-    for key, value in entries.items():
+    for key, value in io.read_manifest(manifest_path).items():
         if key in names:
             try:
                 kwargs[names[key]] = int(value)
@@ -41,16 +42,6 @@ def _config_from_entries(entries: dict, manifest_path) -> PvcConfig:
         raise io.PvctError(f"{manifest_path}: {e}") from e
 
 
-# Extents a compressor's weights must share: a letter is bound by the
-# first weight that has it, and every later weight must agree with it.
-_COMPRESSION_SHAPES = {
-    "w_in": ("D", "F"), "b_in": ("F",), "w_out": ("F", "O"), "b_out": ("O",),
-    "adaln.w3": ("D", "A"), "adaln.w4": ("A", "D"),
-    "adaln.w5": ("D", "S"), "adaln.w6": ("S", "D"),
-    "te.w1": (SINUSOID_DIM, "H"), "te.w2": ("H", "D"),
-}
-
-
 class _NoDraws:
     """Stands in for Rng where every drawn weight is overwritten: the
     weights come back uninitialised and no random number is drawn."""
@@ -60,11 +51,22 @@ class _NoDraws:
         return np.empty(shape)
 
 
-def _weight(entries: dict, manifest_path: Path, name: str):
+def _weight(entries: dict, manifest_path: Path, name: str, header_only: bool = False):
+    """The array in weight `name`'s file, or with header_only its extents."""
     key = f"weight.{name}"
     if key not in entries:
         raise io.PvctError(f"{manifest_path}: missing weight entry {name}")
-    return io.read_tensor(manifest_path.parent / entries[key])
+    path = manifest_path.parent / entries[key]
+    return io.read_tensor_shape(path) if header_only else io.read_tensor(path)
+
+
+def _matrix_shape(entries: dict, manifest_path: Path, name: str) -> tuple[int, int]:
+    """The extents of a 2-D weight, from its file's header alone."""
+    shape = _weight(entries, manifest_path, name, header_only=True)
+    if len(shape) != 2:
+        raise io.PvctError(f"{manifest_path}: weight {name} has shape {shape}, "
+                           f"expected a matrix")
+    return shape
 
 
 def _check_shape(manifest_path: Path, name: str, shape: tuple, expected: tuple) -> None:
@@ -73,12 +75,21 @@ def _check_shape(manifest_path: Path, name: str, shape: tuple, expected: tuple) 
                            f"expected ({', '.join(map(str, expected))})")
 
 
-def _check_no_other_weights(entries: dict, names, manifest_path: Path) -> None:
-    """Refuse a weight entry the loaded parameters have no place for."""
+def _fill(params, entries: dict, manifest_path: Path, read=None):
+    """Fill every named array of `params` from its weight file, or from
+    `read` (weights already read, by name), and return `params`. A missing
+    or extra weight entry, or a shape other than the template's, raises."""
+    weights = dict(named_params(params))
     for key in entries:
-        if key.startswith("weight.") and key.removeprefix("weight.") not in names:
+        if key.startswith("weight.") and key.removeprefix("weight.") not in weights:
             raise io.PvctError(f"{manifest_path}: weight entry {key} is not a "
                                f"weight of this model")
+    read = read or {}
+    for name, arr in weights.items():
+        loaded = read.pop(name) if name in read else _weight(entries, manifest_path, name)
+        _check_shape(manifest_path, name, loaded.shape, arr.shape)
+        arr[...] = loaded
+    return params
 
 
 def _check_extents(cfg: PvcConfig, entries: dict, manifest_path: Path) -> dict:
@@ -121,23 +132,14 @@ def save_model(directory, model: ModelParams) -> Path:
 def load_model(manifest_path) -> ModelParams:
     """Rebuild a ModelParams from a manifest written by save_model.
 
-    The config is checked against the weight files, the model is built for
-    it without drawing its weights, then every weight is filled from its
-    file; a missing or extra weight entry, or a shape other than the
-    config's, raises PvctError.
+    The config is checked against the weight files, then a model built for
+    it without drawing its weights is filled by _fill.
     """
     manifest_path = Path(manifest_path)
+    cfg = load_config(manifest_path)
     entries = io.read_manifest(manifest_path)
-    cfg = _config_from_entries(entries, manifest_path)
     read = _check_extents(cfg, entries, manifest_path)
-    model = build_model(_NoDraws(), cfg)
-    weights = dict(named_params(model))
-    _check_no_other_weights(entries, weights, manifest_path)
-    for name, arr in weights.items():
-        loaded = read.pop(name) if name in read else _weight(entries, manifest_path, name)
-        _check_shape(manifest_path, name, loaded.shape, arr.shape)
-        arr[...] = loaded
-    return model
+    return _fill(build_model(_NoDraws(), cfg), entries, manifest_path, read)
 
 
 def save_compression(directory, p: CompressionParams) -> None:
@@ -148,39 +150,25 @@ def save_compression(directory, p: CompressionParams) -> None:
 
 def compression_width(manifest_path) -> int:
     """The k²C width of a manifest written by save_compression, from the
-    header of its w_in file alone: cheap enough to check before a forward
-    whose output the compressor is to take."""
+    header of its w_in file alone (no payload is read): cheap enough to
+    check before a forward whose output the compressor is to take."""
     manifest_path = Path(manifest_path)
-    entries = io.read_manifest(manifest_path)
-    if "weight.w_in" not in entries:
-        raise io.PvctError(f"{manifest_path}: missing weight entry w_in")
-    shape = io.read_tensor_shape(manifest_path.parent / entries["weight.w_in"])
-    if len(shape) != 2:
-        _check_shape(manifest_path, "w_in", shape, _COMPRESSION_SHAPES["w_in"])
-    return shape[0]
+    return _matrix_shape(io.read_manifest(manifest_path), manifest_path, "w_in")[0]
 
 
 def load_compression(manifest_path) -> CompressionParams:
     """Rebuild a CompressionParams from a manifest written by save_compression.
 
-    A missing or extra entry, or a weight whose shape disagrees with the
-    others (see _COMPRESSION_SHAPES), raises PvctError naming the weight.
+    The widths come from the headers of w_in, w_out, adaln.w3 and te.w1,
+    each of which must be a matrix; a compressor of those widths, shaped
+    by init_adaln and init_temporal_embedding, is then filled by _fill.
     """
     manifest_path = Path(manifest_path)
     entries = io.read_manifest(manifest_path)
-    _check_no_other_weights(entries, _COMPRESSION_SHAPES, manifest_path)
-    extents, w = {}, {}
-    for name, dims in _COMPRESSION_SHAPES.items():
-        arr = w[name] = _weight(entries, manifest_path, name)
-        if arr.ndim == len(dims):
-            for d, n in zip(dims, arr.shape):
-                if isinstance(d, str):
-                    extents.setdefault(d, n)
-        _check_shape(manifest_path, name, arr.shape,
-                     tuple(extents.get(d, d) for d in dims))
-    return CompressionParams(
-        adaln=AdaLnParams(w3=w["adaln.w3"], w4=w["adaln.w4"],
-                          w5=w["adaln.w5"], w6=w["adaln.w6"]),
-        te=TemporalEmbeddingParams(w1=w["te.w1"], w2=w["te.w2"]),
-        w_in=w["w_in"], b_in=w["b_in"], w_out=w["w_out"], b_out=w["b_out"],
-    )
+    (d, f), (_, o), (_, a), (_, h) = (_matrix_shape(entries, manifest_path, name)
+                                      for name in ("w_in", "w_out", "adaln.w3", "te.w1"))
+    template = CompressionParams(
+        adaln=init_adaln(_NoDraws(), d, hidden=a),
+        te=init_temporal_embedding(_NoDraws(), d, hidden=h),
+        w_in=np.empty((d, f)), b_in=np.empty(f), w_out=np.empty((f, o)), b_out=np.empty(o))
+    return _fill(template, entries, manifest_path)

@@ -5,8 +5,8 @@ is small and the derivation itself is what gets verified, against a
 central-finite-difference oracle. Each backward reads the intermediates
 that the module's one public forward recorded in a `cache` dict its
 caller passed, so the checked forward is the forward the model runs.
-Each returns one dict: input grads under `x`, `te` or `t_tilde`, and
-parameter grads under their `named_params` names.
+Each returns its input grads, then the parameter grads in a dataclass of
+the module's own parameter type, so `named_params` names both alike.
 """
 from __future__ import annotations
 
@@ -106,7 +106,7 @@ def _mlp_bwd(dy: Array, w_in: Array, w_out: Array, cache: dict):
     return dx, dw_in, db_in, dw_out, db_out
 
 
-def _attn_bwd(dy: Array, p: AttentionParams, cache: dict) -> dict:
+def _attn_bwd(dy: Array, p: AttentionParams, cache: dict):
     """Grads of vit._attention from the probabilities its forward cached.
 
     The textbook softmax backward over the whole [S, H, L, L] `attn`.
@@ -127,80 +127,64 @@ def _attn_bwd(dy: Array, p: AttentionParams, cache: dict) -> dict:
     dxq, dwq, dbq = _linear_grads(x, dq, p.wq)
     dxk, dwk, dbk = _linear_grads(x, dk, p.wk)
     dxv, dwv, dbv = _linear_grads(x, dv, p.wv)
-    return {"x": dxq + dxk + dxv, "wq": dwq, "wk": dwk, "wv": dwv, "wo": dwo,
-            "bq": dbq, "bk": dbk, "bv": dbv, "bo": dbo}
+    return dxq + dxk + dxv, AttentionParams(h, dwq, dwk, dwv, dwo, dbq, dbk, dbv, dbo)
 
 
-def _adaln_bwd(dy: Array, p: AdaLnParams, cache: dict) -> dict:
-    """Grads of conditioning.ada_ln through z = x + te[t], which its forward
-    never forms: x gets the normalized branch and both condition branches,
-    te the condition grad pooled over batch and tokens."""
+def _adaln_bwd(dy: Array, p: AdaLnParams, cache: dict):
+    """Grads (dx, dte, AdaLnParams) of conditioning.ada_ln through z = x + te[t],
+    which its forward never forms: x gets the normalized branch and both
+    condition branches, te the condition grad pooled over batch and tokens."""
     z = cache["x"] + cache["te"][None, :, None, :]
     dz_g, dw3, _, dw4, _ = _mlp_bwd(dy * cache["xhat"], p.w3, p.w4, {**cache["scale"], "x": z})
     dz_b, dw5, _, dw6, _ = _mlp_bwd(dy, p.w5, p.w6, {**cache["shift"], "x": z})
     dz = dz_g + dz_b
-    return {"x": _ln_bwd(dy * cache["gamma"], cache) + dz, "te": dz.sum(axis=(0, 2)),
-            "w3": dw3, "w4": dw4, "w5": dw5, "w6": dw6}
+    return (_ln_bwd(dy * cache["gamma"], cache) + dz, dz.sum(axis=(0, 2)),
+            AdaLnParams(dw3, dw4, dw5, dw6))
 
 
-def _te_bwd(d_te: Array, p: TemporalEmbeddingParams, cache: dict) -> dict:
+def _te_bwd(d_te: Array, p: TemporalEmbeddingParams, cache: dict):
     d_t_tilde, dw1, _, dw2, _ = _mlp_bwd(d_te, p.w1, p.w2, cache)
-    return {"t_tilde": d_t_tilde, "w1": dw1, "w2": dw2}
+    return d_t_tilde, TemporalEmbeddingParams(dw1, dw2)
 
 
-def _prefixed(prefix: str, grads: dict) -> dict:
-    """The parameter grads of a sub-module, named as in its parent."""
-    return {f"{prefix}.{k}": g for k, g in grads.items()
-            if k not in ("x", "te", "t_tilde")}
+def _conditioned_adaln_bwd(dy: Array, p, cache: dict):
+    """Grads (dx, adaln grads, te grads) of the AdaLN of a layer or the
+    compressor, whose te comes from its own TE MLP."""
+    dx, d_te, adaln = _adaln_bwd(dy, p.adaln, cache["adaln"])
+    return dx, adaln, _te_bwd(d_te, p.te, cache["te"])[1]
 
 
-def _conditioned_adaln_bwd(dy: Array, p, cache: dict, grads: dict) -> Array:
-    """Input grad of the AdaLN of a layer or the compressor, whose te comes
-    from its own TE MLP; the adaln.* and te.* grads go into `grads`."""
-    ag = _adaln_bwd(dy, p.adaln, cache["adaln"])
-    grads.update(_prefixed("adaln", ag))
-    grads.update(_prefixed("te", _te_bwd(ag["te"], p.te, cache["te"])))
-    return ag["x"]
-
-
-def _layer_bwd(dy: Array, p: LayerParams, cache: dict) -> dict:
-    """Reverse pass of one layer from the cache progressive_layer_forward filled."""
+def _layer_bwd(dy: Array, p: LayerParams, cache: dict):
+    """Reverse pass of one layer from its forward's cache: (dx, LayerParams of grads)."""
     b, t, n, c = dy.shape
-    grads: dict = {}
 
     # FFN branch, which ran on the [B*T*N, C] rows
     dn2, *ffn = _mlp_bwd(dy.reshape(-1, c), p.ffn_w_in, p.ffn_w_out, cache["ffn"])
-    grads.update(zip(("ffn_w_in", "ffn_b_in", "ffn_w_out", "ffn_b_out"), ffn))
-    dx2, grads["ln2_gamma"], grads["ln2_beta"] = _ln_affine_bwd(dn2, p.ln2_gamma,
-                                                               cache["ln2"])
+    dx2, *ln2 = _ln_affine_bwd(dn2, p.ln2_gamma, cache["ln2"])
     dx2 = dy + dx2.reshape(b, t, n, c)
 
     # temporal branch
+    dx1, temporal = dx2, {}
     if p.is_temporal:
-        grads["gate_alpha"] = (dx2 * cache["tm"]).sum(axis=(0, 1, 2))
         dtm = (dx2 * p.gate_alpha).transpose(0, 2, 1, 3).reshape(b * n, t, c)
-        tg = _attn_bwd(dtm, p.tmha, cache["tmha"])
-        grads.update(_prefixed("tmha", tg))
-        da = tg["x"].reshape(b, n, t, c).transpose(0, 2, 1, 3)
-        dx1 = dx2 + _conditioned_adaln_bwd(da, p, cache, grads)
-    else:
-        dx1 = dx2
+        dtmha, tmha = _attn_bwd(dtm, p.tmha, cache["tmha"])
+        da, adaln, te = _conditioned_adaln_bwd(
+            dtmha.reshape(b, n, t, c).transpose(0, 2, 1, 3), p, cache)
+        dx1 = dx2 + da
+        temporal = dict(tmha=tmha, adaln=adaln, te=te,
+                        gate_alpha=(dx2 * cache["tm"]).sum(axis=(0, 1, 2)))
 
     # spatial branch
-    sg = _attn_bwd(dx1.reshape(b * t, n, c), p.smha, cache["smha"])
-    grads.update(_prefixed("smha", sg))
-    dx0, grads["ln1_gamma"], grads["ln1_beta"] = _ln_affine_bwd(sg["x"], p.ln1_gamma,
-                                                               cache["ln1"])
-    grads["x"] = dx1 + dx0.reshape(b, t, n, c)
-    return grads
+    dsmha, smha = _attn_bwd(dx1.reshape(b * t, n, c), p.smha, cache["smha"])
+    dx0, *ln1 = _ln_affine_bwd(dsmha, p.ln1_gamma, cache["ln1"])
+    return dx1 + dx0.reshape(b, t, n, c), LayerParams(*ln1, *ln2, *ffn, smha, **temporal)
 
 
-def _compression_bwd(dy: Array, p: CompressionParams, k: int, cache: dict) -> dict:
-    """Reverse pass of the compression head back to the ViT tokens."""
+def _compression_bwd(dy: Array, p: CompressionParams, k: int, cache: dict):
+    """Reverse pass of the compressor to the ViT tokens: (dx, CompressionParams of grads)."""
     da, *mlp = _mlp_bwd(dy, p.w_in, p.w_out, cache["mlp"])
-    grads = dict(zip(("w_in", "b_in", "w_out", "b_out"), mlp))
-    grads["x"] = pixel_unshuffle(_conditioned_adaln_bwd(da, p, cache, grads), k)
-    return grads
+    dz, adaln, te = _conditioned_adaln_bwd(da, p, cache)
+    return pixel_unshuffle(dz, k), CompressionParams(adaln, te, *mlp)
 
 
 def stack_input_gradient(x: Array, model: ModelParams, upstream: Array) -> Array:
@@ -214,7 +198,7 @@ def stack_input_gradient(x: Array, model: ModelParams, upstream: Array) -> Array
         x = progressive_layer_forward(x, x.shape[1], p, caches[-1])
     g = upstream
     for p, cache in zip(reversed(model.layers), reversed(caches)):
-        g = _layer_bwd(g, p, cache)["x"]
+        g = _layer_bwd(g, p, cache)[0]
     return g
 
 
@@ -260,7 +244,8 @@ def _probe(module_id: str, seed: int):
     """Build (inputs, params, forward, backward) for one module.
 
     `forward(cache)` runs the module's forward, filling `cache` when it is
-    a dict, and `backward(g, cache)` returns every grad from that cache. The
+    a dict, and `backward(g, cache)` returns from that cache the grads of
+    the inputs, in their order, then a params-typed tree of the rest. The
     input arrays and the arrays of `params` are the ones `forward` reads, so
     the FD loop can poke them in place. Probe weights are drawn wide (std
     0.2) so no gradient entry sits in the finite-difference noise floor.
@@ -319,7 +304,6 @@ def run_grad_check(module_id: str, seed: int, tol: float = GRAD_TOL) -> GradChec
     """Compare every input's and parameter's analytic gradient with finite
     differences; the forward runs once with a cache for the backward."""
     inputs, params, forward, backward = _probe(module_id, seed)
-    tensors = {**inputs, **dict(named_params(params))}
     cache: dict = {}
     out0 = forward(cache)
     g_up = Rng(seed + 1).normal(out0.shape)
@@ -327,12 +311,14 @@ def run_grad_check(module_id: str, seed: int, tol: float = GRAD_TOL) -> GradChec
     # the 1e-8 denominator floor; structurally-zero gradients (e.g. the
     # key bias, a softmax shift invariance) would otherwise drown in FD noise
     g_up *= 1e-4 / float(np.sum(np.abs(out0 * g_up)))
-    grads = backward(g_up, cache)
+    *input_grads, param_grads = backward(g_up, cache)
     loss = lambda: float(np.sum(forward(None) * g_up))
 
     report = GradCheckReport(module=module_id, seed=seed, tol=tol)
-    for name, arr in tensors.items():
-        err = _rel_err(grads[name], finite_diff_grad(lambda _: loss(), arr))
+    tensors = [*inputs.items(), *named_params(params)]
+    grads = [*input_grads, *(g for _, g in named_params(param_grads))]
+    for (name, arr), grad in zip(tensors, grads, strict=True):
+        err = _rel_err(grad, finite_diff_grad(lambda _: loss(), arr))
         report.entries.append(GradEntry(name=name, shape=arr.shape,
                                         max_rel_err=err, passed=err < tol))
     return report

@@ -152,6 +152,22 @@ class TestForwardCompress:
         assert code == 3
         assert "I/O error" in err
 
+    @pytest.mark.parametrize("source", ["default", "toy", "manifest"])
+    def test_forward_checks_its_input_before_any_weight(self, capsys, tmp_path, monkeypatch,
+                                                        source):
+        # 3 tokens of width 4 match no model: refused before a weight is drawn or read
+        flags = {"default": [], "toy": ["--toy"], "manifest": ["--manifest", str(save_model(
+            tmp_path / "model", init_model(9, toy_config(layers=2, temporal_layers=1))))]}
+        calls = []
+        monkeypatch.setattr(cli, "init_model", lambda *a: calls.append("init_model"))
+        monkeypatch.setattr(model_store, "load_model", lambda *a: calls.append("load_model"))
+        src = tmp_path / "in.pvct"
+        io.write_tensor(src, np.zeros((1, 1, 3, 4)))
+        code, _, err = run(capsys, "forward", *flags[source], "--input", str(src),
+                           "--output", str(tmp_path / "o.pvct"))
+        assert code == 3 and "do not match model" in err
+        assert calls == []
+
     def test_forward_overflowing_extents_is_io_error(self, capsys, tmp_path):
         src = tmp_path / "in.pvct"
         src.write_bytes(b"PVCT" + struct.pack("<II2Q", 1, 2, 2 ** 40, 2 ** 40))
@@ -243,6 +259,20 @@ class TestForwardCompress:
         code, _, err = run(capsys, *argv)
         assert code == 3
         assert "I/O error" in err and "adaln.w4" in err
+
+    def test_compress_of_another_width_never_loads_the_compressor(self, capsys, tmp_path,
+                                                                  monkeypatch):
+        # a compressor for C=8 (k²C = 32) against tokens of C=32 (128 at k=2)
+        save_compression(tmp_path, init_compression(Rng(6), toy_config(channels=8, heads=2)))
+        loads = []
+        monkeypatch.setattr(model_store, "load_compression", lambda *a: loads.append(a))
+        src = tmp_path / "in.pvct"
+        io.write_tensor(src, np.zeros((1, 2, 16, 32)))
+        code, _, err = run(capsys, "compress", "--kernel", "2", "--comp-manifest",
+                           str(tmp_path / "comp.manifest"), "--input", str(src),
+                           "--output", str(tmp_path / "o.pvct"))
+        assert code == 2 and err == "pvc: shuffled width 128 != params 32\n"
+        assert loads == []
 
     @pytest.mark.parametrize("entry, value", [
         ("cfg.heads", "0"), ("cfg.patch_size", "0"), ("cfg.shuffle_kernel", "0"),
@@ -370,6 +400,29 @@ class TestPipeline:
                          "--no-frame-bounds", "--output", str(tmp_path / "tokens.pvct"))
         assert code == 0
         assert refs["alive"] == []
+
+    def test_video_is_read_and_released_before_the_vit_is_built(self, capsys, tmp_path,
+                                                                monkeypatch):
+        refs, seen = {}, []
+        real_read, real_init = io.read_tensor, cli.init_model
+
+        def read_tensor(path):
+            x = real_read(path)
+            refs["video"] = weakref.ref(x)
+            return x
+
+        def init_model(seed, cfg):
+            seen.append({name: ref() is not None for name, ref in refs.items()})
+            return real_init(seed, cfg)
+
+        monkeypatch.setattr(io, "read_tensor", read_tensor)
+        monkeypatch.setattr(cli, "init_model", init_model)
+        video = tmp_path / "vid.pvct"
+        io.write_tensor(video, np.full((4, 56, 56, 3), 7.0))
+        code, _, err = run(capsys, "pipeline", "--toy", "--video", str(video),
+                           "--no-frame-bounds", "--output", str(tmp_path / "tokens.pvct"))
+        assert code == 0, err
+        assert seen == [{"video": False}]  # read, then dropped, before the ViT exists
 
     def test_video_frame_bounds_enforced(self, capsys, tmp_path):
         src = tmp_path / "vid.pvct"

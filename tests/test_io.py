@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from pvc import io, model_store
-from pvc.compression import init_compression
+from pvc.compression import CompressionParams, init_compression
+from pvc.conditioning import init_adaln, init_temporal_embedding
 from pvc.model_store import load_compression, load_model, save_compression, save_model
 from pvc.tensor import Rng
 from pvc.verification import toy_config
@@ -161,6 +162,40 @@ def test_compression_round_trip(tmp_path):
     saved, loaded = dict(named_params(comp)), dict(named_params(back))
     assert saved.keys() == loaded.keys()
     assert all(np.array_equal(loaded[k], v) for k, v in saved.items())
+
+
+def _narrow_compression(rng: Rng, adaln_hidden: int = 24) -> CompressionParams:
+    """A compressor whose hidden widths all differ from its k²C = 128, as a
+    benchmark's narrowed compressor has them: AdaLN hidden 24, TE hidden 16,
+    MLP 128 -> 40 -> 8."""
+    return CompressionParams(
+        adaln=init_adaln(rng, 128, hidden=adaln_hidden),
+        te=init_temporal_embedding(rng, 128, hidden=16),
+        w_in=rng.normal((128, 40)), b_in=rng.normal((40,)),
+        w_out=rng.normal((40, 8)), b_out=rng.normal((8,)))
+
+
+def test_narrow_compression_round_trip(tmp_path):
+    # the widths are read from the weight headers, not derived from k²C
+    comp = _narrow_compression(Rng(5))
+    save_compression(tmp_path, comp)
+    back = load_compression(tmp_path / "comp.manifest")
+    saved, loaded = list(named_params(comp)), list(named_params(back))
+    assert [name for name, _ in saved] == [name for name, _ in loaded]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(saved, loaded))
+
+
+def test_load_compression_refuses_a_second_adaln_hidden_width(tmp_path):
+    # init_adaln gives its scale and shift branches one hidden width, so a
+    # w5/w6 pair of hidden 12 beside a w3/w4 pair of hidden 24 is refused
+    save_compression(tmp_path, _narrow_compression(Rng(5)))
+    other = dict(named_params(_narrow_compression(Rng(6), adaln_hidden=12)))
+    manifest = tmp_path / "comp.manifest"
+    for name in ("adaln.w5", "adaln.w6"):
+        io.write_tensor(tmp_path / io.read_manifest(manifest)[f"weight.{name}"], other[name])
+    with pytest.raises(io.PvctError,
+                       match=r"weight adaln\.w5 has shape \(128, 12\), expected \(128, 24\)"):
+        load_compression(manifest)
 
 
 def test_compression_width_reads_only_the_w_in_header(tmp_path, monkeypatch):

@@ -26,6 +26,7 @@ from pvc.vit import (
     init_layer,
     init_model,
     layer_te,
+    named_params,
     progressive_layer_forward,
     spatial_mha,
     temporal_mha_causal,
@@ -110,6 +111,19 @@ class TestGradCheckRunner:
         probed = sum(int(np.prod(e.shape)) for e in report.entries)
         assert len(calls) == 1 + 2 * probed == 6721
 
+    @pytest.mark.parametrize("module", CHECKED_MODULES)
+    def test_every_analytic_gradient_has_its_tensors_shape(self, module):
+        # _rel_err broadcasts, so a (1, C) gradient checked against a (C,)
+        # tensor would pass the comparison unnoticed
+        inputs, params, forward, backward = verification._probe(module, 0)
+        cache = {}
+        out = forward(cache)
+        *input_grads, param_grads = backward(np.ones_like(out), cache)
+        assert type(param_grads) is type(params)
+        assert [g.shape for g in input_grads] == [x.shape for x in inputs.values()]
+        assert ([(name, g.shape) for name, g in named_params(param_grads)]
+                == [(name, a.shape) for name, a in named_params(params)])
+
 
 def _cache_forwards():
     """(name, forward taking a cache keyword) for every forward that fills one."""
@@ -173,8 +187,8 @@ class TestProgressiveLayerBackward:
         cfg, p, x = self._setup(42)
         cache = {}
         progressive_layer_forward(x, 3, p, cache)
-        grads = verification._layer_bwd(np.zeros_like(x), p, cache)
-        for g in grads.values():
+        dx, grads = verification._layer_bwd(np.zeros_like(x), p, cache)
+        for g in [dx, *(g for _, g in named_params(grads))]:
             assert np.array_equal(g, np.zeros_like(g))
 
     def test_zero_gate_alpha_grad_vs_finite_difference(self):
@@ -186,8 +200,8 @@ class TestProgressiveLayerBackward:
         g_up *= 1e-4 / float(np.sum(np.abs(g_up)))
         cache = {}
         progressive_layer_forward(x, 3, p, cache)
-        grads = verification._layer_bwd(g_up, p, cache)
-        assert np.max(np.abs(grads["gate_alpha"])) > 0.0
+        _, grads = verification._layer_bwd(g_up, p, cache)
+        assert np.max(np.abs(grads.gate_alpha)) > 0.0
 
         def loss(alpha):
             p.gate_alpha[...] = alpha
@@ -197,7 +211,7 @@ class TestProgressiveLayerBackward:
         fd = finite_diff_grad(loss, np.zeros_like(p.gate_alpha))
         p.gate_alpha[...] = 0.0
         denom = np.maximum(np.abs(fd), 1e-8)
-        assert np.max(np.abs(grads["gate_alpha"] - fd) / denom) < 1e-6
+        assert np.max(np.abs(grads.gate_alpha - fd) / denom) < 1e-6
 
     def test_gradient_causality_exact(self):
         cfg, p, x = self._setup(45)
@@ -207,7 +221,7 @@ class TestProgressiveLayerBackward:
         for j in range(t - 1):
             up = np.zeros_like(x)
             up[:, j] = Rng(46 + j).normal(up[:, j].shape)
-            g = verification._layer_bwd(up, p, cache)["x"]
+            g = verification._layer_bwd(up, p, cache)[0]
             assert np.max(np.abs(g[:, j + 1:])) == 0.0
             assert np.max(np.abs(g[:, j])) > 0.0
 
