@@ -17,12 +17,10 @@ tile), is in no stage and no total.
 
 With `reuse` enabled on a static (repeated-image) workload, the repeats
 stay identical until the first temporal layer adds its timestamp
-embedding: the plain ViT layers and that layer's LN1/S-MHA are computed
-once per tile and shared across the repeats, and the rest of the temporal
-layers and the compression head run per repeat. `vit.vit_forward` makes
-this saving whenever every frame of every batch element of its input is
-identical: it runs the stack on frame 0 until the first temporal layer's
-S-MHA residual, whose sum with the timestamp embedding gives the T frames.
+embedding: the plain ViT layers, that layer's LN1/S-MHA and AdaLN's
+x-side GEMMs (x @ W3, x @ W5) run once per tile, and the rest run per
+repeat. `vit.vit_forward` makes exactly this saving on a static video
+held once, whose frame axis has stride 0.
 """
 from __future__ import annotations
 
@@ -145,8 +143,8 @@ def estimate_flops(w: WorkloadSpec, a: ArchSpec, reuse: bool = False) -> BudgetR
     n = vit.tokens_per_frame
     d = vit.hidden
     streams, t_seq = _streams(w)
-    # image repeats are bitwise identical up to the first temporal layer's
-    # S-MHA, so with reuse that prefix runs once per tile, not once per repeat
+    # image repeats are identical up to the first temporal layer's S-MHA and
+    # AdaLN x-side, so with reuse that prefix runs once per tile, not per repeat
     can_reuse = reuse and w.kind == "image"
     shared_streams = w.tiles if can_reuse else streams
 
@@ -163,7 +161,8 @@ def estimate_flops(w: WorkloadSpec, a: ArchSpec, reuse: bool = False) -> BudgetR
         per_layer += 4.0 * tokens * d * vit.adaln_hidden               # AdaLN MLPs
         per_layer += t_seq * (256.0 * vit.te_hidden + vit.te_hidden * d)
         temporal = vit.temporal_layers * per_layer
-        temporal -= (streams - shared_streams) * (4.0 * n * d * d + 2.0 * n * n * d)
+        temporal -= (streams - shared_streams) * (4.0 * n * d * d + 2.0 * n * n * d
+                                                  + 2.0 * n * d * vit.adaln_hidden)
 
     wide = comp.kernel ** 2 * d
     out_tokens = counts.visual_total

@@ -45,10 +45,16 @@ def load_config(manifest_path) -> PvcConfig:
 class _NoDraws:
     """Stands in for Rng where every drawn weight is overwritten: the
     weights come back uninitialised and no random number is drawn."""
+    empty = staticmethod(np.empty)
 
-    @staticmethod
-    def normal(shape, std: float = 1.0):
-        return np.empty(shape)
+    def normal(self, shape, std: float = 1.0):
+        return self.empty(shape)
+
+
+class _NoMemory(_NoDraws):
+    """A _NoDraws for a template whose shapes alone are read: its arrays
+    are zero-stride views that take no memory."""
+    empty = staticmethod(lambda shape: np.broadcast_to(0.0, shape))
 
 
 def _weight(entries: dict, manifest_path: Path, name: str, header_only: bool = False):
@@ -69,45 +75,45 @@ def _matrix_shape(entries: dict, manifest_path: Path, name: str) -> tuple[int, i
     return shape
 
 
-def _check_shape(manifest_path: Path, name: str, shape: tuple, expected: tuple) -> None:
+def _check_header(entries: dict, manifest_path: Path, name: str, expected: tuple) -> None:
+    shape = _weight(entries, manifest_path, name, header_only=True)
     if shape != expected:
         raise io.PvctError(f"{manifest_path}: weight {name} has shape {shape}, "
                            f"expected ({', '.join(map(str, expected))})")
 
 
-def _fill(params, entries: dict, manifest_path: Path, read=None):
-    """Fill every named array of `params` from its weight file, or from
-    `read` (weights already read, by name), and return `params`. A missing
-    or extra weight entry, or a shape other than the template's, raises."""
-    weights = dict(named_params(params))
+def _fill(build, entries: dict, manifest_path: Path):
+    """Build the template `build(draws)` and fill each of its named arrays
+    from its weight file, read once. The weight entries and every file's
+    header are checked first, against a template built on _NoMemory, so
+    nothing is allocated that the files do not hold: a missing or extra
+    weight entry, or a shape other than the template's, raises."""
+    shapes = {name: arr.shape for name, arr in named_params(build(_NoMemory()))}
     for key in entries:
-        if key.startswith("weight.") and key.removeprefix("weight.") not in weights:
+        if key.startswith("weight.") and key.removeprefix("weight.") not in shapes:
             raise io.PvctError(f"{manifest_path}: weight entry {key} is not a "
                                f"weight of this model")
-    read = read or {}
-    for name, arr in weights.items():
-        loaded = read.pop(name) if name in read else _weight(entries, manifest_path, name)
-        _check_shape(manifest_path, name, loaded.shape, arr.shape)
-        arr[...] = loaded
+    for name, shape in shapes.items():
+        _check_header(entries, manifest_path, name, shape)
+    params = build(_NoDraws())
+    for name, arr in named_params(params):
+        arr[...] = _weight(entries, manifest_path, name)
     return params
 
 
-def _check_extents(cfg: PvcConfig, entries: dict, manifest_path: Path) -> dict:
-    """Check the config's layer count and extents against the manifest's
-    layer entries and the weight files, before anything of the config's
-    size is allocated. Returns the weights it read, by name."""
+def _check_extents(cfg: PvcConfig, entries: dict, manifest_path: Path) -> None:
+    """Check the config's layer count against the manifest's layer entries,
+    and its extents against three weight files' headers, before anything
+    of the config's size is allocated; no payload is read."""
     layers = {k.split(".")[1] for k in entries if k.startswith("weight.layer")}
     if len(layers) != cfg.layers:
         raise io.PvctError(f"{manifest_path}: cfg.layers = {cfg.layers}, but the "
                            f"manifest has weights for {len(layers)} layers")
     c = cfg.channels
-    read = {}
     for name, expected in (("patch.weight", (cfg.patch_size ** 2 * 3, c)),
                            ("patch.pos", (cfg.tokens_per_frame, c)),
                            ("layer00.ffn_w_in", (c, cfg.ffn_dim))):
-        read[name] = _weight(entries, manifest_path, name)
-        _check_shape(manifest_path, name, read[name].shape, expected)
-    return read
+        _check_header(entries, manifest_path, name, expected)
 
 
 def _save_tensors(directory, params, entries: dict, prefix: str = "") -> dict:
@@ -132,14 +138,14 @@ def save_model(directory, model: ModelParams) -> Path:
 def load_model(manifest_path) -> ModelParams:
     """Rebuild a ModelParams from a manifest written by save_model.
 
-    The config is checked against the weight files, then a model built for
-    it without drawing its weights is filled by _fill.
+    The config is checked against the weight files' headers, then a model
+    built for it without drawing its weights is filled by _fill.
     """
     manifest_path = Path(manifest_path)
     cfg = load_config(manifest_path)
     entries = io.read_manifest(manifest_path)
-    read = _check_extents(cfg, entries, manifest_path)
-    return _fill(build_model(_NoDraws(), cfg), entries, manifest_path, read)
+    _check_extents(cfg, entries, manifest_path)
+    return _fill(lambda draws: build_model(draws, cfg), entries, manifest_path)
 
 
 def save_compression(directory, p: CompressionParams) -> None:
@@ -167,8 +173,7 @@ def load_compression(manifest_path) -> CompressionParams:
     entries = io.read_manifest(manifest_path)
     (d, f), (_, o), (_, a), (_, h) = (_matrix_shape(entries, manifest_path, name)
                                       for name in ("w_in", "w_out", "adaln.w3", "te.w1"))
-    template = CompressionParams(
-        adaln=init_adaln(_NoDraws(), d, hidden=a),
-        te=init_temporal_embedding(_NoDraws(), d, hidden=h),
-        w_in=np.empty((d, f)), b_in=np.empty(f), w_out=np.empty((f, o)), b_out=np.empty(o))
-    return _fill(template, entries, manifest_path)
+    return _fill(lambda draws: CompressionParams(
+        adaln=init_adaln(draws, d, hidden=a), te=init_temporal_embedding(draws, d, hidden=h),
+        w_in=draws.empty((d, f)), b_in=draws.empty(f),
+        w_out=draws.empty((f, o)), b_out=draws.empty(o)), entries, manifest_path)

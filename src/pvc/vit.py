@@ -393,16 +393,12 @@ def vit_forward(x: Array, cfg: PvcConfig, model: ModelParams) -> Array:
     """Run the full stack: plain layers first, progressive layers last.
 
     Until the first temporal layer adds the timestamp embedding, every
-    layer works on each frame alone. So when every frame of the input is
-    identical (an image repeated as a static video), the stack is handed
-    frame 0 alone, and the first temporal layer's LN1 + S-MHA output is
-    broadcast to the T frames. A stack without temporal layers repeats its
-    output at the end. The result equals running every layer on every frame.
-
-    A frame axis with stride 0 (the view `patchify` returns for a static
-    video held once) is identical by construction and is not compared.
-    Any other input is compared frame by frame against frame 0, stopping
-    at the first frame that differs.
+    layer works on each frame alone. So a static video held once, its frame
+    axis of stride 0 (as `patchify` returns it), goes through the stack as
+    frame 0 alone until the first temporal layer gives it its T frames; a
+    stack without temporal layers repeats its output at the end. The result
+    equals running every layer on every frame. No token value is read:
+    identical frames held one by one run every frame.
 
     Layer 0 writes a new array, so the caller's tokens are never written.
     That array is the residual stream, and every later layer updates it in
@@ -415,8 +411,7 @@ def vit_forward(x: Array, cfg: PvcConfig, model: ModelParams) -> Array:
         raise ValueError(f"expected {cfg.layers} layers, got {len(model.layers)}")
     plain = cfg.layers - cfg.temporal_layers
     t = x.shape[1]
-    if t > 1 and (x.strides[1] == 0
-                  or all(np.array_equal(x[:, i], x[:, 0]) for i in range(1, t))):
+    if t > 1 and x.strides[1] == 0:
         x = x[:, :1]
     for i, p in enumerate(model.layers):
         if p.is_temporal != (i >= plain):

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from pvc import conditioning, tensor, vit
 from pvc.budget import (
     ArchSpec,
     CompressionSpec,
@@ -15,6 +16,7 @@ from pvc.budget import (
     preset,
     specs_from_entries,
 )
+from pvc.verification import toy_config
 
 
 def default_arch(**kw):
@@ -91,16 +93,64 @@ class TestEstimateFlops:
         without = estimate_flops(work, arch, reuse=False)
         assert without.stages["vit_plain"] == \
             work.t_img * with_reuse.stages["vit_plain"]
-        # the first temporal layer's S-MHA runs once per tile, not per repeat
-        n, d = arch.vit.tokens_per_frame, arch.vit.hidden
-        smha = arch.flops_per_mac * (4 * n * d * d + 2 * n * n * d)
+        # the first temporal layer's S-MHA and AdaLN x-side GEMMs run once
+        # per tile, not per repeat
+        n, d, a = arch.vit.tokens_per_frame, arch.vit.hidden, arch.vit.adaln_hidden
+        held = arch.flops_per_mac * (4 * n * d * d + 2 * n * n * d + 2 * n * d * a)
         assert without.stages["vit_temporal"] - with_reuse.stages["vit_temporal"] \
-            == (work.t_img - 1) * work.tiles * smha
+            == (work.t_img - 1) * work.tiles * held
         assert without.stages["compression"] == with_reuse.stages["compression"]
 
     def test_invalid_workload_kind(self):
         with pytest.raises(ValueError):
             estimate_flops(WorkloadSpec(kind="audio"), ArchSpec())
+
+
+def forward_macs(monkeypatch, x, cfg, model) -> int:
+    """The MACs of one vit_forward: every GEMM through `linear`, plus
+    2·S·L²·C for the scores and values of each attention input [S, L, C]."""
+    macs = [0]
+
+    def count(real):
+        def linear(a, w, *args, **kwargs):
+            macs[0] += a.size // a.shape[-1] * w.shape[0] * w.shape[1]
+            return real(a, w, *args, **kwargs)
+        return linear
+
+    def attention(real):
+        def attend(a, p, cache=None):
+            macs[0] += 2 * a.shape[0] * a.shape[1] ** 2 * a.shape[2]
+            return real(a, p, cache)
+        return attend
+
+    with monkeypatch.context() as m:
+        for module in (tensor, vit, conditioning):  # every namespace `linear` is called through
+            m.setattr(module, "linear", count(module.linear))
+        for name in ("spatial_mha", "temporal_mha_causal"):
+            m.setattr(vit, name, attention(getattr(vit, name)))
+        vit.vit_forward(x, cfg, model)
+    return macs[0]
+
+
+class TestBudgetMatchesForward:
+    def test_static_saving_equals_the_macs_the_forward_skips(self, monkeypatch):
+        # tiles ride the batch axis, each a static video of t_img frames
+        cfg, b, t = toy_config(), 2, 4
+        model = vit.init_model(70, cfg)
+        frame = tensor.Rng(71).normal((b, 1, cfg.tokens_per_frame, cfg.channels))
+        held = np.broadcast_to(frame, (b, t, *frame.shape[2:]))
+        skipped = (forward_macs(monkeypatch, held.copy(), cfg, model)
+                   - forward_macs(monkeypatch, held, cfg, model))
+        c = cfg.channels
+        arch = ArchSpec(vit=VitSpec(layers=cfg.layers, temporal_layers=cfg.temporal_layers,
+                                    hidden=c, heads=cfg.heads, ffn=cfg.ffn_dim,
+                                    patch=cfg.patch_size, image_size=cfg.image_size,
+                                    adaln_hidden=c, te_hidden=c),
+                        flops_per_mac=1.0)
+        work = WorkloadSpec(kind="image", t_img=t, tiles=b)
+        full, reused = (estimate_flops(work, arch, reuse=r).stages for r in (False, True))
+        saved = sum(full[s] - reused[s] for s in ("vit_plain", "vit_temporal"))
+        assert skipped > 0 and saved == skipped
 
 
 class TestCompare:

@@ -618,3 +618,32 @@ def test_an_allocation_past_the_address_space_is_a_clean_exit(tmp_path):
     assert proc.returncode == cli.EXIT_MEMORY, proc.stderr
     assert proc.stderr.startswith("pvc: out of memory: ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_compressor_widths_from_different_files_allocate_nothing(tmp_path):
+    # w_in (65536, 1) and te.w1 (256, 65536) would size the TE's w2 at
+    # (65536, 65536), 32 GiB, from two small files. Every header is checked
+    # against the template before it is allocated, so the manifest is
+    # refused as malformed; the child is capped at 2 GiB of address space,
+    # where allocating the template fails at once.
+    save_compression(tmp_path, init_compression(Rng(4), toy_config(), mlp_hidden=48))
+    entries = io.read_manifest(tmp_path / "comp.manifest")
+    io.write_tensor(tmp_path / entries["weight.w_in"], np.zeros((65536, 1)))
+    with open(tmp_path / entries["weight.te.w1"], "wb") as f:  # sparse: no payload on disk
+        f.write(io.MAGIC + struct.pack("<II2Q", io.VERSION, 2, 256, 65536))
+        f.truncate(f.tell() + 8 * 256 * 65536)
+    io.write_tensor(tmp_path / "x.pvct", np.zeros((1, 1, 16, 4096)))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = Path(cli.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pvc.cli", "compress", "--kernel", "4", "--comp-manifest",
+         str(tmp_path / "comp.manifest"), "--input", str(tmp_path / "x.pvct"),
+         "--output", str(tmp_path / "o.pvct")],
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=cap, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == cli.EXIT_IO, proc.stderr
+    assert "weight adaln.w3 has shape (128, 128), expected (65536, 128)" in proc.stderr
+    assert not (tmp_path / "o.pvct").exists()

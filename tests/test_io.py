@@ -139,20 +139,29 @@ def test_load_model_draws_no_random_weights(tmp_path, monkeypatch):
 
 
 def test_load_model_reads_each_weight_file_once(tmp_path, monkeypatch):
+    # the config's extents are checked from headers, so no payload is read
+    # before the template is built, and each weight file is read once
     model = init_model(3, toy_config(layers=2, temporal_layers=1))
     manifest = save_model(tmp_path, model)
-    reads = []
-    real = io.read_tensor
+    reads, events = [], []
+    real_read, real_build = io.read_tensor, model_store.build_model
 
     def spy(path):
         reads.append(path.name)
-        return real(path)
+        events.append("read")
+        return real_read(path)
+
+    def build(*args):
+        events.append("build")
+        return real_build(*args)
 
     monkeypatch.setattr(io, "read_tensor", spy)
+    monkeypatch.setattr(model_store, "build_model", build)
     load_model(manifest)
     files = [v for k, v in io.read_manifest(manifest).items() if k.startswith("weight.")]
     assert sorted(reads) == sorted(files)
     assert len(reads) == len(list(named_params(model)))
+    assert events.index("read") > max(i for i, e in enumerate(events) if e == "build")
 
 
 def test_compression_round_trip(tmp_path):

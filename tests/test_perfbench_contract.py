@@ -20,17 +20,34 @@ from pvc import compression, conditioning, input_pipeline, tensor, vit
 from pvc.compression import CompressionParams
 from pvc.conditioning import SINUSOID_DIM, AdaLnParams, TemporalEmbeddingParams
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    """perfbench/<name>.py as a module, read from its file; its dataclasses
+    look their module up by name, so it sits in sys.modules meanwhile."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up by name
-    spec.loader.exec_module(module)
-    yield module
-    del sys.modules[spec.name]
+    yield _load("workloads")
+    del sys.modules["perfbench_workloads"]
+
+
+def test_benchmark_span_names_are_library_functions():
+    # a span `<module>.<function>` times pvc.<module>'s own public function
+    # of that name; a renamed one would read 0 in the figure it feeds
+    run = _load("run")
+    del sys.modules["perfbench_run"]
+    for span in sorted({*run.TOTALS, *run.LAYER_SPANS, "verification.run_grad_check"}):
+        module, name = span.split(".")
+        fn = getattr(importlib.import_module(f"pvc.{module}"), name, None)
+        assert callable(fn) and fn.__module__ == f"pvc.{module}", span
 
 
 @pytest.mark.parametrize("kind", ["image_static", "video_dynamic"])
