@@ -159,7 +159,8 @@ def estimate_flops(w: WorkloadSpec, a: ArchSpec, reuse: bool = False) -> BudgetR
         per_layer += 4.0 * tokens * d * d                              # T-MHA proj
         per_layer += 2.0 * (streams // t_seq) * n * t_seq * t_seq * d  # T-MHA scores
         per_layer += 4.0 * tokens * d * vit.adaln_hidden               # AdaLN MLPs
-        per_layer += t_seq * (256.0 * vit.te_hidden + vit.te_hidden * d)
+        per_layer += t_seq * (256.0 * vit.te_hidden + vit.te_hidden * d  # TE MLP
+                              + 2.0 * d * vit.adaln_hidden)              # te @ W3, W5
         temporal = vit.temporal_layers * per_layer
         temporal -= (streams - shared_streams) * (4.0 * n * d * d + 2.0 * n * n * d
                                                   + 2.0 * n * d * vit.adaln_hidden)
@@ -169,7 +170,8 @@ def estimate_flops(w: WorkloadSpec, a: ArchSpec, reuse: bool = False) -> BudgetR
     compression = out_tokens * (wide * comp.mlp_hidden
                                 + comp.mlp_hidden * comp.out_dim)
     if comp.adaln_hidden:
-        compression += out_tokens * 4.0 * wide * comp.adaln_hidden
+        # x through all four AdaLN weights per token, te through W3 and W5 per frame
+        compression += (4.0 * out_tokens + 2.0 * t_seq) * wide * comp.adaln_hidden
     if comp.te_hidden:
         compression += t_seq * (256.0 * comp.te_hidden + comp.te_hidden * wide)
 

@@ -75,7 +75,7 @@ def _check_compression_width(args, cfg: PvcConfig) -> None:
 
 def _load_or_init_compression(args, cfg: PvcConfig, seed: int):
     if args.comp_manifest:
-        return model_store.load_compression(args.comp_manifest)
+        return model_store.load_compression(args.comp_manifest, cfg)
     return init_compression(Rng(seed), cfg)
 
 

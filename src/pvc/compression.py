@@ -6,6 +6,9 @@ channels concatenated in row-major block order. The widened tokens then
 pass through AdaLN conditioned on (token + temporal embedding) and a
 two-layer MLP shared across frames. Frame t of T is embedded at the
 timestamp `relative_timestamps(T)[t]`.
+
+The widths follow from D = k^2 * C alone: AdaLN's and TE's hidden widths,
+the MLP's hidden width and the output width are all ceil(D / WIDTH_RATIO).
 """
 from __future__ import annotations
 
@@ -28,14 +31,18 @@ from . import tensor
 from .tensor import NEW_WEIGHT_STD, Array, Rng, _sub_cache, silu_mlp
 from .vit import PvcConfig
 
+# every compressor width is D/4, as the `table4-pvc` budget preset counts
+# them: 4096 for D = 16 x 1024 at ViT-L and k = 4
+WIDTH_RATIO = 4
+
 
 @dataclass
 class CompressionParams:
-    adaln: AdaLnParams                 # over D = k^2 * C
-    te: TemporalEmbeddingParams        # D_out = k^2 * C
-    w_in: Array                        # [k^2*C, F]
+    adaln: AdaLnParams                 # over D = k^2 * C, hidden W
+    te: TemporalEmbeddingParams        # hidden W, D_out = k^2 * C
+    w_in: Array                        # [k^2*C, W]
     b_in: Array
-    w_out: Array                       # [F, C_out]
+    w_out: Array                       # [W, W]
     b_out: Array
 
     @property
@@ -43,18 +50,17 @@ class CompressionParams:
         return self.w_in.shape[0]
 
 
-def init_compression(rng: Rng, cfg: PvcConfig, mlp_hidden: int | None = None,
-                     out_dim: int | None = None) -> CompressionParams:
+def init_compression(rng: Rng, cfg: PvcConfig) -> CompressionParams:
+    """The compressor for cfg, every width W = ceil(k²C / WIDTH_RATIO)."""
     wide = cfg.shuffle_kernel ** 2 * cfg.channels
-    f = wide if mlp_hidden is None else mlp_hidden
-    c_out = cfg.channels if out_dim is None else out_dim
+    w = -(-wide // WIDTH_RATIO)
     return CompressionParams(
-        adaln=init_adaln(rng, wide),
-        te=init_temporal_embedding(rng, wide),
-        w_in=rng.normal((wide, f), NEW_WEIGHT_STD),
-        b_in=np.zeros(f),
-        w_out=rng.normal((f, c_out), NEW_WEIGHT_STD),
-        b_out=np.zeros(c_out),
+        adaln=init_adaln(rng, wide, hidden=w),
+        te=init_temporal_embedding(rng, wide, hidden=w),
+        w_in=rng.normal((wide, w), NEW_WEIGHT_STD),
+        b_in=np.zeros(w),
+        w_out=rng.normal((w, w), NEW_WEIGHT_STD),
+        b_out=np.zeros(w),
     )
 
 
@@ -68,14 +74,15 @@ def _grid_side(n: int, k: int) -> int:
 
 
 def pixel_shuffle(x: Array, k: int) -> Array:
-    """[B,T,N,C] -> [B,T,N/k^2, k^2*C] by k x k block concatenation."""
+    """[B,T,N,C] -> a new [B,T,N/k^2, k^2*C] by k x k block concatenation."""
     x = np.asarray(x, dtype=np.float64)
     b, t, n, c = x.shape
     side = _grid_side(n, k)
     m = side // k
     g = x.reshape(b, t, m, k, m, k, c)
     g = g.transpose(0, 1, 2, 4, 3, 5, 6)  # [B,T,mr,mc,kr,kc,C]
-    return np.ascontiguousarray(g.reshape(b, t, m * m, k * k * c))
+    # always a copy: at k = 1 or m = 1 the reshape alone would be a view of x
+    return np.array(g, order="C").reshape(b, t, m * m, k * k * c)
 
 
 def pixel_unshuffle(y: Array, k: int) -> Array:

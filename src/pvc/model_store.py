@@ -2,7 +2,10 @@
 
 The manifest records the architectural constants and one `weight.<name>`
 entry per tensor pointing at its PVCT file, so a saved model is fully
-described by a directory plus one text file.
+described by a directory plus one text file. A compressor's manifest holds
+weight entries alone: its shapes follow from the config it is loaded for.
+Either loader fills a template built for its config, and refuses a weight
+of any other shape.
 """
 from __future__ import annotations
 
@@ -12,8 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .compression import CompressionParams
-from .conditioning import init_adaln, init_temporal_embedding
+from .compression import CompressionParams, init_compression
 from .vit import ModelParams, PvcConfig, build_model, named_params
 
 
@@ -64,15 +66,6 @@ def _weight(entries: dict, manifest_path: Path, name: str, header_only: bool = F
         raise io.PvctError(f"{manifest_path}: missing weight entry {name}")
     path = manifest_path.parent / entries[key]
     return io.read_tensor_shape(path) if header_only else io.read_tensor(path)
-
-
-def _matrix_shape(entries: dict, manifest_path: Path, name: str) -> tuple[int, int]:
-    """The extents of a 2-D weight, from its file's header alone."""
-    shape = _weight(entries, manifest_path, name, header_only=True)
-    if len(shape) != 2:
-        raise io.PvctError(f"{manifest_path}: weight {name} has shape {shape}, "
-                           f"expected a matrix")
-    return shape
 
 
 def _check_header(entries: dict, manifest_path: Path, name: str, expected: tuple) -> None:
@@ -159,21 +152,17 @@ def compression_width(manifest_path) -> int:
     header of its w_in file alone (no payload is read): cheap enough to
     check before a forward whose output the compressor is to take."""
     manifest_path = Path(manifest_path)
-    return _matrix_shape(io.read_manifest(manifest_path), manifest_path, "w_in")[0]
+    shape = _weight(io.read_manifest(manifest_path), manifest_path, "w_in", header_only=True)
+    if len(shape) != 2:
+        raise io.PvctError(f"{manifest_path}: weight w_in has shape {shape}, "
+                           f"expected a matrix")
+    return shape[0]
 
 
-def load_compression(manifest_path) -> CompressionParams:
-    """Rebuild a CompressionParams from a manifest written by save_compression.
-
-    The widths come from the headers of w_in, w_out, adaln.w3 and te.w1,
-    each of which must be a matrix; a compressor of those widths, shaped
-    by init_adaln and init_temporal_embedding, is then filled by _fill.
-    """
+def load_compression(manifest_path, cfg: PvcConfig) -> CompressionParams:
+    """Rebuild the compressor for cfg from a manifest written by
+    save_compression: _fill fills the template init_compression builds
+    for cfg, so a compressor of other widths is refused."""
     manifest_path = Path(manifest_path)
-    entries = io.read_manifest(manifest_path)
-    (d, f), (_, o), (_, a), (_, h) = (_matrix_shape(entries, manifest_path, name)
-                                      for name in ("w_in", "w_out", "adaln.w3", "te.w1"))
-    return _fill(lambda draws: CompressionParams(
-        adaln=init_adaln(draws, d, hidden=a), te=init_temporal_embedding(draws, d, hidden=h),
-        w_in=draws.empty((d, f)), b_in=draws.empty(f),
-        w_out=draws.empty((f, o)), b_out=draws.empty(o)), entries, manifest_path)
+    return _fill(lambda draws: init_compression(draws, cfg),
+                 io.read_manifest(manifest_path), manifest_path)

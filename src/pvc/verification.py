@@ -282,8 +282,10 @@ def _probe(module_id: str, seed: int):
                 lambda g, cache: _layer_bwd(g, p, cache))
 
     if module_id == "compression":
-        cfg = toy_config(channels=3, heads=1, ffn_dim=6, layers=1, temporal_layers=0)
-        p = _randomized(init_compression(Rng(0), cfg, mlp_hidden=7, out_dim=5), rng, std)
+        # C = 3, k²C = 27 and the derived width 7 all differ
+        cfg = toy_config(image_size=42, channels=3, heads=1, ffn_dim=6, layers=1,
+                         temporal_layers=0, shuffle_kernel=3)
+        p = _randomized(init_compression(Rng(0), cfg), rng, std)
         x = rng.normal((1, 2, cfg.tokens_per_frame, cfg.channels))
         return ({"x": x}, p, lambda cache: compress(x, p, cfg, cache),
                 lambda g, cache: _compression_bwd(g, p, cfg.shuffle_kernel, cache))

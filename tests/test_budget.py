@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pvc import conditioning, tensor, vit
+from pvc import compression, conditioning, tensor, vit
 from pvc.budget import (
     ArchSpec,
     CompressionSpec,
@@ -106,9 +106,9 @@ class TestEstimateFlops:
             estimate_flops(WorkloadSpec(kind="audio"), ArchSpec())
 
 
-def forward_macs(monkeypatch, x, cfg, model) -> int:
-    """The MACs of one vit_forward: every GEMM through `linear`, plus
-    2·S·L²·C for the scores and values of each attention input [S, L, C]."""
+def executed_macs(monkeypatch, run) -> int:
+    """The MACs of run(): every GEMM through `linear`, plus 2·S·L²·C for the
+    scores and values of each attention input [S, L, C]."""
     macs = [0]
 
     def count(real):
@@ -128,29 +128,59 @@ def forward_macs(monkeypatch, x, cfg, model) -> int:
             m.setattr(module, "linear", count(module.linear))
         for name in ("spatial_mha", "temporal_mha_causal"):
             m.setattr(vit, name, attention(getattr(vit, name)))
-        vit.vit_forward(x, cfg, model)
+        run()
     return macs[0]
 
 
+def toy_arch(cfg, compression: CompressionSpec | None = None) -> ArchSpec:
+    """The budget's specs of a toy PvcConfig, counted in MACs."""
+    c = cfg.channels
+    return ArchSpec(vit=VitSpec(layers=cfg.layers, temporal_layers=cfg.temporal_layers,
+                                hidden=c, heads=cfg.heads, ffn=cfg.ffn_dim,
+                                patch=cfg.patch_size, image_size=cfg.image_size,
+                                adaln_hidden=c, te_hidden=c),
+                    compression=compression or CompressionSpec(kernel=cfg.shuffle_kernel),
+                    flops_per_mac=1.0)
+
+
 class TestBudgetMatchesForward:
+    # tiles ride the batch axis, each a video of t_img frames
+    B, T = 2, 4
+
     def test_static_saving_equals_the_macs_the_forward_skips(self, monkeypatch):
-        # tiles ride the batch axis, each a static video of t_img frames
-        cfg, b, t = toy_config(), 2, 4
+        cfg, b, t = toy_config(), self.B, self.T
         model = vit.init_model(70, cfg)
         frame = tensor.Rng(71).normal((b, 1, cfg.tokens_per_frame, cfg.channels))
         held = np.broadcast_to(frame, (b, t, *frame.shape[2:]))
-        skipped = (forward_macs(monkeypatch, held.copy(), cfg, model)
-                   - forward_macs(monkeypatch, held, cfg, model))
-        c = cfg.channels
-        arch = ArchSpec(vit=VitSpec(layers=cfg.layers, temporal_layers=cfg.temporal_layers,
-                                    hidden=c, heads=cfg.heads, ffn=cfg.ffn_dim,
-                                    patch=cfg.patch_size, image_size=cfg.image_size,
-                                    adaln_hidden=c, te_hidden=c),
-                        flops_per_mac=1.0)
+        skipped = (executed_macs(monkeypatch, lambda: vit.vit_forward(held.copy(), cfg, model))
+                   - executed_macs(monkeypatch, lambda: vit.vit_forward(held, cfg, model)))
         work = WorkloadSpec(kind="image", t_img=t, tiles=b)
-        full, reused = (estimate_flops(work, arch, reuse=r).stages for r in (False, True))
+        full, reused = (estimate_flops(work, toy_arch(cfg), reuse=r).stages
+                        for r in (False, True))
         saved = sum(full[s] - reused[s] for s in ("vit_plain", "vit_temporal"))
         assert skipped > 0 and saved == skipped
+
+    def test_moving_forward_executes_the_vit_stages(self, monkeypatch):
+        cfg, b, t = toy_config(), self.B, self.T
+        model = vit.init_model(70, cfg)
+        x = tensor.Rng(72).normal((b, t, cfg.tokens_per_frame, cfg.channels))
+        stages = estimate_flops(WorkloadSpec(kind="image", t_img=t, tiles=b),
+                                toy_arch(cfg)).stages
+        assert (executed_macs(monkeypatch, lambda: vit.vit_forward(x, cfg, model))
+                == stages["vit_plain"] + stages["vit_temporal"])
+
+    def test_compress_executes_the_compression_stage(self, monkeypatch):
+        # k = 3 and C = 32: C, k²C = 288 and the derived width 72 all differ
+        cfg, b, t = toy_config(image_size=84, shuffle_kernel=3), self.B, self.T
+        p = compression.init_compression(tensor.Rng(73), cfg)
+        x = tensor.Rng(74).normal((b, t, cfg.tokens_per_frame, cfg.channels))
+        spec = CompressionSpec(kernel=cfg.shuffle_kernel, mlp_hidden=p.w_in.shape[1],
+                               out_dim=p.w_out.shape[1], adaln_hidden=p.adaln.w3.shape[1],
+                               te_hidden=p.te.w1.shape[1])
+        stages = estimate_flops(WorkloadSpec(kind="image", t_img=t, tiles=b),
+                                toy_arch(cfg, spec)).stages
+        assert (executed_macs(monkeypatch, lambda: compression.compress(x, p, cfg))
+                == stages["compression"])
 
 
 class TestCompare:

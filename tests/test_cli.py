@@ -504,7 +504,7 @@ class TestPipeline:
         monkeypatch.setattr(cli, "vit_forward", lambda x, c, m: alive.append(weakref.ref(m))
                             or real_forward(x, c, m))
         monkeypatch.setattr(model_store, "load_compression",
-                            lambda path: alive.append(alive[0]() is None) or real_load(path))
+                            lambda path, c: alive.append(alive[0]() is None) or real_load(path, c))
         code, _, err = run(capsys, "pipeline", "--manifest", str(manifest), "--comp-manifest",
                            str(comp), "--video", str(video), "--no-frame-bounds",
                            "--output", str(tmp_path / "piped.pvct"))
@@ -621,12 +621,13 @@ def test_an_allocation_past_the_address_space_is_a_clean_exit(tmp_path):
 
 
 def test_compressor_widths_from_different_files_allocate_nothing(tmp_path):
-    # w_in (65536, 1) and te.w1 (256, 65536) would size the TE's w2 at
-    # (65536, 65536), 32 GiB, from two small files. Every header is checked
+    # w_in (65536, 1) passes the width check of tokens of C = 4096 at k = 4,
+    # whose compressor holds 65536 x 16384 matrices (8 GiB each), and te.w1
+    # declares (256, 65536) over a sparse file. Every header is checked
     # against the template before it is allocated, so the manifest is
     # refused as malformed; the child is capped at 2 GiB of address space,
     # where allocating the template fails at once.
-    save_compression(tmp_path, init_compression(Rng(4), toy_config(), mlp_hidden=48))
+    save_compression(tmp_path, init_compression(Rng(4), toy_config()))
     entries = io.read_manifest(tmp_path / "comp.manifest")
     io.write_tensor(tmp_path / entries["weight.w_in"], np.zeros((65536, 1)))
     with open(tmp_path / entries["weight.te.w1"], "wb") as f:  # sparse: no payload on disk
@@ -645,5 +646,5 @@ def test_compressor_widths_from_different_files_allocate_nothing(tmp_path):
         env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
         preexec_fn=cap, capture_output=True, text=True, timeout=120)
     assert proc.returncode == cli.EXIT_IO, proc.stderr
-    assert "weight adaln.w3 has shape (128, 128), expected (65536, 128)" in proc.stderr
+    assert "weight adaln.w3 has shape (128, 32), expected (65536, 16384)" in proc.stderr
     assert not (tmp_path / "o.pvct").exists()

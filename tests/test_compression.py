@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pvc import compression
+from pvc import compression, model_store
+from pvc.budget import preset
 from pvc.compression import (
     compress,
     init_compression,
@@ -13,14 +14,12 @@ from pvc.compression import (
 )
 from pvc import conditioning, tensor
 from pvc.conditioning import (
-    init_adaln,
-    init_temporal_embedding,
     relative_timestamps,
     sinusoidal_embed,
     temporal_embedding,
 )
-from pvc.tensor import NEW_WEIGHT_STD, Rng, layer_norm, silu
-from pvc.vit import PvcConfig
+from pvc.tensor import Rng, layer_norm, silu
+from pvc.vit import PvcConfig, named_params
 
 
 def shuffle_oracle(x, k):
@@ -39,18 +38,6 @@ def shuffle_oracle(x, k):
     return out
 
 
-def bench_ratio_compressor(rng, cfg):
-    """A compressor with perfbench's ratios: AdaLN, TE and MLP hidden and
-    the output width k²C/4."""
-    wide = cfg.shuffle_kernel ** 2 * cfg.channels
-    h = wide // 4
-    return compression.CompressionParams(
-        adaln=init_adaln(rng, wide, hidden=h),
-        te=init_temporal_embedding(rng, wide, hidden=h),
-        w_in=rng.normal((wide, h), NEW_WEIGHT_STD), b_in=np.zeros(h),
-        w_out=rng.normal((h, h), NEW_WEIGHT_STD), b_out=np.zeros(h))
-
-
 def small_cfg(k=2, c=3):
     return PvcConfig(image_size=56, patch_size=14, channels=c, heads=1,
                      ffn_dim=2 * c, layers=1, temporal_layers=0,
@@ -61,6 +48,14 @@ class TestPixelShuffle:
     def test_k1_identity(self):
         x = Rng(1).normal((2, 3, 9, 4))
         assert np.array_equal(pixel_shuffle(x, 1), x)
+
+    @pytest.mark.parametrize("k, n", [(1, 9), (3, 9)])
+    def test_one_token_blocks_and_one_block_frames_are_copies(self, k, n):
+        # the reshape alone is a view of x here; compress overwrites the result
+        x = Rng(1).normal((2, 3, n, 4))
+        out = pixel_shuffle(x, k)
+        assert np.array_equal(out, shuffle_oracle(x, k))
+        assert not np.shares_memory(out, x)
 
     def test_2x2_grid_example(self):
         a, b, c, d = 1.0, 2.0, 3.0, 4.0
@@ -104,6 +99,16 @@ class TestPixelShuffle:
 
 
 class TestCompress:
+    @pytest.mark.parametrize("k, n", [(1, 16), (2, 4), (2, 16)])
+    def test_input_is_left_unchanged(self, k, n):
+        # AdaLN normalises each tile's pixel_shuffle copy in place; at k = 1,
+        # or one k x k block per frame, that copy must not be a view of x
+        cfg = small_cfg(k=k)
+        x = Rng(3).normal((2, 3, n, 3))
+        before = x.copy()
+        compress(x, init_compression(Rng(4), cfg), cfg)
+        assert np.array_equal(x, before)
+
     def test_zero_mlp_gives_zero(self):
         cfg = small_cfg()
         p = init_compression(Rng(4), cfg)
@@ -114,8 +119,8 @@ class TestCompress:
 
     def test_full_scale_shape(self):
         cfg = PvcConfig(channels=2, heads=1, ffn_dim=4)
-        p = init_compression(Rng(6), cfg, out_dim=5)
-        assert compress(Rng(7).normal((1, 4, 1024, 2)), p, cfg).shape == (1, 4, 64, 5)
+        p = init_compression(Rng(6), cfg)  # k²C = 32, so every width is 8
+        assert compress(Rng(7).normal((1, 4, 1024, 2)), p, cfg).shape == (1, 4, 64, 8)
 
     def test_composition_oracle(self, monkeypatch):
         # the unfused formula forms z = x + te; compress never does. A
@@ -124,7 +129,7 @@ class TestCompress:
         monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", 96)
         cfg = small_cfg()
         rng = Rng(8)
-        p = init_compression(rng, cfg, mlp_hidden=5, out_dim=4)
+        p = init_compression(rng, cfg)
         x = rng.normal((2, 3, 16, 3))
         xt = pixel_shuffle(x, 2)
         te = temporal_embedding(sinusoidal_embed(relative_timestamps(3)), p.te)
@@ -182,9 +187,10 @@ class TestCompress:
                     assert np.array_equal(out[:, other], base[:, other])
 
     def test_one_tile_peak_is_two_copies_of_the_input(self, monkeypatch):
-        # the 16 frames as one tile at the benchmark's compressor ratios
-        # (AdaLN, TE and MLP hidden k²C/4), with AdaLN's W4 and W6 in four
-        # column tiles as at the benchmark geometry (1024 of 4096 columns):
+        # the 16 frames as one tile at init_compression's widths (AdaLN, TE
+        # and MLP hidden k²C/4, as the benchmark's compressor has them), with
+        # AdaLN's W4 and W6 in four column tiles as at the benchmark geometry
+        # (1024 of 4096 columns):
         # the shuffled copy, which AdaLN normalises in place, the two
         # condition hiddens (x / 4 each) and one column tile (x / 4), about
         # 1.8 copies of x. Forming z = x + te, or an LN temporary, would add
@@ -194,7 +200,7 @@ class TestCompress:
         x = Rng(13).normal((1, 16, cfg.tokens_per_frame, cfg.channels))
         monkeypatch.setattr(tensor, "MLP_ROW_BLOCK", 16 * cfg.compressed_tokens)
         monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", x.size // 4)
-        p = bench_ratio_compressor(Rng(12), cfg)
+        p = init_compression(Rng(12), cfg)
         seen, real = [], compression.pixel_shuffle
         monkeypatch.setattr(compression, "pixel_shuffle",
                             lambda xs, k: seen.append(xs.shape[1]) or real(xs, k))
@@ -279,10 +285,10 @@ class TestCompress:
 
     def test_empty_extents(self):
         cfg = small_cfg()
-        p = init_compression(Rng(16), cfg, out_dim=5)
-        assert compress(np.zeros((0, 3, 16, 3)), p, cfg).shape == (0, 3, 4, 5)
+        p = init_compression(Rng(16), cfg)  # k²C = 12, so every width is 3
+        assert compress(np.zeros((0, 3, 16, 3)), p, cfg).shape == (0, 3, 4, 3)
         # N = 0 gives M = 0 tokens per frame, and the row floor no division by 0
-        assert compress(np.zeros((2, 3, 0, 3)), p, cfg).shape == (2, 3, 0, 5)
+        assert compress(np.zeros((2, 3, 0, 3)), p, cfg).shape == (2, 3, 0, 3)
 
     @pytest.mark.parametrize("b", [0, 2])
     @pytest.mark.parametrize("shape, message", [((15, 3), "not a perfect square"),
@@ -293,6 +299,15 @@ class TestCompress:
         monkeypatch.setattr(tensor, "tiles", lambda *a, **kw: pytest.fail("tiled"))
         with pytest.raises(ValueError, match=message):
             compress(np.zeros((b, 3, *shape)), p, cfg)
+
+    def test_full_scale_widths_are_the_table4_presets(self):
+        # shapes only: _NoMemory's weights are zero-stride views
+        p = init_compression(model_store._NoMemory(), PvcConfig())
+        spec = preset("table4-pvc")[0].compression
+        widths = (p.adaln.w3.shape[1], p.te.w1.shape[1], p.w_in.shape[1], p.w_out.shape[1])
+        assert widths == (spec.adaln_hidden, spec.te_hidden, spec.mlp_hidden, spec.out_dim)
+        assert widths == (4096,) * 4
+        assert sum(a.size for _, a in named_params(p)) == 420_487_168  # 3.36 GB
 
     def test_compression_ratio(self):
         cfg = PvcConfig()

@@ -1,10 +1,11 @@
+import re
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from pvc import io, model_store
+from pvc import cli, io, model_store
 from pvc.compression import CompressionParams, init_compression
 from pvc.conditioning import init_adaln, init_temporal_embedding
 from pvc.model_store import load_compression, load_model, save_compression, save_model
@@ -165,18 +166,19 @@ def test_load_model_reads_each_weight_file_once(tmp_path, monkeypatch):
 
 
 def test_compression_round_trip(tmp_path):
-    comp = init_compression(Rng(4), toy_config(), mlp_hidden=48, out_dim=24)
+    cfg = toy_config()
+    comp = init_compression(Rng(4), cfg)
     save_compression(tmp_path, comp)
-    back = load_compression(tmp_path / "comp.manifest")
+    back = load_compression(tmp_path / "comp.manifest", cfg)
     saved, loaded = dict(named_params(comp)), dict(named_params(back))
     assert saved.keys() == loaded.keys()
     assert all(np.array_equal(loaded[k], v) for k, v in saved.items())
 
 
 def _narrow_compression(rng: Rng, adaln_hidden: int = 24) -> CompressionParams:
-    """A compressor whose hidden widths all differ from its k²C = 128, as a
-    benchmark's narrowed compressor has them: AdaLN hidden 24, TE hidden 16,
-    MLP 128 -> 40 -> 8."""
+    """A compressor of k²C = 128, toy_config()'s, whose hidden widths all
+    differ from the k²C/4 = 32 that toy_config() derives: AdaLN hidden 24,
+    TE hidden 16, MLP 128 -> 40 -> 8."""
     return CompressionParams(
         adaln=init_adaln(rng, 128, hidden=adaln_hidden),
         te=init_temporal_embedding(rng, 128, hidden=16),
@@ -184,48 +186,54 @@ def _narrow_compression(rng: Rng, adaln_hidden: int = 24) -> CompressionParams:
         w_out=rng.normal((40, 8)), b_out=rng.normal((8,)))
 
 
-def test_narrow_compression_round_trip(tmp_path):
-    # the widths are read from the weight headers, not derived from k²C
-    comp = _narrow_compression(Rng(5))
-    save_compression(tmp_path, comp)
-    back = load_compression(tmp_path / "comp.manifest")
-    saved, loaded = list(named_params(comp)), list(named_params(back))
-    assert [name for name, _ in saved] == [name for name, _ in loaded]
-    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(saved, loaded))
+def test_narrow_compression_is_refused(tmp_path):
+    # the widths follow from the config's k²C, not from the weight headers:
+    # the first weight of another shape is named, and the CLI exits 3
+    save_compression(tmp_path, _narrow_compression(Rng(5)))
+    manifest = tmp_path / "comp.manifest"
+    message = "weight adaln.w3 has shape (128, 24), expected (128, 32)"
+    with pytest.raises(io.PvctError, match=re.escape(message)):
+        load_compression(manifest, toy_config())
+    io.write_tensor(tmp_path / "x.pvct", np.zeros((1, 2, 16, 32)))
+    code = cli.main(["compress", "--kernel", "2", "--comp-manifest", str(manifest),
+                     "--input", str(tmp_path / "x.pvct"), "--output", str(tmp_path / "o.pvct")])
+    assert code == cli.EXIT_IO
+    assert not (tmp_path / "o.pvct").exists()
 
 
 def test_load_compression_refuses_a_second_adaln_hidden_width(tmp_path):
     # init_adaln gives its scale and shift branches one hidden width, so a
-    # w5/w6 pair of hidden 12 beside a w3/w4 pair of hidden 24 is refused
-    save_compression(tmp_path, _narrow_compression(Rng(5)))
+    # w5/w6 pair of hidden 12 beside a w3/w4 pair of hidden 32 is refused
+    cfg = toy_config()
+    save_compression(tmp_path, init_compression(Rng(5), cfg))
     other = dict(named_params(_narrow_compression(Rng(6), adaln_hidden=12)))
     manifest = tmp_path / "comp.manifest"
     for name in ("adaln.w5", "adaln.w6"):
         io.write_tensor(tmp_path / io.read_manifest(manifest)[f"weight.{name}"], other[name])
     with pytest.raises(io.PvctError,
-                       match=r"weight adaln\.w5 has shape \(128, 12\), expected \(128, 24\)"):
-        load_compression(manifest)
+                       match=r"weight adaln\.w5 has shape \(128, 12\), expected \(128, 32\)"):
+        load_compression(manifest, cfg)
 
 
 def test_compression_width_reads_only_the_w_in_header(tmp_path, monkeypatch):
-    save_compression(tmp_path, init_compression(Rng(4), toy_config(), mlp_hidden=48))
+    save_compression(tmp_path, init_compression(Rng(4), toy_config()))
     monkeypatch.setattr(io, "read_tensor", None)  # no payload is read
     assert model_store.compression_width(tmp_path / "comp.manifest") == 128
-    assert io.read_tensor_shape(tmp_path / "comp_w_in.pvct") == (128, 48)
+    assert io.read_tensor_shape(tmp_path / "comp_w_in.pvct") == (128, 32)
 
 
 @pytest.mark.parametrize("name, shape", [
-    ("adaln.w4", (5, 128)), ("adaln.w3", (128,)), ("adaln.w6", (128, 7)),
-    ("te.w1", (255, 128)), ("te.w2", (128, 64)), ("w_in", (128,)),
-    ("b_in", (47,)), ("w_out", (47, 24)), ("b_out", (23,))])
+    ("adaln.w4", (5, 128)), ("adaln.w3", (128,)), ("adaln.w6", (32, 7)),
+    ("te.w1", (255, 32)), ("te.w2", (32, 64)), ("w_in", (128,)),
+    ("b_in", (31,)), ("w_out", (31, 32)), ("b_out", (33,))])
 def test_load_compression_rejects_disagreeing_shapes(tmp_path, name, shape):
-    save_compression(tmp_path, init_compression(Rng(4), toy_config(),
-                                                mlp_hidden=48, out_dim=24))
+    cfg = toy_config()  # k²C = 128, every other width 32
+    save_compression(tmp_path, init_compression(Rng(4), cfg))
     manifest = tmp_path / "comp.manifest"
     io.write_tensor(tmp_path / io.read_manifest(manifest)[f"weight.{name}"],
                     np.zeros(shape))
     with pytest.raises(io.PvctError, match=f"weight {name} has shape"):
-        load_compression(manifest)
+        load_compression(manifest, cfg)
 
 
 def test_named_params_names_are_manifest_entries():
@@ -334,10 +342,9 @@ def test_load_model_checks_extents_before_building(tmp_path, monkeypatch,
 
 
 def test_load_compression_rejects_other_weight_entries(tmp_path):
-    save_compression(tmp_path, init_compression(Rng(4), toy_config(),
-                                                mlp_hidden=48, out_dim=24))
+    save_compression(tmp_path, init_compression(Rng(4), toy_config()))
     manifest = tmp_path / "comp.manifest"
     entries = io.read_manifest(manifest)
     io.write_manifest(manifest, {**entries, "weight.te.w3": entries["weight.te.w2"]})
     with pytest.raises(io.PvctError, match=r"weight entry weight\.te\.w3 is not"):
-        load_compression(manifest)
+        load_compression(manifest, toy_config())

@@ -138,8 +138,9 @@ def _cache_forwards():
     x4, te_rows = rng.normal((2, 3, 4, 8)), rng.normal((3, 8))
     adaln, te = init_adaln(rng, 8), init_temporal_embedding(rng, 8)
     attn = init_attention(rng, 8, 2)
-    comp_cfg = toy_config(channels=3, heads=1, ffn_dim=6, layers=1, temporal_layers=0)
-    comp = init_compression(rng, comp_cfg, mlp_hidden=7, out_dim=5)
+    comp_cfg = toy_config(image_size=42, channels=3, heads=1, ffn_dim=6, layers=1,
+                          temporal_layers=0, shuffle_kernel=3)
+    comp = init_compression(rng, comp_cfg)
     comp_tokens = rng.normal((1, 2, comp_cfg.tokens_per_frame, 3))
     t_tilde = rng.uniform((3, 256), -1.0, 1.0)
     return [

@@ -389,7 +389,7 @@ def test_cached_forward_runs_as_one_tile(name, monkeypatch):
     if name == "compress":
         assert uncached[0] == 6  # the uncached call: one tile per frame
         assert counts == [1, 1]
-        assert cache["mlp"]["act"].shape == (2, 3, cfg.compressed_tokens, 4 * 8)
+        assert cache["mlp"]["act"].shape == (2, 3, cfg.compressed_tokens, 4 * 8 // 4)
         assert cache["adaln"]["xhat"].shape == (2, 3, cfg.compressed_tokens, 4 * 8)
     else:
         assert cache["attn"].shape == (3, 2, 7, 7)
