@@ -21,7 +21,7 @@ from .budget import (
     preset,
     specs_from_entries,
 )
-from .compression import check_shuffled_width, compress, init_compression
+from .compression import compress, init_compression
 from .conditioning import relative_timestamps
 from .input_pipeline import (
     FRAME_BOUNDS,
@@ -43,7 +43,7 @@ from .verification import (
     run_grad_check,
     toy_config,
 )
-from .vit import PvcConfig, init_model, patchify, vit_forward
+from .vit import PvcConfig, build_model, init_model, patchify, vit_forward
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -66,11 +66,22 @@ def _load_or_init_model(args, cfg: PvcConfig):
     return init_model(args.seed, cfg)
 
 
-def _check_compression_width(args, cfg: PvcConfig) -> None:
-    """Refuse a --comp-manifest of another width, from its w_in header alone."""
-    if args.comp_manifest:
-        check_shuffled_width(cfg.channels, cfg.shuffle_kernel,
-                             model_store.compression_width(args.comp_manifest))
+def _check_manifests(args, cfg: PvcConfig) -> None:
+    """The pre-flight of --manifest and --comp-manifest (model_store.check_manifest),
+    run before any payload is read, any weight is drawn or any layer runs."""
+    if getattr(args, "manifest", None):
+        model_store.check_manifest(lambda draws: build_model(draws, cfg), args.manifest)
+    if getattr(args, "comp_manifest", None):
+        model_store.check_manifest(lambda draws: init_compression(draws, cfg),
+                                   args.comp_manifest)
+
+
+def _token_shape(path) -> tuple[int, ...]:
+    """The [B,T,N,C] extents of a tokens file, from its header alone."""
+    shape = io.read_tensor_shape(path)
+    if len(shape) != 4:
+        raise io.PvctError(f"{path}: expected [B,T,N,C] tokens, got {shape}")
+    return shape
 
 
 def _load_or_init_compression(args, cfg: PvcConfig, seed: int):
@@ -81,13 +92,13 @@ def _load_or_init_compression(args, cfg: PvcConfig, seed: int):
 
 def _cmd_forward(args) -> int:
     cfg = _config(args)
-    x = io.read_tensor(args.input)
-    if x.ndim != 4:
-        raise io.PvctError(f"{args.input}: expected [B,T,N,C] tokens, got {x.shape}")
-    if x.shape[2] != cfg.tokens_per_frame or x.shape[3] != cfg.channels:
+    shape = _token_shape(args.input)
+    if shape[2:] != (cfg.tokens_per_frame, cfg.channels):
         raise io.PvctError(
-            f"{args.input}: tokens {x.shape} do not match model "
+            f"{args.input}: tokens {shape} do not match model "
             f"(N={cfg.tokens_per_frame}, C={cfg.channels})")
+    _check_manifests(args, cfg)
+    x = io.read_tensor(args.input)
     out = vit_forward(x, cfg, _load_or_init_model(args, cfg))
     io.write_tensor(args.output, out)
     print(f"forward: wrote {args.output} shape={out.shape}")
@@ -97,13 +108,11 @@ def _cmd_forward(args) -> int:
 def _cmd_compress(args) -> int:
     if args.kernel < 1:  # before the input, whose geometry is checked against it
         raise ValueError(f"shuffle_kernel must be positive, got {args.kernel}")
-    x = io.read_tensor(args.input)
-    if x.ndim != 4:
-        raise io.PvctError(f"{args.input}: expected [B,T,N,C] tokens, got {x.shape}")
-    _, _, n, c = x.shape
+    _, _, n, c = _token_shape(args.input)
     # geometry comes from the tokens themselves; only the kernel matters
     cfg = _compress_config(n, c, args.kernel)
-    _check_compression_width(args, cfg)
+    _check_manifests(args, cfg)
+    x = io.read_tensor(args.input)
     out = compress(x, _load_or_init_compression(args, cfg, args.seed), cfg)
     _write_tokens(args.output, out)
     print(f"compress: wrote {args.output} shape={out.shape}")
@@ -189,7 +198,7 @@ def _cmd_pipeline(args) -> int:
         print("pipeline: need --image or --video", file=sys.stderr)
         return EXIT_USAGE
     cfg = _config(args)
-    _check_compression_width(args, cfg)  # checked before the ViT runs, loaded after it
+    _check_manifests(args, cfg)  # checked before the input is read, loaded after it
     if args.image:
         t_img = cfg.t_img if args.t_img is None else args.t_img
         if t_img < 1:

@@ -58,9 +58,9 @@ def init_compression(rng: Rng, cfg: PvcConfig) -> CompressionParams:
         adaln=init_adaln(rng, wide, hidden=w),
         te=init_temporal_embedding(rng, wide, hidden=w),
         w_in=rng.normal((wide, w), NEW_WEIGHT_STD),
-        b_in=np.zeros(w),
+        b_in=rng.zeros(w),
         w_out=rng.normal((w, w), NEW_WEIGHT_STD),
-        b_out=np.zeros(w),
+        b_out=rng.zeros(w),
     )
 
 
@@ -98,11 +98,11 @@ def pixel_unshuffle(y: Array, k: int) -> Array:
     return np.ascontiguousarray(g.reshape(b, t, (m * k) ** 2, c))
 
 
-def check_shuffled_width(c: int, k: int, wide_dim: int) -> None:
-    """Tokens of C channels, shuffled by k, must be as wide as the
-    compressor's k²C."""
-    if k * k * c != wide_dim:
-        raise ValueError(f"shuffled width {k * k * c} != params {wide_dim}")
+def check_shuffled_width(wide: int, wide_dim: int) -> None:
+    """Tokens shuffled to `wide` = k²C channels must be as wide as the
+    compressor's k²C, `wide_dim`."""
+    if wide != wide_dim:
+        raise ValueError(f"shuffled width {wide} != params {wide_dim}")
 
 
 def compress(x: Array, p: CompressionParams, cfg: PvcConfig,
@@ -120,7 +120,7 @@ def compress(x: Array, p: CompressionParams, cfg: PvcConfig,
     b, t, n, c = x.shape
     k = cfg.shuffle_kernel
     m = (_grid_side(n, k) // k) ** 2
-    check_shuffled_width(c, k, p.wide_dim)
+    check_shuffled_width(k * k * c, p.wide_dim)
     te = temporal_embedding(sinusoidal_embed(relative_timestamps(t)), p.te,
                             _sub_cache(cache, "te"))
     cond = adaln_condition(te, p.adaln)

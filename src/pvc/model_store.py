@@ -4,28 +4,34 @@ The manifest records the architectural constants and one `weight.<name>`
 entry per tensor pointing at its PVCT file, so a saved model is fully
 described by a directory plus one text file. A compressor's manifest holds
 weight entries alone: its shapes follow from the config it is loaded for.
-Either loader fills a template built for its config, and refuses a weight
-of any other shape.
+
+`check_manifest` is the one pre-flight: it checks a manifest's weight
+entries and every weight file's header against a template built for the
+config, which holds no array, and reads no payload. Either loader runs it
+first, then fills a template of real arrays, reading each payload once.
 """
 from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import io
-from .compression import CompressionParams, init_compression
+from .compression import CompressionParams, check_shuffled_width, init_compression
 from .vit import ModelParams, PvcConfig, build_model, named_params
 
 
 def load_config(manifest_path) -> PvcConfig:
     """The PvcConfig of a manifest written by save_model, read before any weight:
-    every field is a required int entry, and any other `cfg.*` entry is refused."""
+    every field is a required int entry, any other `cfg.*` entry is refused,
+    and cfg.layers must count the manifest's `weight.layerNN.*` layers."""
     manifest_path = Path(manifest_path)
     names = {f"cfg.{f.name}": f.name for f in dataclasses.fields(PvcConfig)}
+    entries = io.read_manifest(manifest_path)
     kwargs = {}
-    for key, value in io.read_manifest(manifest_path).items():
+    for key, value in entries.items():
         if key in names:
             try:
                 kwargs[names[key]] = int(value)
@@ -39,74 +45,74 @@ def load_config(manifest_path) -> PvcConfig:
         if name not in kwargs:
             raise io.PvctError(f"{manifest_path}: missing config entry {key!r}")
     try:
-        return PvcConfig(**kwargs)
+        cfg = PvcConfig(**kwargs)
     except ValueError as e:
         raise io.PvctError(f"{manifest_path}: {e}") from e
+    layers = {k.split(".")[1] for k in entries if k.startswith("weight.layer")}
+    if len(layers) != cfg.layers:  # before a template of cfg.layers layers is built
+        raise io.PvctError(f"{manifest_path}: cfg.layers = {cfg.layers}, but the "
+                           f"manifest has weights for {len(layers)} layers")
+    return cfg
 
 
 class _NoDraws:
-    """Stands in for Rng where every drawn weight is overwritten: the
-    weights come back uninitialised and no random number is drawn."""
+    """Stands in for Rng where every array is overwritten: the weights, zeros
+    and ones come back uninitialised and no random number is drawn."""
     empty = staticmethod(np.empty)
 
     def normal(self, shape, std: float = 1.0):
         return self.empty(shape)
 
+    zeros = ones = normal
+
 
 class _NoMemory(_NoDraws):
-    """A _NoDraws for a template whose shapes alone are read: its arrays
-    are zero-stride views that take no memory."""
-    empty = staticmethod(lambda shape: np.broadcast_to(0.0, shape))
+    """A _NoDraws for a template whose shapes alone are read: each array is
+    a namespace holding its shape, so no extent is too large to stand for."""
+    empty = staticmethod(lambda shape: SimpleNamespace(
+        shape=(shape,) if np.ndim(shape) == 0 else tuple(shape)))
 
 
-def _weight(entries: dict, manifest_path: Path, name: str, header_only: bool = False):
-    """The array in weight `name`'s file, or with header_only its extents."""
-    key = f"weight.{name}"
-    if key not in entries:
-        raise io.PvctError(f"{manifest_path}: missing weight entry {name}")
-    path = manifest_path.parent / entries[key]
-    return io.read_tensor_shape(path) if header_only else io.read_tensor(path)
-
-
-def _check_header(entries: dict, manifest_path: Path, name: str, expected: tuple) -> None:
-    shape = _weight(entries, manifest_path, name, header_only=True)
-    if shape != expected:
-        raise io.PvctError(f"{manifest_path}: weight {name} has shape {shape}, "
-                           f"expected ({', '.join(map(str, expected))})")
-
-
-def _fill(build, entries: dict, manifest_path: Path):
-    """Build the template `build(draws)` and fill each of its named arrays
-    from its weight file, read once. The weight entries and every file's
-    header are checked first, against a template built on _NoMemory, so
-    nothing is allocated that the files do not hold: a missing or extra
-    weight entry, or a shape other than the template's, raises."""
-    shapes = {name: arr.shape for name, arr in named_params(build(_NoMemory()))}
+def check_manifest(build, manifest_path) -> dict:
+    """The pre-flight of a manifest: its weight entries and every weight
+    file's header against the template build(_NoMemory()), reading no
+    payload; returns each weight's path by name. A missing or extra entry,
+    or a header unreadable or of another shape, raises PvctError. A
+    compressor's w_in rows are compared before any shape: another k²C than
+    the template's is the caller's mismatch, a ValueError."""
+    manifest_path = Path(manifest_path)
+    entries = io.read_manifest(manifest_path)
+    template = build(_NoMemory())
+    shapes = {name: arr.shape for name, arr in named_params(template)}
     for key in entries:
         if key.startswith("weight.") and key.removeprefix("weight.") not in shapes:
             raise io.PvctError(f"{manifest_path}: weight entry {key} is not a "
                                f"weight of this model")
-    for name, shape in shapes.items():
-        _check_header(entries, manifest_path, name, shape)
+    paths = {}
+    for name in shapes:
+        if f"weight.{name}" not in entries:
+            raise io.PvctError(f"{manifest_path}: missing weight entry {name}")
+        paths[name] = manifest_path.parent / entries[f"weight.{name}"]
+    if isinstance(template, CompressionParams):
+        w_in = io.read_tensor_shape(paths["w_in"])
+        if len(w_in) == 2:
+            check_shuffled_width(template.wide_dim, w_in[0])
+    for name, expected in shapes.items():
+        shape = io.read_tensor_shape(paths[name])
+        if shape != expected:
+            raise io.PvctError(f"{manifest_path}: weight {name} has shape {shape}, "
+                               f"expected ({', '.join(map(str, expected))})")
+    return paths
+
+
+def _fill(build, manifest_path):
+    """Build the template `build(draws)` once check_manifest passes, and fill
+    each of its named arrays from its weight file, read once."""
+    paths = check_manifest(build, manifest_path)
     params = build(_NoDraws())
     for name, arr in named_params(params):
-        arr[...] = _weight(entries, manifest_path, name)
+        arr[...] = io.read_tensor(paths[name])
     return params
-
-
-def _check_extents(cfg: PvcConfig, entries: dict, manifest_path: Path) -> None:
-    """Check the config's layer count against the manifest's layer entries,
-    and its extents against three weight files' headers, before anything
-    of the config's size is allocated; no payload is read."""
-    layers = {k.split(".")[1] for k in entries if k.startswith("weight.layer")}
-    if len(layers) != cfg.layers:
-        raise io.PvctError(f"{manifest_path}: cfg.layers = {cfg.layers}, but the "
-                           f"manifest has weights for {len(layers)} layers")
-    c = cfg.channels
-    for name, expected in (("patch.weight", (cfg.patch_size ** 2 * 3, c)),
-                           ("patch.pos", (cfg.tokens_per_frame, c)),
-                           ("layer00.ffn_w_in", (c, cfg.ffn_dim))):
-        _check_header(entries, manifest_path, name, expected)
 
 
 def _save_tensors(directory, params, entries: dict, prefix: str = "") -> dict:
@@ -129,16 +135,10 @@ def save_model(directory, model: ModelParams) -> Path:
 
 
 def load_model(manifest_path) -> ModelParams:
-    """Rebuild a ModelParams from a manifest written by save_model.
-
-    The config is checked against the weight files' headers, then a model
-    built for it without drawing its weights is filled by _fill.
-    """
-    manifest_path = Path(manifest_path)
+    """Rebuild a ModelParams from a manifest written by save_model: the
+    model built for its config without drawing a weight, filled by _fill."""
     cfg = load_config(manifest_path)
-    entries = io.read_manifest(manifest_path)
-    _check_extents(cfg, entries, manifest_path)
-    return _fill(lambda draws: build_model(draws, cfg), entries, manifest_path)
+    return _fill(lambda draws: build_model(draws, cfg), manifest_path)
 
 
 def save_compression(directory, p: CompressionParams) -> None:
@@ -147,22 +147,8 @@ def save_compression(directory, p: CompressionParams) -> None:
                       _save_tensors(directory, p, {}, "comp_"))
 
 
-def compression_width(manifest_path) -> int:
-    """The k²C width of a manifest written by save_compression, from the
-    header of its w_in file alone (no payload is read): cheap enough to
-    check before a forward whose output the compressor is to take."""
-    manifest_path = Path(manifest_path)
-    shape = _weight(io.read_manifest(manifest_path), manifest_path, "w_in", header_only=True)
-    if len(shape) != 2:
-        raise io.PvctError(f"{manifest_path}: weight w_in has shape {shape}, "
-                           f"expected a matrix")
-    return shape[0]
-
-
 def load_compression(manifest_path, cfg: PvcConfig) -> CompressionParams:
     """Rebuild the compressor for cfg from a manifest written by
     save_compression: _fill fills the template init_compression builds
     for cfg, so a compressor of other widths is refused."""
-    manifest_path = Path(manifest_path)
-    return _fill(lambda draws: init_compression(draws, cfg),
-                 io.read_manifest(manifest_path), manifest_path)
+    return _fill(lambda draws: init_compression(draws, cfg), manifest_path)

@@ -189,6 +189,8 @@ class Rng:
         np.random.SeedSequence(self.seed)  # a negative seed raises ValueError
         self._draws = 0
 
+    zeros, ones = staticmethod(np.zeros), staticmethod(np.ones)  # not draws: no key is used
+
     def normal(self, shape, std: float = 1.0) -> Array:
         std = float(std)
 

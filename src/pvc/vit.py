@@ -140,12 +140,12 @@ def named_params(params, prefix: str = ""):
 
     Fields are walked in declaration order; a nested dataclass extends the
     name (`smha.wq`), the layers of a ModelParams are `layer00.`,
-    `layer01.`, ..., and fields that are None or not arrays are skipped.
+    `layer01.`, ..., and fields that are None or have no `shape` are skipped.
     The names are the weight entries of a saved model's manifest.
     """
     for f in dataclasses.fields(params):
         value = getattr(params, f.name)
-        if isinstance(value, np.ndarray):
+        if hasattr(value, "shape"):
             yield prefix + f.name, value
         elif isinstance(value, list):
             for i, item in enumerate(value):
@@ -158,26 +158,26 @@ def init_attention(rng: Rng, c: int, heads: int) -> AttentionParams:
     w = lambda: rng.normal((c, c), NEW_WEIGHT_STD)
     return AttentionParams(
         heads=heads, wq=w(), wk=w(), wv=w(), wo=w(),
-        bq=np.zeros(c), bk=np.zeros(c), bv=np.zeros(c), bo=np.zeros(c),
+        bq=rng.zeros(c), bk=rng.zeros(c), bv=rng.zeros(c), bo=rng.zeros(c),
     )
 
 
 def init_layer(rng: Rng, cfg: PvcConfig, temporal: bool) -> LayerParams:
     c = cfg.channels
     p = LayerParams(
-        ln1_gamma=np.ones(c), ln1_beta=np.zeros(c),
+        ln1_gamma=rng.ones(c), ln1_beta=rng.zeros(c),
         smha=init_attention(rng, c, cfg.heads),
-        ln2_gamma=np.ones(c), ln2_beta=np.zeros(c),
+        ln2_gamma=rng.ones(c), ln2_beta=rng.zeros(c),
         ffn_w_in=rng.normal((c, cfg.ffn_dim), NEW_WEIGHT_STD),
-        ffn_b_in=np.zeros(cfg.ffn_dim),
+        ffn_b_in=rng.zeros(cfg.ffn_dim),
         ffn_w_out=rng.normal((cfg.ffn_dim, c), NEW_WEIGHT_STD),
-        ffn_b_out=np.zeros(c),
+        ffn_b_out=rng.zeros(c),
     )
     if temporal:
         p.tmha = init_attention(rng, c, cfg.heads)
         p.adaln = init_adaln(rng, c)
         p.te = init_temporal_embedding(rng, c)
-        p.gate_alpha = np.zeros(c)  # exact zero: init-identity guarantee
+        p.gate_alpha = rng.zeros(c)  # exact zero: init-identity guarantee
     return p
 
 
@@ -186,12 +186,12 @@ def init_model(seed: int, cfg: PvcConfig) -> ModelParams:
 
 
 def build_model(rng: Rng, cfg: PvcConfig) -> ModelParams:
-    """A model for cfg whose random weights come from `rng.normal`."""
+    """A model for cfg, every array from `rng`: `normal`, `zeros` or `ones`."""
     n = cfg.tokens_per_frame
     patch = PatchEmbedParams(
         weight=rng.normal((cfg.patch_size * cfg.patch_size * 3, cfg.channels),
                           NEW_WEIGHT_STD),
-        bias=np.zeros(cfg.channels),
+        bias=rng.zeros(cfg.channels),
         pos=rng.normal((n, cfg.channels), NEW_WEIGHT_STD),
     )
     plain = cfg.layers - cfg.temporal_layers

@@ -14,10 +14,11 @@ from pvc.cli import main
 from pvc.input_pipeline import (RawImage, RawVideo, sample_frames, video_to_pixel_tensor,
                                 write_ppm)
 from pvc.compression import init_compression
+from pvc.conditioning import init_adaln
 from pvc.model_store import save_compression, save_model
 from pvc.tensor import Rng
 from pvc.verification import toy_config
-from pvc.vit import init_model, patchify
+from pvc.vit import init_model, named_params, patchify
 
 
 def run(capsys, *argv):
@@ -544,9 +545,10 @@ class TestPipeline:
         assert forwards == [] and not dst.exists()
 
     @pytest.mark.parametrize("damage", ["no_manifest", "no_w_in_entry", "w_in_1d",
-                                        "w_in_truncated"])
+                                        "w_in_truncated", "adaln_hidden_31"])
     def test_unreadable_comp_manifest_is_io_error_before_the_vit(self, capsys, tmp_path,
                                                                  monkeypatch, damage):
+        # refused from the headers alone: no payload is read and the ViT never runs
         save_compression(tmp_path, init_compression(Rng(6), toy_config()))
         manifest = tmp_path / "comp.manifest"
         entries = io.read_manifest(manifest)
@@ -558,17 +560,21 @@ class TestPipeline:
                                          if k != "weight.w_in"})
         elif damage == "w_in_1d":
             io.write_tensor(w_in, np.zeros(128))
-        else:
+        elif damage == "w_in_truncated":
             w_in.write_bytes(w_in.read_bytes()[:-8])
+        else:  # the toy's k²C = 128, but AdaLN's hidden width one less than its 32
+            for name, arr in named_params(init_adaln(Rng(7), 128, hidden=31)):
+                io.write_tensor(tmp_path / entries[f"weight.adaln.{name}"], arr)
         gen = np.random.Generator(np.random.Philox(18))
         ppm = tmp_path / "img.ppm"
         write_ppm(ppm, RawImage(gen.integers(0, 256, size=(56, 56, 3), dtype=np.uint8)))
-        forwards = []
+        forwards, reads = [], []
         monkeypatch.setattr(cli, "vit_forward", lambda *a: forwards.append(a))
+        monkeypatch.setattr(io, "read_tensor", lambda path: reads.append(path))
         code, _, err = run(capsys, "pipeline", "--toy", "--image", str(ppm), "--comp-manifest",
                            str(manifest), "--output", str(tmp_path / "out.pvct"))
         assert code == 3 and "I/O error" in err
-        assert forwards == []
+        assert forwards == [] and reads == []
 
     @pytest.mark.parametrize("flags, message", [
         (["--image", "img.ppm", "--t-img", "0"], "t_img must be >= 1, got 0"),
@@ -600,21 +606,26 @@ def test_negative_seed_is_a_usage_error(capsys):
     assert code == cli.EXIT_USAGE and err.startswith("pvc: ")
 
 
-def test_an_allocation_past_the_address_space_is_a_clean_exit(tmp_path):
-    # t_img = 1e8 frames asks for 381 GiB of tokens; the child, alone, is
-    # capped at 2 GiB of address space so that the allocation fails at once
-    gen = np.random.Generator(np.random.Philox(19))
-    write_ppm(tmp_path / "x.ppm", RawImage(gen.integers(0, 256, (56, 56, 3), dtype=np.uint8)))
-
+def _run_capped(*argv) -> subprocess.CompletedProcess:
+    """`python -m pvc.cli argv` in a child capped at 2 GiB of address space
+    (set in the child alone), where any allocation of 2 GiB fails at once."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
     src = Path(cli.__file__).parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-m", "pvc.cli", "pipeline", "--toy", "--image",
-         str(tmp_path / "x.ppm"), "--t-img", "100000000", "--output", str(tmp_path / "o.pvct")],
+    return subprocess.run(
+        [sys.executable, "-m", "pvc.cli", *map(str, argv)],
         env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
         preexec_fn=cap, capture_output=True, text=True, timeout=120)
+
+
+def test_an_allocation_past_the_address_space_is_a_clean_exit(tmp_path):
+    # t_img = 1e8 frames asks for 381 GiB of tokens; the capped child's
+    # allocation fails at once
+    gen = np.random.Generator(np.random.Philox(19))
+    write_ppm(tmp_path / "x.ppm", RawImage(gen.integers(0, 256, (56, 56, 3), dtype=np.uint8)))
+    proc = _run_capped("pipeline", "--toy", "--image", tmp_path / "x.ppm",
+                       "--t-img", "100000000", "--output", tmp_path / "o.pvct")
     assert proc.returncode == cli.EXIT_MEMORY, proc.stderr
     assert proc.stderr.startswith("pvc: out of memory: ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
@@ -648,3 +659,50 @@ def test_compressor_widths_from_different_files_allocate_nothing(tmp_path):
     assert proc.returncode == cli.EXIT_IO, proc.stderr
     assert "weight adaln.w3 has shape (128, 32), expected (65536, 16384)" in proc.stderr
     assert not (tmp_path / "o.pvct").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["forward", "--toy"], "do not match model"),
+    (["compress", "--comp-manifest", "missing.manifest"], "missing.manifest")],
+    ids=["forward", "compress"])
+def test_huge_tokens_are_refused_from_their_header(tmp_path, flags, message):
+    # (1, 1, 16, 2**27) tokens, 16 GiB on a sparse file: every check runs on
+    # the header, so the command exits 3 without reading the payload
+    src = tmp_path / "x.pvct"
+    with open(src, "wb") as f:
+        f.write(io.MAGIC + struct.pack("<II4Q", io.VERSION, 4, 1, 1, 16, 2 ** 27))
+        f.truncate(f.tell() + 8 * 16 * 2 ** 27)
+    flags = [tmp_path / f if f.endswith(".manifest") else f for f in flags]
+    proc = _run_capped(*flags, "--input", src, "--output", tmp_path / "o.pvct")
+    assert proc.returncode == cli.EXIT_IO, proc.stderr
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_huge_model_config_is_refused_from_the_weight_headers(tmp_path):
+    # cfg.channels = 10**9 asks for an 8 GB patch table and far larger
+    # layers; the pre-flight's template holds no array, so the pipeline
+    # exits 3 on the first header before anything of that size exists
+    manifest = save_model(tmp_path / "model",
+                          init_model(9, toy_config(layers=2, temporal_layers=1)))
+    io.write_manifest(manifest, {**io.read_manifest(manifest), "cfg.channels": str(10 ** 9)})
+    gen = np.random.Generator(np.random.Philox(20))
+    write_ppm(tmp_path / "x.ppm", RawImage(gen.integers(0, 256, (56, 56, 3), dtype=np.uint8)))
+    proc = _run_capped("pipeline", "--manifest", manifest, "--image", tmp_path / "x.ppm",
+                       "--output", tmp_path / "o.pvct")
+    assert proc.returncode == cli.EXIT_IO, proc.stderr
+    assert "weight patch.weight has shape (588, 32), expected (588, 1000000000)" in proc.stderr
+
+
+def test_readme_commands_parse():
+    # every `pvc ...` line of README's command-line block, continuations
+    # joined, so that a flag deleted or renamed cannot linger in the docs
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split("#", 1)[0].split()[1:]
+                for line in block.replace("\\\n", " ").splitlines() if line.startswith("pvc ")]
+    assert len(commands) >= 9
+    for argv in commands:
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README's `pvc {' '.join(argv)}` does not parse")

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -301,13 +302,13 @@ class TestCompress:
             compress(np.zeros((b, 3, *shape)), p, cfg)
 
     def test_full_scale_widths_are_the_table4_presets(self):
-        # shapes only: _NoMemory's weights are zero-stride views
+        # shapes only: _NoMemory's weights are extents, with no data
         p = init_compression(model_store._NoMemory(), PvcConfig())
         spec = preset("table4-pvc")[0].compression
         widths = (p.adaln.w3.shape[1], p.te.w1.shape[1], p.w_in.shape[1], p.w_out.shape[1])
         assert widths == (spec.adaln_hidden, spec.te_hidden, spec.mlp_hidden, spec.out_dim)
         assert widths == (4096,) * 4
-        assert sum(a.size for _, a in named_params(p)) == 420_487_168  # 3.36 GB
+        assert sum(math.prod(a.shape) for _, a in named_params(p)) == 420_487_168  # 3.36 GB
 
     def test_compression_ratio(self):
         cfg = PvcConfig()

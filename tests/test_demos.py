@@ -1,8 +1,4 @@
-"""Each demo runs to completion in its own process and exits 0.
-
-`gradient_checks` is left out: it only calls `run_grad_check`, which the
-verification tests cover, and it takes several seconds.
-"""
+"""Each demo runs to completion in its own process and exits 0."""
 import os
 import subprocess
 import sys
@@ -11,8 +7,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-DEMOS = ("adaptive_compression", "flops_budget", "prepare_inputs",
-         "progressive_encoding")
+DEMOS = ("adaptive_compression", "prepare_inputs", "progressive_encoding")
 
 
 @pytest.mark.parametrize("demo", DEMOS)

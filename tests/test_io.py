@@ -11,7 +11,7 @@ from pvc.conditioning import init_adaln, init_temporal_embedding
 from pvc.model_store import load_compression, load_model, save_compression, save_model
 from pvc.tensor import Rng
 from pvc.verification import toy_config
-from pvc.vit import init_model, named_params
+from pvc.vit import build_model, init_model, named_params
 
 
 def test_round_trip_bitwise(tmp_path):
@@ -215,11 +215,17 @@ def test_load_compression_refuses_a_second_adaln_hidden_width(tmp_path):
         load_compression(manifest, cfg)
 
 
-def test_compression_width_reads_only_the_w_in_header(tmp_path, monkeypatch):
-    save_compression(tmp_path, init_compression(Rng(4), toy_config()))
+def test_check_manifest_reads_only_headers(tmp_path, monkeypatch):
+    cfg = toy_config()
+    save_compression(tmp_path, init_compression(Rng(4), cfg))
+    model = save_model(tmp_path / "model", init_model(3, cfg))
     monkeypatch.setattr(io, "read_tensor", None)  # no payload is read
-    assert model_store.compression_width(tmp_path / "comp.manifest") == 128
-    assert io.read_tensor_shape(tmp_path / "comp_w_in.pvct") == (128, 32)
+    for build, manifest in [(lambda draws: init_compression(draws, cfg),
+                             tmp_path / "comp.manifest"),
+                            (lambda draws: build_model(draws, cfg), model)]:
+        paths = model_store.check_manifest(build, manifest)
+        assert {f"weight.{name}": path.name for name, path in paths.items()} == {
+            k: v for k, v in io.read_manifest(manifest).items() if k.startswith("weight.")}
 
 
 @pytest.mark.parametrize("name, shape", [
@@ -331,14 +337,23 @@ def test_load_model_checks_extents_before_building(tmp_path, monkeypatch,
     manifest = save_model(tmp_path, init_model(3, toy_config(layers=2, temporal_layers=1)))
     io.write_manifest(manifest, {**io.read_manifest(manifest), f"cfg.{entry}": value})
 
-    def no_build(rng, cfg):
-        raise AssertionError("the model was built from an unchecked config")
+    real_build = model_store.build_model
 
-    monkeypatch.setattr(model_store, "build_model", no_build)
+    def build(draws, cfg):  # the template of extents alone, which allocates nothing
+        assert isinstance(draws, model_store._NoMemory), \
+            "the model was built from an unchecked config"
+        return real_build(draws, cfg)
+
+    monkeypatch.setattr(model_store, "build_model", build)
     message = (f"weight {weight} has shape" if weight
                else f"cfg.layers = {value}, but the manifest has weights for 2 layers")
-    with pytest.raises(io.PvctError, match=message):
-        load_model(manifest)
+    tracemalloc.start()
+    try:
+        with pytest.raises(io.PvctError, match=message):
+            load_model(manifest)
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_load_compression_rejects_other_weight_entries(tmp_path):
