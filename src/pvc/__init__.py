@@ -5,7 +5,7 @@ adaptive token compression head, the input-standardization pipeline, a
 gradient/causality verification harness, and an analytic token/FLOPs
 budget model.
 """
-from .budget import ArchSpec, BudgetReport, WorkloadSpec, count_tokens, estimate_flops
+from .budget import ArchSpec, BudgetReport, WorkloadSpec, estimate_flops
 from .compression import CompressionParams, compress, init_compression, pixel_shuffle, pixel_unshuffle
 from .conditioning import (
     AdaLnCondition,

@@ -87,15 +87,9 @@ class WorkloadSpec:
 
 
 @dataclass
-class TokenCounts:
-    per_frame: int
-    streams: int               # frame-tiles entering the ViT
-    visual_total: int
-
-
-@dataclass
 class BudgetReport:
     workload: WorkloadSpec
+    tokens_per_frame: int      # visual tokens per frame-tile after compression
     visual_tokens: int
     stages: dict = field(default_factory=dict)
 
@@ -119,30 +113,23 @@ def _streams(w: WorkloadSpec) -> tuple[int, int]:
     return w.frames, w.frames
 
 
-def count_tokens(w: WorkloadSpec, a: ArchSpec) -> TokenCounts:
-    """Visual tokens handed to the LLM for this workload."""
-    w.validate()
-    n = a.vit.tokens_per_frame
-    k2 = a.compression.kernel ** 2
-    if n % k2 != 0:
-        raise ValueError(f"kernel^2={k2} does not divide tokens/frame {n}")
-    m = n // k2
-    streams, _ = _streams(w)
-    return TokenCounts(per_frame=m, streams=streams, visual_total=streams * m)
-
-
 def _layer_macs(tokens: int, seq_sq_sum: int, d: int, f: int) -> float:
     """One transformer layer: projections + scores over given sequences."""
     return 4.0 * tokens * d * d + 2.0 * seq_sq_sum * d + 2.0 * tokens * d * f
 
 
 def estimate_flops(w: WorkloadSpec, a: ArchSpec, reuse: bool = False) -> BudgetReport:
-    """Per-stage FLOPs for one sample of the workload."""
-    counts = count_tokens(w, a)
+    """Per-stage FLOPs, and the visual tokens handed to the LLM, for one
+    sample of the workload."""
+    w.validate()
     vit, comp, llm = a.vit, a.compression, a.llm
     n = vit.tokens_per_frame
+    k2 = comp.kernel ** 2
+    if n % k2 != 0:
+        raise ValueError(f"kernel^2={k2} does not divide tokens/frame {n}")
     d = vit.hidden
     streams, t_seq = _streams(w)
+    out_tokens = streams * (n // k2)
     # image repeats are identical up to the first temporal layer's S-MHA and
     # AdaLN x-side, so with reuse that prefix runs once per tile, not per repeat
     can_reuse = reuse and w.kind == "image"
@@ -165,8 +152,7 @@ def estimate_flops(w: WorkloadSpec, a: ArchSpec, reuse: bool = False) -> BudgetR
         temporal -= (streams - shared_streams) * (4.0 * n * d * d + 2.0 * n * n * d
                                                   + 2.0 * n * d * vit.adaln_hidden)
 
-    wide = comp.kernel ** 2 * d
-    out_tokens = counts.visual_total
+    wide = k2 * d
     compression = out_tokens * (wide * comp.mlp_hidden
                                 + comp.mlp_hidden * comp.out_dim)
     if comp.adaln_hidden:
@@ -175,13 +161,14 @@ def estimate_flops(w: WorkloadSpec, a: ArchSpec, reuse: bool = False) -> BudgetR
     if comp.te_hidden:
         compression += t_seq * (256.0 * comp.te_hidden + comp.te_hidden * wide)
 
-    s = w.text_tokens + counts.visual_total
+    s = w.text_tokens + out_tokens
     prefill = llm.layers * _layer_macs(s, s * s, llm.hidden, llm.ffn)
 
     fac = a.flops_per_mac
     return BudgetReport(
         workload=w,
-        visual_tokens=counts.visual_total,
+        tokens_per_frame=n // k2,
+        visual_tokens=out_tokens,
         stages={"vit_plain": fac * plain,
                 "vit_temporal": fac * temporal,
                 "compression": fac * compression,

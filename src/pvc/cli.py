@@ -16,7 +16,6 @@ from . import io, model_store
 from .budget import (
     PRESET_NAMES,
     compare_strategies,
-    count_tokens,
     estimate_flops,
     preset,
     specs_from_entries,
@@ -187,8 +186,7 @@ def _cmd_budget(args) -> int:
     entries = io.read_manifest(args.config)
     arch, work = specs_from_entries(entries)
     report = estimate_flops(work, arch, reuse=bool(args.reuse))
-    tokens = count_tokens(work, arch)
-    print(f"visual_tokens_per_frame = {tokens.per_frame}")
+    print(f"visual_tokens_per_frame = {report.tokens_per_frame}")
     print(report.format_text())
     return EXIT_OK
 
@@ -203,6 +201,8 @@ def _cmd_pipeline(args) -> int:
         t_img = cfg.t_img if args.t_img is None else args.t_img
         if t_img < 1:
             raise ValueError(f"t_img must be >= 1, got {t_img}")
+        if args.max_tiles < 1:
+            raise ValueError(f"max_tiles must be >= 1, got {args.max_tiles}")
         tiles, grid = dynamic_tile(read_ppm(args.image), cfg.image_size, args.max_tiles)
         # tiles ride the batch axis; every tile of a frame shares its timestamp.
         # Each tile's 8-bit levels are held once across its t_img frames.
@@ -318,6 +318,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
+        if getattr(args, "seed", 0) < 0:  # before any command reads its input
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         return args.fn(args)
     except OSError as e:
         print(f"pvc: I/O error: {e}", file=sys.stderr)

@@ -167,7 +167,7 @@ def draw_workers() -> int:
 
 
 class Rng:
-    """Seeded random stream (SFC64), filled on every core.
+    """Seeded stream of normal draws (SFC64), filled on every core.
 
     Draw k of `Rng(seed)` (k = 0, 1, ... in call order) is cut, in row-major
     order, into blocks of DRAW_BLOCK values. Block j is the start of its
@@ -192,26 +192,9 @@ class Rng:
     zeros, ones = staticmethod(np.zeros), staticmethod(np.ones)  # not draws: no key is used
 
     def normal(self, shape, std: float = 1.0) -> Array:
+        """A new float64 array of `shape`: normal values scaled by std in place,
+        so that a draw holds one array of its size."""
         std = float(std)
-
-        def fill(gen, block):
-            gen.standard_normal(out=block)
-            block *= std  # in place: a draw holds one array of its size
-
-        return self._draw(shape, fill)
-
-    def uniform(self, shape, low: float = 0.0, high: float = 1.0) -> Array:
-        low, span = float(low), float(high) - float(low)
-
-        def fill(gen, block):
-            gen.random(out=block)
-            block *= span
-            block += low
-
-        return self._draw(shape, fill)
-
-    def _draw(self, shape, fill) -> Array:
-        """A new float64 array of `shape`, each block filled by fill(generator, block)."""
         out = np.empty(tuple(shape))
         flat = out.reshape(-1)
         key = self._draws
@@ -225,7 +208,9 @@ class Rng:
 
         def work(first):
             for j in range(first, len(gens), workers):
-                fill(gens[j], flat[j * DRAW_BLOCK:(j + 1) * DRAW_BLOCK])
+                block = flat[j * DRAW_BLOCK:(j + 1) * DRAW_BLOCK]
+                gens[j].standard_normal(out=block)
+                block *= std
 
         # plain threads: importing concurrent.futures costs 0.7 MB of resident set
         threads = [threading.Thread(target=work, args=(i,)) for i in range(1, workers)]

@@ -22,6 +22,8 @@ from .conditioning import (
     adaln_condition,
     init_adaln,
     init_temporal_embedding,
+    relative_timestamps,
+    sinusoidal_embed,
     temporal_embedding,
 )
 from .tensor import Array, Rng, silu_grad
@@ -262,7 +264,7 @@ def _probe(module_id: str, seed: int):
                 lambda g, cache: _adaln_bwd(g, p, cache))
 
     if module_id == "temporal_embedding":
-        t_tilde = rng.uniform((3, 256), -1.0, 1.0)
+        t_tilde = sinusoidal_embed(relative_timestamps(3))  # the codes the MLP receives
         p = _randomized(init_temporal_embedding(Rng(0), 5, hidden=4), rng, std)
         return ({"t_tilde": t_tilde}, p, lambda cache: temporal_embedding(t_tilde, p, cache),
                 lambda g, cache: _te_bwd(g, p, cache))

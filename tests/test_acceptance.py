@@ -8,8 +8,7 @@ import time
 import numpy as np
 
 from pvc import io
-from pvc.budget import (WorkloadSpec, compare_strategies, count_tokens, estimate_flops,
-                        preset)
+from pvc.budget import WorkloadSpec, compare_strategies, estimate_flops, preset
 from pvc.compression import compress, init_compression, pixel_shuffle, pixel_unshuffle
 from pvc.tensor import Rng
 from pvc.verification import (
@@ -99,10 +98,10 @@ def test_05_token_arithmetic():
     cfg = PvcConfig()
     per_frame = cfg.tokens_per_frame // cfg.shuffle_kernel ** 2
     arch, work, _ = preset("table4-pvc")
-    image = count_tokens(work, arch)
-    video = count_tokens(WorkloadSpec(kind="video", frames=64), arch)
+    image = estimate_flops(work, arch)
+    video = estimate_flops(WorkloadSpec(kind="video", frames=64), arch)
     ok = (cfg.tokens_per_frame == 1024 and per_frame == 64
-          and image.visual_total == 256 and video.visual_total == 4096)
+          and image.visual_tokens == 256 and video.visual_tokens == 4096)
     _verdict("token arithmetic 1024 -> 64/frame, 256/image, 4096/64-frame video",
              ok)
 

@@ -11,7 +11,6 @@ from pvc.budget import (
     VitSpec,
     WorkloadSpec,
     compare_strategies,
-    count_tokens,
     estimate_flops,
     preset,
     specs_from_entries,
@@ -27,27 +26,27 @@ class TestCountTokens:
     def test_image_default_budget(self):
         arch = ArchSpec(compression=CompressionSpec(kernel=4))
         w = WorkloadSpec(kind="image", t_img=4, tiles=1)
-        counts = count_tokens(w, arch)
-        assert counts.per_frame == 64
-        assert counts.visual_total == 256
+        report = estimate_flops(w, arch)
+        assert report.tokens_per_frame == 64
+        assert report.visual_tokens == 256
 
     def test_video_64_frames(self):
         arch = ArchSpec(compression=CompressionSpec(kernel=4))
         w = WorkloadSpec(kind="video", frames=64)
-        assert count_tokens(w, arch).visual_total == 4096
+        assert estimate_flops(w, arch).visual_tokens == 4096
 
     def test_zero_frames_error(self):
         arch = ArchSpec()
         with pytest.raises(ValueError):
-            count_tokens(WorkloadSpec(kind="video", frames=0), arch)
+            estimate_flops(WorkloadSpec(kind="video", frames=0), arch)
 
     def test_token_budget_equivalence(self):
         # 4 repeats at ratio 16 == 1 image at ratio 4: both 256 tokens
         a16 = ArchSpec(compression=CompressionSpec(kernel=4))
         a4 = ArchSpec(compression=CompressionSpec(kernel=2))
-        t16 = count_tokens(WorkloadSpec(kind="image", t_img=4), a16)
-        t4 = count_tokens(WorkloadSpec(kind="image", t_img=1), a4)
-        assert t16.visual_total == t4.visual_total == 256
+        t16 = estimate_flops(WorkloadSpec(kind="image", t_img=4), a16)
+        t4 = estimate_flops(WorkloadSpec(kind="image", t_img=1), a4)
+        assert t16.visual_tokens == t4.visual_tokens == 256
 
 
 class TestEstimateFlops:

@@ -85,6 +85,28 @@ class TestBudget:
         assert code == 0
         assert "visual_tokens_per_frame = 4" in out
 
+    def test_preset_without_reuse_runs_every_repeat(self, capsys):
+        def stages(*flags):
+            code, out, _ = run(capsys, "budget", "--preset", "table4-pvc", *flags)
+            assert code == 0
+            return dict(line.split(" = ") for line in out.splitlines())
+
+        reused, every = stages(), stages("--no-reuse")
+        assert every["visual_tokens"] == reused["visual_tokens"] == "256"
+        # t_img = 4 identical repeats: the plain layers run 4 times, not once
+        # (to the 7 digits printed)
+        assert float(every["flops.vit_plain"]) == pytest.approx(
+            4 * float(reused["flops.vit_plain"]), rel=1e-6)
+        assert float(every["flops.total"]) > float(reused["flops.total"])
+
+    def test_config_kernel_must_divide_tokens_per_frame(self, capsys, tmp_path):
+        cfg = tmp_path / "arch.cfg"  # 56 / 14 = 4 patches a side: 16 tokens, k^2 = 9
+        io.write_manifest(cfg, {"vit.image_size": 56, "vit.patch": 14,
+                                "compression.kernel": 3})
+        code, out, err = run(capsys, "budget", "--config", str(cfg))
+        assert code == cli.EXIT_USAGE and out == ""
+        assert err == "pvc: kernel^2=9 does not divide tokens/frame 16\n"
+
     def test_missing_args_is_usage_error(self, capsys):
         code, _, err = run(capsys, "budget")
         assert code == 2
@@ -452,6 +474,18 @@ class TestPipeline:
         assert err.startswith("pvc: non-finite value:") and "vid.pvct" in err
         assert not dst.exists()
 
+    @pytest.mark.parametrize("shape", [(16, 56, 56), (16, 56, 56, 4)])
+    def test_video_that_is_not_rgb_frames_is_io_error(self, capsys, tmp_path, monkeypatch,
+                                                     shape):
+        io.write_tensor(tmp_path / "v.pvct", np.zeros(shape))
+        reads = []
+        monkeypatch.setattr(io, "read_tensor", lambda *a: reads.append(a))
+        dst = tmp_path / "out.pvct"
+        code, _, err = run(capsys, "pipeline", "--toy", "--video", str(tmp_path / "v.pvct"),
+                           "--output", str(dst))
+        assert code == cli.EXIT_IO and "expected [T,H,W,3] frames" in err
+        assert reads == [] and not dst.exists()
+
     def test_malformed_ppm_is_io_error(self, capsys, tmp_path):
         ppm = tmp_path / "img.ppm"
         ppm.write_bytes(b"P6\nabc 3\n255\n")
@@ -586,8 +620,9 @@ class TestPipeline:
         ids=["t_img_0", "frames_0", "frames_0_unbounded", "tile_px", "max_tiles_0"])
     def test_zero_frames_and_removed_flag_are_usage_errors(self, capsys, tmp_path, monkeypatch,
                                                            flags, message):
-        inits = []
+        inits, reads = [], []
         monkeypatch.setattr(cli, "init_model", lambda *a: inits.append(a))
+        monkeypatch.setattr(cli, "read_ppm", lambda *a: reads.append(a))
         gen = np.random.Generator(np.random.Philox(15))
         write_ppm(tmp_path / "img.ppm",
                   RawImage(gen.integers(0, 256, size=(56, 56, 3), dtype=np.uint8)))
@@ -598,12 +633,36 @@ class TestPipeline:
         code, _, err = run(capsys, "pipeline", "--toy", *argv, "--output", str(dst))
         assert code == 2 and message in err
         assert not dst.exists()
-        assert inits == []  # a refused flag draws no weights
+        assert inits == [] and reads == []  # a refused flag reads no image, draws no weights
 
 
 def test_negative_seed_is_a_usage_error(capsys):
     code, _, err = run(capsys, "check-init-identity", "--seed", "-1")
     assert code == cli.EXIT_USAGE and err.startswith("pvc: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["forward", "--toy", "--input", "x.pvct", "--output", "o.pvct"],
+    ["compress", "--kernel", "2", "--input", "x.pvct", "--output", "o.pvct"],
+    ["pipeline", "--toy", "--image", "img.ppm", "--output", "o.pvct"],
+    ["pipeline", "--toy", "--video", "vid.pvct", "--output", "o.pvct"],
+    ["check-causality"], ["check-init-identity"], ["grad-check", "--module", "adaln"]],
+    ids=["forward", "compress", "pipeline_image", "pipeline_video", "check_causality",
+         "check_init_identity", "grad_check"])
+def test_negative_seed_is_refused_before_any_input(capsys, tmp_path, monkeypatch, argv):
+    gen = np.random.Generator(np.random.Philox(21))
+    write_ppm(tmp_path / "img.ppm", RawImage(gen.integers(0, 256, (56, 56, 3), dtype=np.uint8)))
+    io.write_tensor(tmp_path / "vid.pvct", gen.integers(0, 256, (16, 56, 56, 3)).astype(float))
+    cfg = toy_config()
+    io.write_tensor(tmp_path / "x.pvct", np.zeros((1, 2, cfg.tokens_per_frame, cfg.channels)))
+    reads = []
+    monkeypatch.setattr(io, "read_tensor", lambda *a: reads.append(a))
+    monkeypatch.setattr(cli, "read_ppm", lambda *a: reads.append(a))
+    argv = [str(tmp_path / a) if "." in a else a for a in argv]
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert code == cli.EXIT_USAGE and reads == [] and out == ""
+    assert err == "pvc: --seed must be non-negative, got -1\n"
+    assert not (tmp_path / "o.pvct").exists()
 
 
 def _run_capped(*argv) -> subprocess.CompletedProcess:

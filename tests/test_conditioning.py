@@ -90,7 +90,7 @@ class TestTemporalEmbedding:
     def test_step_by_step_oracle(self):
         rng = Rng(3)
         p = TemporalEmbeddingParams(w1=rng.normal((256, 4)), w2=rng.normal((4, 3)))
-        t_tilde = rng.uniform((1, 256), -1, 1)
+        t_tilde = sinusoidal_embed(relative_timestamps(4))
         expect = silu(t_tilde @ p.w1) @ p.w2
         assert np.max(np.abs(temporal_embedding(t_tilde, p) - expect)) < 1e-14
 

@@ -15,6 +15,7 @@ from pvc.input_pipeline import (
     level_table,
     read_ppm,
     sample_frames,
+    sample_indices,
     select_tile_grid,
     video_to_pixel_tensor,
     write_ppm,
@@ -91,6 +92,10 @@ class TestSampleFrames:
             ids = [by_id[id(f)] for f in out.frames]
             assert ids[0] == 0 and ids[-1] == 16
             assert all(a < b for a, b in zip(ids, ids[1:]))
+
+    def test_one_frame_is_the_first(self):
+        for length in (1, 2, 17):
+            assert sample_indices(length, 1) == [0]
 
     def test_oversampling_is_error(self):
         with pytest.raises(ValueError):
@@ -270,7 +275,8 @@ class TestPpm:
         assert np.array_equal(read_ppm(path).pixels, img.pixels)
 
     @pytest.mark.parametrize("header", [b"P6\nabc 3\n255\n", b"P6\n2 ",
-                                        b"P6\n0 2\n255\n", b"P6\n-2 2\n255\n"])
+                                        b"P6\n0 2\n255\n", b"P6\n-2 2\n255\n",
+                                        b"P6\n2 2\n65535\n"])
     def test_rejects_malformed_header(self, tmp_path, header):
         path = tmp_path / "img.ppm"
         path.write_bytes(header + b"\0" * 12)

@@ -77,6 +77,7 @@ def test_truncated_payload(tmp_path):
     b"PVCT\x01",                                                # cut off in the version
     b"PVCT" + struct.pack("<II2Q", 1, 2, 2 ** 40, 2 ** 40),    # element count overflows int64
     b"PVCT" + struct.pack("<II2Q", 1, 2, 0, 2 ** 62),          # empty, but too large to reshape
+    b"PVCT" + struct.pack("<II2Q", 1, 3, 1, 1),                # ends after 2 of its 3 extents
 ])
 def test_malformed_header(tmp_path, header):
     path = tmp_path / "bad.pvct"

@@ -2,8 +2,9 @@
 
 `perfbench/workloads.py` is frozen with the benchmark, so the library
 names it uses (`PvcConfig(t_img=...)`, `cfg.pixel_mean`, `vit_forward`,
-`compress`, ...) must keep working. Each encode workload runs once here at
-its toy geometry: set-up, one request and its checks. At the benchmark
+`compress`, the `budget` specs, ...) must keep working. Each encode
+workload runs once here at its toy geometry: set-up, one request, its
+checks and its analytic FLOPs. At the benchmark
 geometry, the GEMM heights the library's tiling gives are pinned, so a
 tiling change that shortens them shows here before it shows in the
 benchmark's timings.
@@ -59,6 +60,11 @@ def test_encode_workload_runs_at_toy_geometry(workloads, tmp_path, kind):
     assert work.out_path.exists()
     prefix_ok, gap = work.prefix_check()
     assert prefix_ok, f"frame 0 prefix gap {gap:.3e}"
+    # the benchmark divides its timings by these, through the budget specs
+    # `arch_spec` builds
+    flops = work.flops()
+    assert sorted(flops) == ["compression", "vit_plain", "vit_temporal"]
+    assert all(np.isfinite(v) and v > 0 for v in flops.values()), flops
 
 
 @pytest.mark.parametrize("kind", ["image_static", "video_dynamic"])

@@ -273,7 +273,7 @@ class TestDeterminismAndRng:
         a = Rng(123)
         b = Rng(123)
         assert np.array_equal(a.normal((4, 4)), b.normal((4, 4)))
-        assert np.array_equal(a.uniform((3,)), b.uniform((3,)))
+        assert np.array_equal(a.normal((3,), 0.5), b.normal((3,), 0.5))
 
     def test_normal_scales_its_draw_in_place(self):
         shape, std = (1024, 1024), 0.02
@@ -295,7 +295,6 @@ class TestDeterminismAndRng:
     def test_successive_draws_differ(self):
         rng = Rng(5)
         assert not np.array_equal(rng.normal((8,)), rng.normal((8,)))
-        assert not np.array_equal(rng.uniform((8,)), rng.uniform((8,)))
 
     def test_a_draw_is_its_keyed_blocks(self):
         n = tensor.DRAW_BLOCK + 1
@@ -305,8 +304,8 @@ class TestDeterminismAndRng:
             rng.normal((n,), 0.02),
             blockwise(9, 1, n, lambda gen, m: gen.standard_normal(m) * 0.02))
         assert np.array_equal(
-            rng.uniform((1, n), -1.0, 2.0),
-            blockwise(9, 2, n, lambda gen, m: gen.random(m) * 3.0 - 1.0)[None])
+            rng.normal((1, n)),
+            blockwise(9, 2, n, lambda gen, m: gen.standard_normal(m))[None])
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_draws_do_not_depend_on_the_thread_count(self, monkeypatch, workers):
@@ -314,8 +313,7 @@ class TestDeterminismAndRng:
 
         def draws():
             rng = Rng(31)
-            return [rng.normal(s, 0.5) for s in shapes] + [rng.uniform(s, -2.0, 1.0)
-                                                           for s in shapes]
+            return [rng.normal(s, 0.5) for s in shapes] + [rng.normal(s) for s in shapes]
 
         monkeypatch.setattr(tensor, "draw_workers", lambda: 1)
         one = draws()
@@ -334,7 +332,7 @@ class TestDeterminismAndRng:
         monkeypatch.setattr(tensor, "draw_workers", lambda: 2)
         monkeypatch.setattr(tensor.threading, "Thread", thread)
         Rng(1).normal((tensor.DRAW_BLOCK,))
-        Rng(1).uniform((0,))
+        Rng(1).normal((0,))
         assert started == []
         Rng(1).normal((tensor.DRAW_BLOCK + 1,))
         assert started == [1]

@@ -8,6 +8,8 @@ from pvc.conditioning import (
     adaln_condition,
     init_adaln,
     init_temporal_embedding,
+    relative_timestamps,
+    sinusoidal_embed,
     temporal_embedding,
 )
 from pvc.tensor import Rng, layer_norm, silu, silu_mlp
@@ -142,7 +144,7 @@ def _cache_forwards():
                           temporal_layers=0, shuffle_kernel=3)
     comp = init_compression(rng, comp_cfg)
     comp_tokens = rng.normal((1, 2, comp_cfg.tokens_per_frame, 3))
-    t_tilde = rng.uniform((3, 256), -1.0, 1.0)
+    t_tilde = sinusoidal_embed(relative_timestamps(3))
     return [
         ("layer_norm", lambda cache: layer_norm(x, gamma=layer.ln1_gamma + 0.5,
                                                 beta=layer.ln1_beta + 0.1, cache=cache)),
