@@ -36,7 +36,6 @@ from .input_pipeline import (
 from .tensor import NonFiniteError, Rng
 from .verification import (
     CHECKED_MODULES,
-    GRAD_TOL,
     check_causality,
     check_init_identity,
     run_grad_check,
@@ -75,11 +74,13 @@ def _check_manifests(args, cfg: PvcConfig) -> None:
                                    args.comp_manifest)
 
 
-def _token_shape(path) -> tuple[int, ...]:
-    """The [B,T,N,C] extents of a tokens file, from its header alone."""
+def _header(path, expected: tuple) -> tuple[int, ...]:
+    """The extents of a PVCT file, from its header alone, matched against
+    `expected`, in which None is any extent."""
     shape = io.read_tensor_shape(path)
-    if len(shape) != 4:
-        raise io.PvctError(f"{path}: expected [B,T,N,C] tokens, got {shape}")
+    if len(shape) != len(expected) or any(e not in (None, s) for s, e in zip(shape, expected)):
+        want = ", ".join("*" if e is None else str(e) for e in expected)
+        raise io.PvctError(f"{path}: extents {shape} do not match ({want})")
     return shape
 
 
@@ -91,11 +92,7 @@ def _load_or_init_compression(args, cfg: PvcConfig, seed: int):
 
 def _cmd_forward(args) -> int:
     cfg = _config(args)
-    shape = _token_shape(args.input)
-    if shape[2:] != (cfg.tokens_per_frame, cfg.channels):
-        raise io.PvctError(
-            f"{args.input}: tokens {shape} do not match model "
-            f"(N={cfg.tokens_per_frame}, C={cfg.channels})")
+    _header(args.input, (None, None, cfg.tokens_per_frame, cfg.channels))
     _check_manifests(args, cfg)
     x = io.read_tensor(args.input)
     out = vit_forward(x, cfg, _load_or_init_model(args, cfg))
@@ -105,9 +102,7 @@ def _cmd_forward(args) -> int:
 
 
 def _cmd_compress(args) -> int:
-    if args.kernel < 1:  # before the input, whose geometry is checked against it
-        raise ValueError(f"shuffle_kernel must be positive, got {args.kernel}")
-    _, _, n, c = _token_shape(args.input)
+    _, _, n, c = _header(args.input, (None,) * 4)
     # geometry comes from the tokens themselves; only the kernel matters
     cfg = _compress_config(n, c, args.kernel)
     _check_manifests(args, cfg)
@@ -131,8 +126,8 @@ def _write_tokens(path, out) -> None:
 
 def _compress_config(n: int, c: int, k: int) -> PvcConfig:
     side = int(round(np.sqrt(n)))
-    if side * side != n:
-        raise io.PvctError(f"token count {n} is not a square grid")
+    if side < 1 or side * side != n:
+        raise io.PvctError(f"token count {n} is not a square grid of at least one token")
     # synthesize a config matching the token geometry
     return PvcConfig(image_size=side, patch_size=1, channels=c, heads=1,
                      ffn_dim=c, layers=1, temporal_layers=0,
@@ -157,7 +152,7 @@ def _cmd_check_init_identity(args) -> int:
 
 
 def _cmd_grad_check(args) -> int:
-    report = run_grad_check(args.module, args.seed, tol=args.tol)
+    report = run_grad_check(args.module, args.seed)
     text = report.format_text()
     print(text)
     if args.output:
@@ -180,9 +175,6 @@ def _cmd_budget(args) -> int:
                                      names=[args.compare_baseline, args.preset])
             print(cmp.format_text())
         return EXIT_OK
-    if not args.config:
-        print("budget: need --preset or --config", file=sys.stderr)
-        return EXIT_USAGE
     entries = io.read_manifest(args.config)
     arch, work = specs_from_entries(entries)
     report = estimate_flops(work, arch, reuse=bool(args.reuse))
@@ -192,17 +184,10 @@ def _cmd_budget(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    if not (args.image or args.video):
-        print("pipeline: need --image or --video", file=sys.stderr)
-        return EXIT_USAGE
     cfg = _config(args)
     _check_manifests(args, cfg)  # checked before the input is read, loaded after it
     if args.image:
         t_img = cfg.t_img if args.t_img is None else args.t_img
-        if t_img < 1:
-            raise ValueError(f"t_img must be >= 1, got {t_img}")
-        if args.max_tiles < 1:
-            raise ValueError(f"max_tiles must be >= 1, got {args.max_tiles}")
         tiles, grid = dynamic_tile(read_ppm(args.image), cfg.image_size, args.max_tiles)
         # tiles ride the batch axis; every tile of a frame shares its timestamp.
         # Each tile's 8-bit levels are held once across its t_img frames.
@@ -212,9 +197,8 @@ def _cmd_pipeline(args) -> int:
         print(f"pipeline: {len(tiles)} tile(s), grid {grid[0]}x{grid[1]}, "
               f"t_img={t_img}")
     else:
-        shape = io.read_tensor_shape(args.video)  # the frame count, before the payload
-        if len(shape) != 4 or shape[-1] != 3:
-            raise io.PvctError(f"{args.video}: expected [T,H,W,3] frames")
+        s = cfg.image_size
+        shape = _header(args.video, (None, s, s, 3))  # the frame count, before the payload
         t = shape[0] if args.frames is None else args.frames
         lo, hi = FRAME_BOUNDS
         if not args.no_frame_bounds and not lo <= t <= hi:
@@ -242,6 +226,17 @@ def _cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
+def _at_least(lo: int):
+    """An argparse type: an int of at least `lo`, refused while parsing."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse's "invalid int value" for a non-integer
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="pvc",
@@ -250,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_seed(p):
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
+        p.add_argument("--seed", type=_at_least(0), default=0, help="RNG seed (default: 0)")
 
     p = sub.add_parser("forward", help="run the ViT stack on PVCT tokens")
     p.add_argument("--input", required=True)
@@ -263,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compress", help="compress PVCT tokens N -> N/k^2")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--kernel", type=int, default=4)
+    p.add_argument("--kernel", type=_at_least(1), default=4)
     p.add_argument("--comp-manifest", help="compression weights manifest")
     add_seed(p)
     p.set_defaults(fn=_cmd_compress)
@@ -279,14 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grad-check", help="analytic backward vs finite differences")
     p.add_argument("--module", required=True, choices=CHECKED_MODULES)
-    p.add_argument("--tol", type=float, default=GRAD_TOL)
     p.add_argument("--output", help="also write the report to this file")
     add_seed(p)
     p.set_defaults(fn=_cmd_grad_check)
 
     p = sub.add_parser("budget", help="token/FLOPs accounting")
-    p.add_argument("--preset", choices=PRESET_NAMES)
-    p.add_argument("--config", help="flat key=value arch/workload file")
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("--preset", choices=PRESET_NAMES)
+    src.add_argument("--config", help="flat key=value arch/workload file")
     p.add_argument("--compare-baseline", choices=PRESET_NAMES,
                    help="also print a comparison against this preset")
     p.add_argument("--reuse", dest="reuse", action="store_true", default=None)
@@ -295,11 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline",
                        help="image/video -> tiles -> ViT -> compressed tokens")
-    p.add_argument("--image", help="PPM (P6) image")
-    p.add_argument("--video", help="PVCT frame stack [T,H,W,3]")
-    p.add_argument("--t-img", type=int, default=None)
-    p.add_argument("--frames", type=int, default=None)
-    p.add_argument("--max-tiles", type=int, default=12)
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("--image", help="PPM (P6) image")
+    src.add_argument("--video", help="PVCT frame stack [T,H,W,3]")
+    p.add_argument("--t-img", type=_at_least(1), default=None)
+    p.add_argument("--frames", type=_at_least(1), default=None)
+    p.add_argument("--max-tiles", type=_at_least(1), default=12)
     p.add_argument("--no-frame-bounds", action="store_true")
     p.add_argument("--manifest", help="model manifest (else init from seed)")
     p.add_argument("--comp-manifest",
@@ -318,8 +314,6 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
-        if getattr(args, "seed", 0) < 0:  # before any command reads its input
-            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         return args.fn(args)
     except OSError as e:
         print(f"pvc: I/O error: {e}", file=sys.stderr)

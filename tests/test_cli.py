@@ -1,3 +1,4 @@
+import argparse
 import os
 import resource
 import struct
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pvc import cli, io, model_store
+from pvc import cli, io, model_store, verification
 from pvc.cli import main
 from pvc.input_pipeline import (RawImage, RawVideo, sample_frames, video_to_pixel_tensor,
                                 write_ppm)
@@ -47,10 +48,11 @@ class TestChecks:
         assert "pass" in out
         assert "pass" in dest.read_text()
 
-    def test_grad_check_fails_at_absurd_tol(self, capsys):
-        code, out, _ = run(capsys, "grad-check", "--module", "adaln",
-                           "--seed", "3", "--tol", "1e-30")
+    def test_grad_check_fails_at_absurd_tol(self, capsys, monkeypatch):
+        monkeypatch.setattr(verification, "GRAD_TOL", 1e-30)
+        code, out, _ = run(capsys, "grad-check", "--module", "adaln", "--seed", "3")
         assert code == 1
+        assert "tol = 1e-30" in out and "overall = FAIL" in out
 
     def test_seed_defaults_to_zero(self, capsys):
         code, out, _ = run(capsys, "check-init-identity")
@@ -110,6 +112,15 @@ class TestBudget:
     def test_missing_args_is_usage_error(self, capsys):
         code, _, err = run(capsys, "budget")
         assert code == 2
+        assert "one of the arguments --preset --config is required" in err
+
+    def test_preset_and_config_conflict(self, capsys, tmp_path, monkeypatch):
+        reads = []
+        monkeypatch.setattr(io, "read_manifest", lambda *a: reads.append(a))
+        code, out, err = run(capsys, "budget", "--preset", "table4-pvc",
+                             "--config", str(tmp_path / "missing.cfg"))
+        assert code == cli.EXIT_USAGE and out == "" and reads == []
+        assert "argument --config: not allowed with argument --preset" in err
 
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "budget", "--nonsense")
@@ -175,9 +186,11 @@ class TestForwardCompress:
         assert code == 3
         assert "I/O error" in err
 
-    @pytest.mark.parametrize("source", ["default", "toy", "manifest"])
+    @pytest.mark.parametrize("source, pattern", [
+        ("default", "(*, *, 1024, 1024)"), ("toy", "(*, *, 16, 32)"),
+        ("manifest", "(*, *, 16, 32)")], ids=["default", "toy", "manifest"])
     def test_forward_checks_its_input_before_any_weight(self, capsys, tmp_path, monkeypatch,
-                                                        source):
+                                                        source, pattern):
         # 3 tokens of width 4 match no model: refused before a weight is drawn or read
         flags = {"default": [], "toy": ["--toy"], "manifest": ["--manifest", str(save_model(
             tmp_path / "model", init_model(9, toy_config(layers=2, temporal_layers=1))))]}
@@ -188,7 +201,7 @@ class TestForwardCompress:
         io.write_tensor(src, np.zeros((1, 1, 3, 4)))
         code, _, err = run(capsys, "forward", *flags[source], "--input", str(src),
                            "--output", str(tmp_path / "o.pvct"))
-        assert code == 3 and "do not match model" in err
+        assert code == 3 and f"extents (1, 1, 3, 4) do not match {pattern}" in err
         assert calls == []
 
     def test_forward_overflowing_extents_is_io_error(self, capsys, tmp_path):
@@ -337,14 +350,16 @@ class TestForwardCompress:
             code, _, err = run(capsys, "compress", "--input", str(src),
                                "--output", str(src) + ".out", "--kernel", kernel)
             assert code == 2
-            assert "shuffle_kernel must be positive" in err
+            assert f"argument --kernel: must be >= 1, got {kernel}" in err
 
     def test_compress_non_square_grid(self, capsys, tmp_path):
-        src = tmp_path / "in.pvct"
-        io.write_tensor(src, Rng(6).normal((1, 1, 10, 4)))
-        code, _, _ = run(capsys, "compress", "--input", str(src),
-                         "--output", str(src) + ".out", "--kernel", "2")
-        assert code == 3
+        for tokens in (10, 0):
+            src = tmp_path / f"in{tokens}.pvct"
+            io.write_tensor(src, np.zeros((1, 1, tokens, 4)))
+            code, _, err = run(capsys, "compress", "--input", str(src),
+                               "--output", str(src) + ".out", "--kernel", "2")
+            assert code == 3
+            assert f"token count {tokens} is not a square grid" in err
 
 
 class TestPipeline:
@@ -483,8 +498,33 @@ class TestPipeline:
         dst = tmp_path / "out.pvct"
         code, _, err = run(capsys, "pipeline", "--toy", "--video", str(tmp_path / "v.pvct"),
                            "--output", str(dst))
-        assert code == cli.EXIT_IO and "expected [T,H,W,3] frames" in err
+        assert code == cli.EXIT_IO
+        assert f"extents {shape} do not match (*, 56, 56, 3)" in err
         assert reads == [] and not dst.exists()
+
+    def test_video_of_another_frame_size_is_refused_from_its_header(self, capsys, tmp_path,
+                                                                    monkeypatch):
+        # 55x56 frames against the toy's 56 px: refused before the payload or a weight
+        io.write_tensor(tmp_path / "v.pvct", np.zeros((20, 55, 56, 3)))
+        calls = []
+        monkeypatch.setattr(io, "read_tensor", lambda *a: calls.append("read_tensor"))
+        monkeypatch.setattr(cli, "init_model", lambda *a: calls.append("init_model"))
+        dst = tmp_path / "out.pvct"
+        code, _, err = run(capsys, "pipeline", "--toy", "--video", str(tmp_path / "v.pvct"),
+                           "--output", str(dst))
+        assert code == cli.EXIT_IO
+        assert "extents (20, 55, 56, 3) do not match (*, 56, 56, 3)" in err
+        assert calls == [] and not dst.exists()
+
+    def test_image_and_video_conflict(self, capsys, tmp_path, monkeypatch):
+        reads = []
+        monkeypatch.setattr(cli, "read_ppm", lambda *a: reads.append(a))
+        monkeypatch.setattr(io, "read_tensor", lambda *a: reads.append(a))
+        code, out, err = run(capsys, "pipeline", "--toy", "--image", str(tmp_path / "a.ppm"),
+                             "--video", str(tmp_path / "b.pvct"),
+                             "--output", str(tmp_path / "o.pvct"))
+        assert code == cli.EXIT_USAGE and out == "" and reads == []
+        assert "argument --video: not allowed with argument --image" in err
 
     def test_malformed_ppm_is_io_error(self, capsys, tmp_path):
         ppm = tmp_path / "img.ppm"
@@ -495,9 +535,10 @@ class TestPipeline:
         assert "img.ppm" in err
 
     def test_no_input_is_usage_error(self, capsys, tmp_path):
-        code, _, _ = run(capsys, "pipeline", "--toy",
-                         "--output", str(tmp_path / "o.pvct"))
+        code, _, err = run(capsys, "pipeline", "--toy",
+                           "--output", str(tmp_path / "o.pvct"))
         assert code == 2
+        assert "one of the arguments --image --video is required" in err
 
     @pytest.mark.parametrize("source", ["image", "video"])
     @pytest.mark.parametrize("toy", [[], ["--toy"]], ids=["manifest", "manifest_and_toy"])
@@ -611,12 +652,13 @@ class TestPipeline:
         assert forwards == [] and reads == []
 
     @pytest.mark.parametrize("flags, message", [
-        (["--image", "img.ppm", "--t-img", "0"], "t_img must be >= 1, got 0"),
-        (["--video", "vid.pvct", "--frames", "0"], "frame count 0 outside"),
+        (["--image", "img.ppm", "--t-img", "0"], "argument --t-img: must be >= 1, got 0"),
+        (["--video", "vid.pvct", "--frames", "0"], "argument --frames: must be >= 1, got 0"),
         (["--video", "vid.pvct", "--frames", "0", "--no-frame-bounds"],
-         "frame count must be >= 1, got 0"),
+         "argument --frames: must be >= 1, got 0"),
         (["--image", "img.ppm", "--tile-px", "56"], "unrecognized arguments: --tile-px"),
-        (["--image", "img.ppm", "--max-tiles", "0"], "max_tiles must be >= 1, got 0")],
+        (["--image", "img.ppm", "--max-tiles", "0"],
+         "argument --max-tiles: must be >= 1, got 0")],
         ids=["t_img_0", "frames_0", "frames_0_unbounded", "tile_px", "max_tiles_0"])
     def test_zero_frames_and_removed_flag_are_usage_errors(self, capsys, tmp_path, monkeypatch,
                                                            flags, message):
@@ -638,7 +680,7 @@ class TestPipeline:
 
 def test_negative_seed_is_a_usage_error(capsys):
     code, _, err = run(capsys, "check-init-identity", "--seed", "-1")
-    assert code == cli.EXIT_USAGE and err.startswith("pvc: ")
+    assert code == cli.EXIT_USAGE and "argument --seed: must be >= 0, got -1" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -661,7 +703,7 @@ def test_negative_seed_is_refused_before_any_input(capsys, tmp_path, monkeypatch
     argv = [str(tmp_path / a) if "." in a else a for a in argv]
     code, out, err = run(capsys, *argv, "--seed", "-1")
     assert code == cli.EXIT_USAGE and reads == [] and out == ""
-    assert err == "pvc: --seed must be non-negative, got -1\n"
+    assert err.endswith("error: argument --seed: must be >= 0, got -1\n")
     assert not (tmp_path / "o.pvct").exists()
 
 
@@ -721,7 +763,7 @@ def test_compressor_widths_from_different_files_allocate_nothing(tmp_path):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["forward", "--toy"], "do not match model"),
+    (["forward", "--toy"], "do not match (*, *, 16, 32)"),
     (["compress", "--comp-manifest", "missing.manifest"], "missing.manifest")],
     ids=["forward", "compress"])
 def test_huge_tokens_are_refused_from_their_header(tmp_path, flags, message):
@@ -765,3 +807,43 @@ def test_readme_commands_parse():
             cli.build_parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"README's `pvc {' '.join(argv)}` does not parse")
+
+
+# the bound of every integer flag, which the parser enforces
+FLAG_BOUNDS = {"--seed": 0, "--kernel": 1, "--t-img": 1, "--frames": 1, "--max-tiles": 1}
+SOURCE_ARGS = {"forward": ["--input", "x.pvct", "--output", "o.pvct"],
+               "compress": ["--input", "x.pvct", "--output", "o.pvct"],
+               "grad-check": ["--module", "adaln"],
+               "pipeline": ["--video", "vid.pvct", "--output", "o.pvct"]}
+
+
+def _int_flags():
+    """(command, flag, action) for every integer flag of every subcommand."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(command, action.option_strings[0], action)
+            for command, parser in sub.choices.items() for action in parser._actions
+            if getattr(action.type, "__name__", None) == "int"]
+
+
+def test_every_int_flag_is_bounded_by_the_parser():
+    flags = _int_flags()
+    assert {flag for _, flag, _ in flags} == set(FLAG_BOUNDS)
+    for command, flag, action in flags:
+        assert action.type is not int, f"pvc {command} {flag} has a bare type=int"
+        assert action.type(str(FLAG_BOUNDS[flag])) == FLAG_BOUNDS[flag]
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, f, _ in _int_flags()])
+def test_one_below_a_flag_bound_is_refused_while_parsing(capsys, tmp_path, monkeypatch,
+                                                         command, flag):
+    reads = []
+    for module, name in [(io, "read_tensor"), (io, "read_tensor_shape"),
+                         (io, "read_manifest"), (cli, "read_ppm")]:
+        monkeypatch.setattr(module, name, lambda *a: reads.append(a))
+    value = FLAG_BOUNDS[flag] - 1
+    argv = [str(tmp_path / a) if "." in a else a for a in SOURCE_ARGS.get(command, [])]
+    code, out, err = run(capsys, command, *argv, flag, str(value))
+    assert code == cli.EXIT_USAGE and out == "" and reads == []
+    assert err.endswith(f"error: argument {flag}: must be >= {FLAG_BOUNDS[flag]}, "
+                        f"got {value}\n")

@@ -68,8 +68,9 @@ class TestGradCheckRunner:
         b = run_grad_check("adaln", seed=3)
         assert [e.max_rel_err for e in a.entries] == [e.max_rel_err for e in b.entries]
 
-    def test_unsatisfiable_tolerance_fails(self):
-        report = run_grad_check("adaln", seed=7, tol=1e-30)
+    def test_unsatisfiable_tolerance_fails(self, monkeypatch):
+        monkeypatch.setattr(verification, "GRAD_TOL", 1e-30)
+        report = run_grad_check("adaln", seed=7)
         assert not report.passed
         assert "FAIL" in report.format_text()
 
