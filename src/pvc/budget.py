@@ -20,7 +20,8 @@ stay identical until the first temporal layer adds its timestamp
 embedding: the plain ViT layers, that layer's LN1/S-MHA and AdaLN's
 x-side GEMMs (x @ W3, x @ W5) run once per tile, and the rest run per
 repeat. `vit.vit_forward` makes exactly this saving on a static video
-held once, whose frame axis has stride 0.
+held once, whose frame axis has stride 0, so `pvc budget` always counts
+it; reuse=False is the nominal count of every frame.
 """
 from __future__ import annotations
 
@@ -60,7 +61,6 @@ class LlmSpec:
     layers: int = 32
     hidden: int = 4096
     ffn: int = 11008
-    heads: int = 32
 
 
 @dataclass
@@ -219,8 +219,8 @@ def compare_strategies(reports: list[BudgetReport],
 # flops_per_mac=1 because the reference numbers follow the common
 # profiler convention of reporting MACs as FLOPs.
 
-def preset(name: str) -> tuple[ArchSpec, WorkloadSpec, bool]:
-    """Returns (arch, workload, reuse) for a named preset."""
+def preset(name: str) -> tuple[ArchSpec, WorkloadSpec]:
+    """Returns (arch, workload) for a named preset."""
     if name == "table4-baseline":
         arch = ArchSpec(
             vit=VitSpec(layers=24, temporal_layers=0, adaln_hidden=0, te_hidden=0),
@@ -229,7 +229,7 @@ def preset(name: str) -> tuple[ArchSpec, WorkloadSpec, bool]:
             flops_per_mac=1.0,
         )
         work = WorkloadSpec(kind="image", t_img=1, tiles=1, text_tokens=2048)
-        return arch, work, False
+        return arch, work
     if name == "table4-pvc":
         arch = ArchSpec(
             vit=VitSpec(layers=24, temporal_layers=8,
@@ -240,7 +240,7 @@ def preset(name: str) -> tuple[ArchSpec, WorkloadSpec, bool]:
             flops_per_mac=1.0,
         )
         work = WorkloadSpec(kind="image", t_img=4, tiles=1, text_tokens=2048)
-        return arch, work, True
+        return arch, work
     raise ValueError(f"unknown preset {name!r}; "
                      "available: table4-baseline, table4-pvc")
 

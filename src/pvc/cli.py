@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .budget import (
     specs_from_entries,
 )
 from .compression import compress, init_compression
-from .conditioning import relative_timestamps
 from .input_pipeline import (
     FRAME_BOUNDS,
     dynamic_tile,
@@ -108,20 +106,9 @@ def _cmd_compress(args) -> int:
     _check_manifests(args, cfg)
     x = io.read_tensor(args.input)
     out = compress(x, _load_or_init_compression(args, cfg, args.seed), cfg)
-    _write_tokens(args.output, out)
+    io.write_tensor(args.output, out)
     print(f"compress: wrote {args.output} shape={out.shape}")
     return EXIT_OK
-
-
-def _write_tokens(path, out) -> None:
-    """Write compressed tokens [B,T,M,C_out] and their side manifest, which
-    lists the T frames' timestamps."""
-    b, t, m, c_out = out.shape
-    io.write_tensor(path, out)
-    io.write_manifest(str(path) + ".manifest", {
-        "B": b, "T": t, "M": m, "C_out": c_out,
-        "timestamps": " ".join(f"{s:.12g}" for s in relative_timestamps(t)),
-    })
 
 
 def _compress_config(n: int, c: int, k: int) -> PvcConfig:
@@ -153,33 +140,25 @@ def _cmd_check_init_identity(args) -> int:
 
 def _cmd_grad_check(args) -> int:
     report = run_grad_check(args.module, args.seed)
-    text = report.format_text()
-    print(text)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
+    print(report.format_text())
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 def _cmd_budget(args) -> int:
-    if args.preset:
-        arch, work, reuse = preset(args.preset)
-        if args.reuse is not None:
-            reuse = args.reuse
-        report = estimate_flops(work, arch, reuse=reuse)
-        print(f"preset = {args.preset}")
-        print(report.format_text())
-        if args.compare_baseline:
-            b_arch, b_work, b_reuse = preset(args.compare_baseline)
-            base = estimate_flops(b_work, b_arch, reuse=b_reuse)
-            cmp = compare_strategies([base, report],
-                                     names=[args.compare_baseline, args.preset])
-            print(cmp.format_text())
-        return EXIT_OK
-    entries = io.read_manifest(args.config)
-    arch, work = specs_from_entries(entries)
-    report = estimate_flops(work, arch, reuse=bool(args.reuse))
-    print(f"visual_tokens_per_frame = {report.tokens_per_frame}")
-    print(report.format_text())
+    # the forward always holds a static image's repeats once, so the saving is counted
+    name = args.preset or "config"
+    arch, work = (preset(name) if args.preset
+                  else specs_from_entries(io.read_manifest(args.config)))
+    report = estimate_flops(work, arch, reuse=True)
+    lines = [f"preset = {name}" if args.preset
+             else f"visual_tokens_per_frame = {report.tokens_per_frame}",
+             report.format_text()]
+    if args.compare_baseline:
+        b_arch, b_work = preset(args.compare_baseline)
+        base = estimate_flops(b_work, b_arch, reuse=True)
+        lines.append(compare_strategies([base, report],
+                                        names=[args.compare_baseline, name]).format_text())
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -202,10 +181,8 @@ def _cmd_pipeline(args) -> int:
         t = shape[0] if args.frames is None else args.frames
         lo, hi = FRAME_BOUNDS
         if not args.no_frame_bounds and not lo <= t <= hi:
-            print(f"pipeline: frame count {t} outside validated bounds "
-                  f"[{lo}, {hi}] (use --no-frame-bounds to override)",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"frame count {t} outside validated bounds [{lo}, {hi}] "
+                             "(use --no-frame-bounds to override)")
         kept = sample_indices(shape[0], t)
         frames_arr = io.read_tensor(args.video)
         if not np.all(np.isfinite(frames_arr)):
@@ -220,7 +197,7 @@ def _cmd_pipeline(args) -> int:
     x = vit_forward(patchify(pixels, cfg, model.patch), cfg, model)
     del model, pixels  # the ViT weights go before the compressor's are loaded or built
     out = compress(x, _load_or_init_compression(args, cfg, args.seed + 1), cfg)
-    _write_tokens(args.output, out)
+    io.write_tensor(args.output, out)
     print(f"pipeline: wrote {args.output} shape={out.shape} "
           f"({out.shape[0] * out.shape[1] * out.shape[2]} visual tokens)")
     return EXIT_OK
@@ -274,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grad-check", help="analytic backward vs finite differences")
     p.add_argument("--module", required=True, choices=CHECKED_MODULES)
-    p.add_argument("--output", help="also write the report to this file")
     add_seed(p)
     p.set_defaults(fn=_cmd_grad_check)
 
@@ -284,8 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--config", help="flat key=value arch/workload file")
     p.add_argument("--compare-baseline", choices=PRESET_NAMES,
                    help="also print a comparison against this preset")
-    p.add_argument("--reuse", dest="reuse", action="store_true", default=None)
-    p.add_argument("--no-reuse", dest="reuse", action="store_false")
     p.set_defaults(fn=_cmd_budget)
 
     p = sub.add_parser("pipeline",

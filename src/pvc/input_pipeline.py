@@ -141,10 +141,15 @@ def select_tile_grid(width: int, height: int, max_tiles: int) -> tuple[int, int]
     aspect = width / height
     best = None
     for r in range(1, max_tiles + 1):
-        for c in range(1, max_tiles // r + 1):
+        cap, lo = max_tiles // r, width * r // height  # lo = floor(aspect * r)
+        # for this r, the c/r closest to the aspect has c = lo or lo + 1, within [1, cap]
+        for c in {max(min(lo, cap), 1), min(lo + 1, cap)}:
             key = (abs(c / r - aspect), r * c, -c)
             if best is None or key < best[0]:
                 best = (key, (r, c))
+        if cap * height <= width * r:
+            # the cap binds: each later r has c/r <= cap'/r' < cap/r <= aspect, further off
+            break
     return best[1]
 
 

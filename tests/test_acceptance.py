@@ -97,7 +97,7 @@ def test_04_pixel_shuffle_oracle_and_inverse():
 def test_05_token_arithmetic():
     cfg = PvcConfig()
     per_frame = cfg.tokens_per_frame // cfg.shuffle_kernel ** 2
-    arch, work, _ = preset("table4-pvc")
+    arch, work = preset("table4-pvc")
     image = estimate_flops(work, arch)
     video = estimate_flops(WorkloadSpec(kind="video", frames=64), arch)
     ok = (cfg.tokens_per_frame == 1024 and per_frame == 64
@@ -108,10 +108,10 @@ def test_05_token_arithmetic():
 
 def test_06_flops_budget():
     start = time.monotonic()
-    b_arch, b_work, b_reuse = preset("table4-baseline")
-    p_arch, p_work, p_reuse = preset("table4-pvc")
-    base = estimate_flops(b_work, b_arch, reuse=b_reuse)
-    pvc = estimate_flops(p_work, p_arch, reuse=p_reuse)
+    b_arch, b_work = preset("table4-baseline")
+    p_arch, p_work = preset("table4-pvc")
+    base = estimate_flops(b_work, b_arch)
+    pvc = estimate_flops(p_work, p_arch, reuse=True)
     delta = compare_strategies([base, pvc]).delta_vs_first[1]
     elapsed = time.monotonic() - start
     ok = (abs(base.total - 13.3e12) / 13.3e12 < 0.15

@@ -51,14 +51,14 @@ class TestCountTokens:
 
 class TestEstimateFlops:
     def test_table4_baseline(self):
-        arch, work, reuse = preset("table4-baseline")
-        report = estimate_flops(work, arch, reuse=reuse)
+        arch, work = preset("table4-baseline")
+        report = estimate_flops(work, arch)
         assert abs(report.total - 13.3e12) / 13.3e12 < 0.15
         assert report.visual_tokens == 256
 
     def test_table4_pvc(self):
-        arch, work, reuse = preset("table4-pvc")
-        report = estimate_flops(work, arch, reuse=reuse)
+        arch, work = preset("table4-pvc")
+        report = estimate_flops(work, arch, reuse=True)
         assert abs(report.total - 14.1e12) / 14.1e12 < 0.15
         assert report.visual_tokens == 256
 
@@ -70,12 +70,12 @@ class TestEstimateFlops:
         assert report.total == 0.0
 
     def test_totals_are_stage_sums(self):
-        arch, work, reuse = preset("table4-pvc")
-        report = estimate_flops(work, arch, reuse=reuse)
+        arch, work = preset("table4-pvc")
+        report = estimate_flops(work, arch, reuse=True)
         assert report.total == sum(report.stages.values())
 
     def test_monotonicity(self):
-        base_arch, work, _ = preset("table4-baseline")
+        base_arch, work = preset("table4-baseline")
         base = estimate_flops(work, base_arch).total
         for change in ({"llm": LlmSpec(layers=40)},
                        {"llm": LlmSpec(hidden=8192)},
@@ -87,7 +87,7 @@ class TestEstimateFlops:
         assert estimate_flops(more_tokens, base_arch).total >= base
 
     def test_reuse_saves_exactly_repeat_factor_on_plain_layers(self):
-        arch, work, _ = preset("table4-pvc")
+        arch, work = preset("table4-pvc")
         with_reuse = estimate_flops(work, arch, reuse=True)
         without = estimate_flops(work, arch, reuse=False)
         assert without.stages["vit_plain"] == \
@@ -184,39 +184,39 @@ class TestBudgetMatchesForward:
 
 class TestCompare:
     def test_identical_reports_zero_delta(self):
-        arch, work, reuse = preset("table4-baseline")
-        r = estimate_flops(work, arch, reuse=reuse)
+        arch, work = preset("table4-baseline")
+        r = estimate_flops(work, arch)
         cmp = compare_strategies([r, r])
         assert cmp.delta_vs_first == [0.0, 0.0]
 
     def test_table4_pair_delta(self):
-        b_arch, b_work, b_reuse = preset("table4-baseline")
-        p_arch, p_work, p_reuse = preset("table4-pvc")
-        base = estimate_flops(b_work, b_arch, reuse=b_reuse)
-        pvc = estimate_flops(p_work, p_arch, reuse=p_reuse)
+        b_arch, b_work = preset("table4-baseline")
+        p_arch, p_work = preset("table4-pvc")
+        base = estimate_flops(b_work, b_arch)
+        pvc = estimate_flops(p_work, p_arch, reuse=True)
         cmp = compare_strategies([base, pvc], names=["baseline", "pvc"])
         assert abs(cmp.delta_vs_first[1] - 0.06) < 0.02
         assert "baseline.flops.total" in cmp.format_text()
 
     def test_three_reports_multiplicative_consistency(self):
-        arch, work, reuse = preset("table4-baseline")
-        a = estimate_flops(work, arch, reuse=reuse)
+        arch, work = preset("table4-baseline")
+        a = estimate_flops(work, arch)
         arch2 = dataclasses.replace(arch, llm=LlmSpec(layers=36))
-        b = estimate_flops(work, arch2, reuse=reuse)
+        b = estimate_flops(work, arch2)
         arch3 = dataclasses.replace(arch, llm=LlmSpec(layers=40))
-        c = estimate_flops(work, arch3, reuse=reuse)
+        c = estimate_flops(work, arch3)
         d_ab = 1.0 + compare_strategies([a, b]).delta_vs_first[1]
         d_bc = 1.0 + compare_strategies([b, c]).delta_vs_first[1]
         d_ac = 1.0 + compare_strategies([a, c]).delta_vs_first[1]
         assert abs(d_ab * d_bc - d_ac) < 1e-12
 
     def test_single_report_rejected(self):
-        arch, work, reuse = preset("table4-baseline")
+        arch, work = preset("table4-baseline")
         with pytest.raises(ValueError):
             compare_strategies([estimate_flops(work, arch)])
 
     def test_workload_mismatch_rejected(self):
-        arch, work, _ = preset("table4-baseline")
+        arch, work = preset("table4-baseline")
         a = estimate_flops(work, arch)
         b = estimate_flops(dataclasses.replace(work, kind="video", frames=8), arch)
         with pytest.raises(ValueError):
@@ -239,6 +239,9 @@ class TestConfigEntries:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             specs_from_entries({"nope.field": "1"})
+        # no FLOPs term reads the LLM's head count, so it is no field
+        with pytest.raises(ValueError, match="unknown llm field 'heads'"):
+            specs_from_entries({"llm.heads": "32"})
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pvc.input_pipeline import (
     PIXEL_MEAN,
@@ -27,6 +29,13 @@ from pvc.tensor import Rng
 def rand_image(seed, h, w):
     gen = np.random.Generator(np.random.Philox(seed))
     return RawImage(gen.integers(0, 256, size=(h, w, 3), dtype=np.uint8))
+
+
+def grid_oracle(w, h, max_tiles):
+    """Every (rows, cols) grid of at most max_tiles tiles, by select_tile_grid's key."""
+    aspect = w / h
+    return min(((abs(c / r - aspect), r * c, -c), (r, c)) for r in range(1, max_tiles + 1)
+               for c in range(1, max_tiles // r + 1))[1]
 
 
 def reference_resize(pixels, out_h, out_w):
@@ -122,10 +131,17 @@ class TestDynamicTile:
                        (1000, 300), (500, 700)]:
             rows, cols = select_tile_grid(w, h, 12)
             assert rows * cols <= 12
-            aspect = w / h
-            best = min(((abs(c / r - aspect), r * c, -c), (r, c))
-                       for r in range(1, 13) for c in range(1, 12 // r + 1))
-            assert (rows, cols) == best[1]
+            assert (rows, cols) == grid_oracle(w, h, 12)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 5000), st.integers(1, 5000), st.integers(1, 80))
+    def test_grid_matches_the_exhaustive_oracle(self, w, h, max_tiles):
+        assert select_tile_grid(w, h, max_tiles) == grid_oracle(w, h, max_tiles)
+
+    def test_grid_search_stops_where_the_column_cap_binds(self):
+        start = time.perf_counter()
+        assert select_tile_grid(64, 48, 10**6) == (3, 4)
+        assert time.perf_counter() - start < 0.5
 
     def test_reassembly_bitwise(self):
         img = rand_image(7, 300, 500)
